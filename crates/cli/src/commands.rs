@@ -103,31 +103,18 @@ COMMANDS:
     [--json]                    one JSON document per poll
     [--expo]                    Prometheus text exposition per poll
   simtest                       deterministic simulation soak + golden corpus
-    --seeds <n>                 scheduler seeds to sweep       [default: 25]
+    --explorer <name>           what each seed checks      [default: lifecycle]
+                                lifecycle: shard-count invariance + replay
+                                quantized: lifecycle with int8 latents
+                                crash: kill at every eviction boundary, recover
+                                route: handoff/kill schedules on a sim cluster
+                                balance: online migration schedules
+    --seeds <n>                 seeds to sweep                 [default: 25]
     --start-seed <n>            first seed of the sweep        [default: 0]
     --budget-secs <s>           wall-clock budget for the sweep
     --replay <seed>             re-check one seed and print its outcome
     --check-golden              re-derive the golden corpus and fail on drift
     --regen-golden              rewrite the golden corpus files
-    --crash-seeds <n>           crash-schedule sweep: kill a store-attached
-                                engine at every eviction boundary per seed,
-                                recover, assert bit-identical outcomes
-    --crash-replay <seed>       re-run one crash-schedule seed
-    [--crash-start-seed <n>]    first crash seed          [default: 0]
-    --route-seeds <n>           multi-node route sweep: seeded handoff/kill
-                                schedules over a simulated cluster, assert
-                                replay determinism and placement invisibility
-    --route-replay <seed>       re-run one route seed and print its outcome
-    [--route-start-seed <n>]    first route seed          [default: 0]
-    --balance-seeds <n>         migration-schedule sweep: inject online
-                                session migrations at seeded op boundaries,
-                                assert outcomes match an unmigrated run
-    --balance-replay <seed>     re-run one balance seed and print its outcome
-    [--balance-start-seed <n>]  first balance seed        [default: 0]
-    --quantized-seeds <n>       quantized (int8) sweep: re-run the lifecycle
-                                explorer with packed latents, assert replay
-                                determinism and shard-count invariance
-    [--quantized-start-seed <n>] first quantized seed     [default: 0]
     [--golden-dir <path>]       corpus location   [default: tests/golden]
   help                          show this message
 ";
@@ -1611,25 +1598,16 @@ fn stats(options: &Options) -> Result<(), String> {
 /// plus the golden-corpus conformance gate.
 fn simtest(options: &Options) -> Result<(), String> {
     options.expect_only(&[
+        "explorer",
         "seeds",
         "start-seed",
-        "budget-secs",
         "replay",
+        "budget-secs",
         "check-golden",
         "regen-golden",
         "golden-dir",
-        "crash-seeds",
-        "crash-start-seed",
-        "crash-replay",
-        "route-seeds",
-        "route-start-seed",
-        "route-replay",
-        "balance-seeds",
-        "balance-start-seed",
-        "balance-replay",
-        "quantized-seeds",
-        "quantized-start-seed",
     ])?;
+    let explorer: chameleon_simtest::Explorer = options.get_or("explorer", "lifecycle").parse()?;
     let golden_dir = std::path::PathBuf::from(options.get_or("golden-dir", "tests/golden"));
 
     if options.has_flag("regen-golden") {
@@ -1680,197 +1658,12 @@ fn simtest(options: &Options) -> Result<(), String> {
     }
 
     let scenario = chameleon_simtest::golden_scenario();
-
-    let print_crash = |outcome: &chameleon_simtest::CrashOutcome| {
-        println!(
-            "simtest: crash seed {} OK — {} ops, {} eviction boundaries, \
-             {} session recoveries, {} record(s) lost to the hostile disk{}",
-            outcome.seed,
-            outcome.ops,
-            outcome.boundaries,
-            outcome.sessions_recovered,
-            outcome.records_lost,
-            if outcome.file_faulted {
-                " (file faults on)"
-            } else {
-                ""
-            }
-        );
-    };
-    if let Some(raw) = options.get("crash-replay") {
-        let seed: u64 = raw
-            .parse()
-            .map_err(|_| format!("invalid value `{raw}` for --crash-replay"))?;
-        let scratch = chameleon_simtest::crash::default_scratch();
-        let outcome = chameleon_simtest::check_crash_seed(&scenario, seed, &scratch)?;
-        std::fs::remove_dir_all(&scratch).ok();
-        print_crash(&outcome);
-        return Ok(());
-    }
-    if let Some(raw) = options.get("crash-seeds") {
-        let seeds: u64 = raw
-            .parse()
-            .map_err(|_| format!("invalid value `{raw}` for --crash-seeds"))?;
-        if seeds == 0 {
-            return Err("--crash-seeds must be at least 1".to_string());
-        }
-        let start: u64 = options.get_parsed_or("crash-start-seed", 0)?;
-        let scratch = chameleon_simtest::crash::default_scratch();
-        let (mut boundaries, mut recoveries, mut lost) = (0u64, 0u64, 0u64);
-        for seed in start..start.saturating_add(seeds) {
-            let outcome = chameleon_simtest::check_crash_seed(&scenario, seed, &scratch)?;
-            boundaries += outcome.boundaries as u64;
-            recoveries += outcome.sessions_recovered;
-            lost += outcome.records_lost;
-        }
-        std::fs::remove_dir_all(&scratch).ok();
-        println!(
-            "simtest: {seeds}/{seeds} crash seeds passed — {boundaries} eviction \
-             boundaries killed and recovered, {recoveries} session recoveries, \
-             {lost} unsynced record(s) lost to hostile disks"
-        );
-        return Ok(());
-    }
-
-    let print_route = |outcome: &chameleon_simtest::RouteSeedOutcome| {
-        println!(
-            "simtest: route seed {} OK — {} ops on {} nodes, {} handoff(s), \
-             {} kill(s) re-homing {} session(s), {} router restart(s){}, \
-             log digest {:#010x}, checkpoint crc {:#010x}",
-            outcome.seed,
-            outcome.ops,
-            outcome.nodes,
-            outcome.handoffs,
-            outcome.kills,
-            outcome.recovered,
-            outcome.router_restarts,
-            if outcome.faulted { " (faulted)" } else { "" },
-            outcome.log_digest,
-            outcome.checkpoint_crc
-        );
-    };
-    if let Some(raw) = options.get("route-replay") {
-        let seed: u64 = raw
-            .parse()
-            .map_err(|_| format!("invalid value `{raw}` for --route-replay"))?;
-        let outcome = chameleon_simtest::check_route_seed(&scenario, seed)?;
-        print_route(&outcome);
-        return Ok(());
-    }
-    if let Some(raw) = options.get("route-seeds") {
-        let seeds: u64 = raw
-            .parse()
-            .map_err(|_| format!("invalid value `{raw}` for --route-seeds"))?;
-        if seeds == 0 {
-            return Err("--route-seeds must be at least 1".to_string());
-        }
-        let start: u64 = options.get_parsed_or("route-start-seed", 0)?;
-        let (mut handoffs, mut kills, mut recovered, mut faulted) = (0u64, 0u64, 0u64, 0u64);
-        let mut restarts = 0u64;
-        for seed in start..start.saturating_add(seeds) {
-            let outcome = chameleon_simtest::check_route_seed(&scenario, seed).map_err(|e| {
-                format!("{e}; reproduce with `chameleon simtest --route-replay {seed}`")
-            })?;
-            handoffs += outcome.handoffs;
-            kills += outcome.kills;
-            recovered += outcome.recovered;
-            restarts += outcome.router_restarts;
-            faulted += u64::from(outcome.faulted);
-        }
-        println!(
-            "simtest: {seeds}/{seeds} route seeds passed — {handoffs} session(s) handed \
-             off, {kills} node kill(s) re-homing {recovered} session(s) from shadows, \
-             {restarts} router restart(s) recovered bit-identically, \
-             {faulted} faulted case(s); every schedule matched its single-node reference"
-        );
-        return Ok(());
-    }
-
-    let print_balance = |outcome: &chameleon_simtest::BalanceSeedOutcome| {
-        println!(
-            "simtest: balance seed {} OK — {} ops on {} shards, {} migration(s), \
-             {} skipped{}, log digest {:#010x}, checkpoint crc {:#010x}",
-            outcome.seed,
-            outcome.ops,
-            outcome.shards,
-            outcome.migrations,
-            outcome.skipped,
-            if outcome.faulted { " (faulted)" } else { "" },
-            outcome.log_digest,
-            outcome.checkpoint_crc
-        );
-    };
-    if let Some(raw) = options.get("balance-replay") {
-        let seed: u64 = raw
-            .parse()
-            .map_err(|_| format!("invalid value `{raw}` for --balance-replay"))?;
-        let outcome = chameleon_simtest::check_balance_seed(&scenario, seed)?;
-        print_balance(&outcome);
-        return Ok(());
-    }
-    if let Some(raw) = options.get("balance-seeds") {
-        let seeds: u64 = raw
-            .parse()
-            .map_err(|_| format!("invalid value `{raw}` for --balance-seeds"))?;
-        if seeds == 0 {
-            return Err("--balance-seeds must be at least 1".to_string());
-        }
-        let start: u64 = options.get_parsed_or("balance-start-seed", 0)?;
-        let (mut migrations, mut skipped, mut faulted) = (0u64, 0u64, 0u64);
-        for seed in start..start.saturating_add(seeds) {
-            let outcome = chameleon_simtest::check_balance_seed(&scenario, seed).map_err(|e| {
-                format!("{e}; reproduce with `chameleon simtest --balance-replay {seed}`")
-            })?;
-            migrations += outcome.migrations;
-            skipped += outcome.skipped;
-            faulted += u64::from(outcome.faulted);
-        }
-        println!(
-            "simtest: {seeds}/{seeds} balance seeds passed — {migrations} online \
-             migration(s) performed, {skipped} skipped, {faulted} faulted case(s); \
-             every migration schedule matched its unmigrated reference bit for bit"
-        );
-        return Ok(());
-    }
-
-    if let Some(raw) = options.get("quantized-seeds") {
-        let seeds: u64 = raw
-            .parse()
-            .map_err(|_| format!("invalid value `{raw}` for --quantized-seeds"))?;
-        if seeds == 0 {
-            return Err("--quantized-seeds must be at least 1".to_string());
-        }
-        let start: u64 = options.get_parsed_or("quantized-start-seed", 0)?;
-        let (mut faulted, mut events) = (0u64, 0u64);
-        for seed in start..start.saturating_add(seeds) {
-            let outcome = chameleon_simtest::check_seed_at(&scenario, seed, Precision::Int8)
-                .map_err(|e| format!("quantized seed {seed} violated a fleet invariant: {e}"))?;
-            faulted += u64::from(outcome.faulted);
-            events += outcome.events;
-        }
-        println!(
-            "simtest: {seeds}/{seeds} quantized (int8) seeds passed ({faulted} \
-             faulted, {events} events) — shard-count invariance and replay \
-             determinism hold with packed latents"
-        );
-        return Ok(());
-    }
-
     if let Some(raw) = options.get("replay") {
         let seed: u64 = raw
             .parse()
             .map_err(|_| format!("invalid value `{raw}` for --replay"))?;
-        let outcome = chameleon_simtest::check_seed(&scenario, seed)?;
-        println!(
-            "simtest: seed {seed} OK — {} ops, {} shards, faulted {}, {} events, \
-             event digest {:#010x}, checkpoint crc {:#010x}",
-            outcome.ops,
-            outcome.shards,
-            outcome.faulted,
-            outcome.events,
-            outcome.event_digest,
-            outcome.checkpoint_crc
-        );
+        let outcome = explorer.check(&scenario, seed)?;
+        println!("simtest: {explorer} seed {seed} OK — {outcome}");
         return Ok(());
     }
 
@@ -1892,21 +1685,29 @@ fn simtest(options: &Options) -> Result<(), String> {
         }
     };
     let config = chameleon_simtest::SoakConfig {
+        explorer,
         start_seed,
         seeds,
         budget,
     };
     let report = chameleon_simtest::soak::run(&scenario, &config, |seed, outcome| {
         if let Err(violation) = outcome {
-            eprintln!("simtest: seed {seed} FAILED: {violation}");
+            eprintln!(
+                "simtest: {explorer} seed {seed} FAILED: {violation}\n  \
+                 reproduce with `chameleon simtest --explorer {explorer} --replay {seed}`"
+            );
         }
     });
+    let tallies: String = report
+        .tallies
+        .iter()
+        .map(|(name, count)| format!(", {count} {name}"))
+        .collect();
     println!(
-        "simtest: {}/{} seeds passed ({} faulted, {} events){}",
+        "simtest: {}/{} {explorer} seeds passed ({} faulted{tallies}){}",
         report.passed,
         report.checked,
         report.faulted,
-        report.events,
         if report.budget_exhausted {
             " — budget exhausted"
         } else {
@@ -1916,10 +1717,8 @@ fn simtest(options: &Options) -> Result<(), String> {
     if report.all_passed() {
         Ok(())
     } else {
-        let (seed, _) = report.failures[0];
         Err(format!(
-            "{} seed(s) violated simulation invariants; reproduce with \
-             `chameleon simtest --replay {seed}`",
+            "{} {explorer} seed(s) violated simulation invariants",
             report.failures.len()
         ))
     }
@@ -2500,18 +2299,34 @@ mod tests {
         assert!(dispatch(&toks(&["simtest", "--budget-secs", "-1"])).is_err());
         assert!(dispatch(&toks(&["simtest", "--replay", "many"])).is_err());
         assert!(dispatch(&toks(&["simtest", "--bogus", "1"])).is_err());
-        assert!(dispatch(&toks(&["simtest", "--crash-seeds", "0"])).is_err());
-        assert!(dispatch(&toks(&["simtest", "--crash-seeds", "x"])).is_err());
-        assert!(dispatch(&toks(&["simtest", "--crash-replay", "x"])).is_err());
+        assert!(dispatch(&toks(&["simtest", "--crash-seeds", "1"])).is_err());
+        for explorer in ["crash", "balance"] {
+            for bad in [["--seeds", "0"], ["--seeds", "x"], ["--replay", "x"]] {
+                let argv = toks(&["simtest", "--explorer", explorer, bad[0], bad[1]]);
+                assert!(dispatch(&argv).is_err(), "{argv:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn simtest_rejects_an_unknown_explorer_listing_every_name() {
+        let err =
+            dispatch(&toks(&["simtest", "--explorer", "chaos"])).expect_err("unknown explorer");
+        assert!(
+            err.contains("lifecycle, quantized, crash, route, balance"),
+            "{err}"
+        );
     }
 
     #[test]
     fn simtest_runs_a_crash_schedule_seed() {
         assert!(dispatch(&toks(&[
             "simtest",
-            "--crash-seeds",
+            "--explorer",
+            "crash",
+            "--seeds",
             "1",
-            "--crash-start-seed",
+            "--start-seed",
             "4",
         ]))
         .is_ok());
@@ -2521,22 +2336,36 @@ mod tests {
     fn simtest_soaks_and_replays_a_seed() {
         assert!(dispatch(&toks(&["simtest", "--seeds", "2"])).is_ok());
         assert!(dispatch(&toks(&["simtest", "--replay", "1"])).is_ok());
+        assert!(dispatch(&toks(&[
+            "simtest",
+            "--explorer",
+            "quantized",
+            "--replay",
+            "3"
+        ]))
+        .is_ok());
     }
 
     #[test]
     fn simtest_runs_a_balance_schedule_seed() {
         assert!(dispatch(&toks(&[
             "simtest",
-            "--balance-seeds",
+            "--explorer",
+            "balance",
+            "--seeds",
             "1",
-            "--balance-start-seed",
+            "--start-seed",
             "2",
         ]))
         .is_ok());
-        assert!(dispatch(&toks(&["simtest", "--balance-replay", "2"])).is_ok());
-        assert!(dispatch(&toks(&["simtest", "--balance-seeds", "0"])).is_err());
-        assert!(dispatch(&toks(&["simtest", "--balance-seeds", "x"])).is_err());
-        assert!(dispatch(&toks(&["simtest", "--balance-replay", "x"])).is_err());
+        assert!(dispatch(&toks(&[
+            "simtest",
+            "--explorer",
+            "balance",
+            "--replay",
+            "2"
+        ]))
+        .is_ok());
     }
 
     #[test]

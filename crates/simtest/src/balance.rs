@@ -20,15 +20,15 @@
 //! which is what lets a `Balancer` policy (a deterministic function of
 //! load) run in production without making outcomes schedule-dependent.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
-use chameleon_fleet::{FleetConfig, FleetEngine, SessionCommand, SessionEventKind, SessionId};
-use chameleon_replay::crc32;
+use chameleon_core::Precision;
+use chameleon_fleet::{FleetEngine, SessionId};
 use chameleon_runtime::{splitmix64, SimRng};
 use chameleon_stream::DomainIlScenario;
 
-use crate::digest::{encode_event, ShardScope};
+use crate::digest::digest_by_session;
+use crate::explorer::{apply_logged, evict_reference, final_blobs, sim_config, Blobs, Logs, Trace};
 use crate::script::{self, Op};
 
 /// Seed-derived migration plan: `(op_index, session, target_shard)`
@@ -80,110 +80,18 @@ pub struct BalanceSeedOutcome {
     pub checkpoint_crc: u32,
 }
 
-/// The migrations a run actually performed: `(op_index, session)` in
-/// apply order. The reference replays this as `Evict` commands.
-type Trace = Vec<(usize, SessionId)>;
-
-fn engine_for(scenario: &Arc<DomainIlScenario>, seed: u64, shards: usize) -> FleetEngine {
-    FleetEngine::new_sim(
-        Arc::clone(scenario),
-        FleetConfig {
-            num_shards: shards,
-            queue_depth: 4,
-            budget_bytes: u64::MAX,
-            assignment_seed: splitmix64(seed ^ 0xA551),
-            faults: script::fault_plan(seed),
-        },
-        seed,
-    )
-}
-
-/// Applies one script op, folding refusals and acknowledgements into the
-/// per-session logs, then probes the touched session with a checkpoint
-/// so its post-op state is part of the compared history.
-fn apply_op(
-    engine: &mut FleetEngine,
-    logs: &mut HashMap<SessionId, Vec<u8>>,
-    seed: u64,
-    op: &Op,
-) -> Result<(), String> {
-    let session = op.session();
-    let submitted = match op {
-        Op::Create { session } => {
-            engine.create_blocking(*session, script::session_spec(seed, *session))
-        }
-        Op::Step { session, batches } => {
-            engine.command_blocking(*session, SessionCommand::Step { batches: *batches })
-        }
-        Op::Checkpoint { session } => engine.command_blocking(*session, SessionCommand::Checkpoint),
-        Op::Evict { session } => engine.command_blocking(*session, SessionCommand::Evict),
-        Op::Evaluate { session } => engine.command_blocking(*session, SessionCommand::Evaluate),
-    };
-    if let Err(error) = submitted {
-        let log = logs.entry(session).or_default();
-        log.push(0xFF);
-        log.extend_from_slice(error.to_string().as_bytes());
-    }
-    for event in engine.drain_pending() {
-        let log = logs.entry(event.session).or_default();
-        encode_event(log, &event, ShardScope::Exclude);
-    }
-    if engine.known(session) {
-        engine
-            .command_blocking(session, SessionCommand::Checkpoint)
-            .map_err(|e| format!("checkpoint probe refused: {e}"))?;
-        for event in engine.drain_pending() {
-            let log = logs.entry(event.session).or_default();
-            encode_event(log, &event, ShardScope::Exclude);
-        }
-    }
-    Ok(())
-}
-
-/// Final `CHAMFLT1` blob of every known session, in id order.
-fn final_blobs(engine: &mut FleetEngine) -> Result<Vec<(SessionId, Vec<u8>)>, String> {
-    let mut blobs = Vec::new();
-    for id in 0..script::SESSION_POOL {
-        if !engine.known(id) {
-            continue;
-        }
-        engine
-            .command_blocking(id, SessionCommand::Checkpoint)
-            .map_err(|e| format!("final checkpoint refused: {e}"))?;
-        let blob = engine
-            .drain_pending()
-            .into_iter()
-            .find_map(|e| match e.kind {
-                SessionEventKind::Checkpointed(blob) => Some(blob),
-                _ => None,
-            })
-            .ok_or_else(|| format!("session {id}: final checkpoint produced no blob"))?;
-        blobs.push((id, blob));
-    }
-    Ok(blobs)
-}
-
 /// One migrated run: the script with the plan's migrations applied at
 /// their boundaries. Returns the logs, the performed-migration trace,
 /// the skip count, and the final blobs.
-#[allow(clippy::type_complexity)]
 fn run_migrated(
     scenario: &Arc<DomainIlScenario>,
     seed: u64,
     shards: usize,
     ops: &[Op],
     plan: &[(usize, SessionId, usize)],
-) -> Result<
-    (
-        HashMap<SessionId, Vec<u8>>,
-        Trace,
-        u64,
-        Vec<(SessionId, Vec<u8>)>,
-    ),
-    String,
-> {
-    let mut engine = engine_for(scenario, seed, shards);
-    let mut logs: HashMap<SessionId, Vec<u8>> = HashMap::new();
+) -> Result<(Logs, Trace, u64, Blobs), String> {
+    let mut engine = FleetEngine::new_sim(Arc::clone(scenario), sim_config(seed, shards), seed);
+    let mut logs = Logs::new();
     let mut trace = Trace::new();
     let mut skipped = 0u64;
     for (index, op) in ops.iter().enumerate() {
@@ -198,39 +106,11 @@ fn run_migrated(
                 Err(e) => return Err(format!("migrate session {session} -> {to}: {e}")),
             }
         }
-        apply_op(&mut engine, &mut logs, seed, op)
+        apply_logged(&mut engine, &mut logs, seed, op, Precision::F32, |_| Ok(()))
             .map_err(|e| format!("op {index} ({op:?}): {e}"))?;
     }
     let blobs = final_blobs(&mut engine)?;
     Ok((logs, trace, skipped, blobs))
-}
-
-/// The unmigrated reference: an identical engine running the same
-/// script, with the migrated run's trace replayed as local `Evict`
-/// commands at the same boundaries (evict is idempotent when a session
-/// is already cold). Machinery acknowledgements stay out of the
-/// compared history on both sides: `migrate_session` consumes its own
-/// export/import events, and the reference drains evict events to a bin.
-#[allow(clippy::type_complexity)]
-fn run_reference(
-    scenario: &Arc<DomainIlScenario>,
-    seed: u64,
-    shards: usize,
-    ops: &[Op],
-    trace: &Trace,
-) -> Result<(HashMap<SessionId, Vec<u8>>, Vec<(SessionId, Vec<u8>)>), String> {
-    let mut engine = engine_for(scenario, seed, shards);
-    let mut logs: HashMap<SessionId, Vec<u8>> = HashMap::new();
-    for (index, op) in ops.iter().enumerate() {
-        for (_, session) in trace.iter().filter(|(at, _)| *at == index) {
-            let _ = engine.command_blocking(*session, SessionCommand::Evict);
-            engine.drain_pending();
-        }
-        apply_op(&mut engine, &mut logs, seed, op)
-            .map_err(|e| format!("reference op {index} ({op:?}): {e}"))?;
-    }
-    let blobs = final_blobs(&mut engine)?;
-    Ok((logs, blobs))
 }
 
 /// Runs the full migration-invisibility + replay-determinism check for
@@ -264,7 +144,7 @@ pub fn check_balance_seed(
         ));
     }
 
-    let (ref_logs, ref_blobs) = run_reference(scenario, seed, shards, &ops, &trace)
+    let (ref_logs, ref_blobs) = evict_reference(scenario, seed, shards, &ops, &trace)
         .map_err(|e| format!("balance seed {seed} [reference]: {e}"))?;
     for id in 0..script::SESSION_POOL {
         if logs.get(&id) != ref_logs.get(&id) {
@@ -281,18 +161,6 @@ pub fn check_balance_seed(
         ));
     }
 
-    let mut log_concat = Vec::new();
-    for id in 0..script::SESSION_POOL {
-        if let Some(log) = logs.get(&id) {
-            log_concat.extend_from_slice(&id.to_le_bytes());
-            log_concat.extend_from_slice(log);
-        }
-    }
-    let mut blob_concat = Vec::new();
-    for (id, blob) in &blobs {
-        blob_concat.extend_from_slice(&id.to_le_bytes());
-        blob_concat.extend_from_slice(blob);
-    }
     Ok(BalanceSeedOutcome {
         seed,
         ops: ops.len(),
@@ -300,8 +168,8 @@ pub fn check_balance_seed(
         migrations: trace.len() as u64,
         skipped,
         faulted: script::fault_plan(seed).is_some(),
-        log_digest: crc32(&log_concat),
-        checkpoint_crc: crc32(&blob_concat),
+        log_digest: digest_by_session(&logs),
+        checkpoint_crc: digest_by_session(&blobs),
     })
 }
 

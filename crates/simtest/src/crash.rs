@@ -20,20 +20,21 @@
 //!    bit-identical to a control session restored directly from that
 //!    sealed blob (the store is observably absent from learning).
 //!
-//! A violation message always embeds the seed, so any failure replays
-//! with `chameleon simtest --crash-replay <seed>`.
+//! A violation message always embeds the seed and the crash boundary,
+//! so any failure replays from its seed.
 
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use chameleon_fleet::{
-    FleetConfig, FleetEngine, SessionCheckpoint, SessionCommand, SessionEventKind,
-};
+use chameleon_core::Precision;
+use chameleon_fleet::{FleetConfig, FleetEngine, SessionCheckpoint, SessionCommand};
 use chameleon_runtime::{splitmix64, Runtime};
 use chameleon_store::{SharedStore, StoreConfig};
 use chameleon_stream::DomainIlScenario;
 
+use crate::explorer::{final_blobs, submit};
 use crate::script::{self, Op};
 
 /// Batches each recovered session trains after recovery for the
@@ -78,38 +79,8 @@ fn scheduler_seed(seed: u64) -> u64 {
 /// (duplicate creates, unknown ids) — those refusals are the lifecycle
 /// explorer's concern, not the crash schedule's.
 fn apply(engine: &mut FleetEngine, seed: u64, op: &Op) {
-    let _ = match op {
-        Op::Create { session } => {
-            engine.create_blocking(*session, script::session_spec(seed, *session))
-        }
-        Op::Step { session, batches } => {
-            engine.command_blocking(*session, SessionCommand::Step { batches: *batches })
-        }
-        Op::Checkpoint { session } => engine.command_blocking(*session, SessionCommand::Checkpoint),
-        Op::Evict { session } => engine.command_blocking(*session, SessionCommand::Evict),
-        Op::Evaluate { session } => engine.command_blocking(*session, SessionCommand::Evaluate),
-    };
+    let _ = submit(engine, seed, op, Precision::F32);
     engine.drain_pending();
-}
-
-/// Collects each session's checkpoint blob from the engine (used for
-/// the post-recovery continuation check).
-fn checkpoint_all(engine: &mut FleetEngine, sessions: &[u64]) -> HashMap<u64, Vec<u8>> {
-    let mut blobs = HashMap::new();
-    for &session in sessions {
-        if engine.known(session)
-            && engine
-                .command_blocking(session, SessionCommand::Checkpoint)
-                .is_ok()
-        {
-            for event in engine.drain_pending() {
-                if let SessionEventKind::Checkpointed(blob) = event.kind {
-                    blobs.insert(event.session, blob);
-                }
-            }
-        }
-    }
-    blobs
 }
 
 /// Runs the full crash schedule for one seed. `scratch` is a directory
@@ -126,9 +97,8 @@ pub fn check_crash_seed(
 ) -> Result<CrashOutcome, String> {
     let ops = script::generate(seed);
     let file_faults = script::file_fault_plan(seed);
-    let err = |boundary: usize, msg: String| {
-        format!("crash seed {seed} boundary {boundary}: {msg} — replay with --crash-replay {seed}")
-    };
+    let err =
+        |boundary: usize, msg: String| format!("crash seed {seed} boundary {boundary}: {msg}");
 
     // Phase 1: uninterrupted baseline on a clean disk. Every sealed
     // record it produces is a durability promise the crash runs must
@@ -253,7 +223,7 @@ pub fn check_crash_seed(
             .iter()
             .filter_map(|&id| store.get(id).ok().flatten().map(|blob| (id, blob)))
             .collect();
-        let recovered_blobs = checkpoint_all(&mut recovered, &ids);
+        let recovered_blobs = final_blobs(&mut recovered).map_err(|e| err(boundary, e))?;
         for (&id, blob) in &sealed {
             match recovered_blobs.get(&id) {
                 None => {
@@ -280,7 +250,7 @@ pub fn check_crash_seed(
             );
             recovered.drain_pending();
         }
-        let continued = checkpoint_all(&mut recovered, &ids);
+        let continued = final_blobs(&mut recovered).map_err(|e| err(boundary, e))?;
         for (&id, blob) in &sealed {
             let mut control = SessionCheckpoint::from_bytes(blob)
                 .map_err(|e| err(boundary, format!("decode sealed blob of session {id}: {e}")))?
@@ -313,10 +283,12 @@ pub fn check_crash_seed(
     })
 }
 
-/// A scratch directory for crash sweeps, namespaced per process so
-/// concurrent test runs never collide.
-pub fn default_scratch() -> PathBuf {
-    std::env::temp_dir().join(format!("chameleon-crash-sim-{}", std::process::id()))
+/// A fresh scratch directory for one crash case, unique per call and per
+/// process so concurrent cases never collide.
+pub(crate) fn default_scratch() -> PathBuf {
+    static CASES: AtomicU64 = AtomicU64::new(0);
+    let case = CASES.fetch_add(1, Ordering::Relaxed);
+    std::env::temp_dir().join(format!("chameleon-crash-sim-{}-{case}", std::process::id()))
 }
 
 #[cfg(test)]
@@ -327,7 +299,7 @@ mod tests {
     #[test]
     fn crash_schedules_pass_on_clean_and_hostile_disks() {
         let scenario = golden_scenario();
-        let scratch = default_scratch().join("unit");
+        let scratch = default_scratch();
         let mut boundaries = 0;
         let mut faulted = 0;
         // One even (clean-disk) and one odd (hostile-disk) seed keep
@@ -349,7 +321,7 @@ mod tests {
     #[test]
     fn outcomes_replay_from_their_seed() {
         let scenario = golden_scenario();
-        let scratch = default_scratch().join("replay");
+        let scratch = default_scratch();
         let a = check_crash_seed(&scenario, 5, &scratch).expect("seed 5");
         let b = check_crash_seed(&scenario, 5, &scratch).expect("seed 5 again");
         assert_eq!(a, b);

@@ -6,7 +6,7 @@
 //! divergence — a reordered event, one flipped accuracy bit — changes
 //! the result.
 
-use chameleon_fleet::{SessionEvent, SessionEventKind};
+use chameleon_fleet::{SessionEvent, SessionEventKind, SessionId};
 use chameleon_obs::{Stage, StageStats};
 use chameleon_replay::crc32;
 
@@ -79,6 +79,20 @@ pub fn digest_events<'a>(
     let mut buf = Vec::new();
     for event in events {
         encode_event(&mut buf, event, scope);
+    }
+    crc32(&buf)
+}
+
+/// CRC32 over per-session byte strings in iteration order, each prefixed
+/// with its little-endian session id — the digest of a set of session
+/// logs or final checkpoint blobs.
+pub fn digest_by_session<'a>(
+    entries: impl IntoIterator<Item = (&'a SessionId, &'a Vec<u8>)>,
+) -> u32 {
+    let mut buf = Vec::new();
+    for (id, bytes) in entries {
+        buf.extend_from_slice(&id.to_le_bytes());
+        buf.extend_from_slice(bytes);
     }
     crc32(&buf)
 }

@@ -1,430 +1,363 @@
-//! The state-machine lifecycle explorer.
-//!
-//! One seed pins one complete simulation case: a generated op script
-//! (`crate::script`), a fault plan, per-session specs, and the seeded
-//! schedulers of the engines under comparison. For every seed the
-//! explorer runs the same script against
-//!
-//! 1. a **1-shard** sim engine,
-//! 2. a **K-shard** sim engine (K ∈ 2..=4, seed-derived) under a
-//!    *different* scheduler seed and assignment seed, and
-//! 3. the K-shard engine again with identical seeds (replay),
-//!
-//! asserting after every script prefix that the touched session's
-//! observable history — every event, every probed `CHAMFLT1` checkpoint
-//! byte — is identical across shard counts (the fleet determinism
-//! contract), that quarantine/progress counters never regress, and that
-//! the replay run reproduces the exact event log and final checkpoint
-//! bytes of its twin.
+//! The explorer harness: one [`Explorer`] enum naming every seeded
+//! explorer, and the simulation plumbing they share — the `Op` →
+//! fleet-command mapping, logged op application with post-op checkpoint
+//! probes, final-blob collection, and the Evict-at-the-same-boundary
+//! reference run.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
+use std::fmt;
+use std::str::FromStr;
 use std::sync::Arc;
 
 use chameleon_core::Precision;
 use chameleon_fleet::{
-    FleetConfig, FleetEngine, FleetError, SessionCheckpoint, SessionCommand, SessionEvent,
-    SessionEventKind, SessionId,
+    FleetConfig, FleetEngine, FleetError, SessionCommand, SessionEvent, SessionEventKind, SessionId,
 };
-use chameleon_replay::crc32;
 use chameleon_runtime::splitmix64;
 use chameleon_stream::DomainIlScenario;
 
-use crate::digest::{digest_events, digest_spans, encode_event, ShardScope};
+use crate::balance::{self, BalanceSeedOutcome};
+use crate::crash::{self, CrashOutcome};
+use crate::digest::{encode_event, ShardScope};
+use crate::lifecycle::{self, SeedOutcome};
+use crate::multinode::{self, RouteSeedOutcome};
 use crate::script::{self, Op};
 
-/// What one passing seed looked like — enough to cross-check a replay
-/// of the same seed on another machine or commit.
+/// One seeded explorer. Each proves that one way of running, moving, or
+/// interrupting a session leaves everything it observably learns
+/// untouched; [`Explorer::check`] runs one seed of it.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Explorer {
+    /// Shard-count invariance and same-seed replay of the lifecycle
+    /// script ([`lifecycle`]).
+    Lifecycle,
+    /// [`Explorer::Lifecycle`] with every session's latents stored at
+    /// int8.
+    Quantized,
+    /// Kill a store-attached engine at every eviction boundary, recover,
+    /// and compare against the sealed records ([`crash`]).
+    Crash,
+    /// Handoff, node-kill, and router-restart schedules on a simulated
+    /// cluster ([`multinode`]).
+    Route,
+    /// Online migration schedules on one multi-shard engine
+    /// ([`balance`]).
+    Balance,
+}
+
+impl Explorer {
+    /// Every explorer, in the order their names are listed.
+    const ALL: [Explorer; 5] = [
+        Self::Lifecycle,
+        Self::Quantized,
+        Self::Crash,
+        Self::Route,
+        Self::Balance,
+    ];
+
+    /// The name that selects this explorer.
+    fn name(self) -> &'static str {
+        match self {
+            Self::Lifecycle => "lifecycle",
+            Self::Quantized => "quantized",
+            Self::Crash => "crash",
+            Self::Route => "route",
+            Self::Balance => "balance",
+        }
+    }
+
+    /// Runs one seed. A crash seed works in a scratch directory of its
+    /// own, removed afterwards whatever the result.
+    ///
+    /// # Errors
+    ///
+    /// A human-readable description of the first violated invariant; the
+    /// seed reproduces it bit-identically.
+    pub fn check(self, scenario: &Arc<DomainIlScenario>, seed: u64) -> Result<Outcome, String> {
+        match self {
+            Self::Lifecycle => lifecycle::check_seed(scenario, seed).map(Outcome::Lifecycle),
+            Self::Quantized => {
+                lifecycle::check_seed_at(scenario, seed, Precision::Int8).map(Outcome::Lifecycle)
+            }
+            Self::Crash => {
+                let scratch = crash::default_scratch();
+                let outcome = crash::check_crash_seed(scenario, seed, &scratch);
+                let _ = std::fs::remove_dir_all(&scratch);
+                outcome.map(Outcome::Crash)
+            }
+            Self::Route => multinode::check_route_seed(scenario, seed).map(Outcome::Route),
+            Self::Balance => balance::check_balance_seed(scenario, seed).map(Outcome::Balance),
+        }
+    }
+}
+
+impl fmt::Display for Explorer {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(self.name())
+    }
+}
+
+impl FromStr for Explorer {
+    type Err = String;
+
+    fn from_str(name: &str) -> Result<Self, String> {
+        Self::ALL
+            .into_iter()
+            .find(|explorer| explorer.name() == name)
+            .ok_or_else(|| {
+                let names: Vec<&str> = Self::ALL.iter().map(|e| e.name()).collect();
+                format!(
+                    "unknown explorer `{name}`; expected one of: {}",
+                    names.join(", ")
+                )
+            })
+    }
+}
+
+/// What one passing seed looked like, per explorer.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub struct SeedOutcome {
-    /// The seed that pins this case.
-    pub seed: u64,
-    /// Ops in the generated script.
-    pub ops: usize,
-    /// Shard count of the multi-shard engine (2..=4).
-    pub shards: usize,
-    /// Whether the case ran under an injected fault plan.
-    pub faulted: bool,
-    /// Events observed across all three runs.
-    pub events: u64,
-    /// CRC32 of the K-shard run's full event log (shard ids included).
-    pub event_digest: u32,
-    /// CRC32 over every session's final `CHAMFLT1` blob, in id order.
-    pub checkpoint_crc: u32,
-    /// CRC32 of the K-shard run's per-stage span aggregates (virtual-clock
-    /// timings recorded by the fleet observer).
-    pub span_digest: u32,
+pub enum Outcome {
+    /// A lifecycle or quantized seed.
+    Lifecycle(SeedOutcome),
+    /// A crash-schedule seed.
+    Crash(CrashOutcome),
+    /// A multi-node route seed.
+    Route(RouteSeedOutcome),
+    /// A migration-schedule seed.
+    Balance(BalanceSeedOutcome),
 }
 
-/// One engine under test plus the per-session observable history the
-/// explorer compares across runs.
-struct SimRun {
-    engine: FleetEngine,
-    /// Shard-agnostic per-session encoding of everything observable:
-    /// events (probes included) and synchronously refused submissions.
-    logs: HashMap<SessionId, Vec<u8>>,
-    /// Every event in engine arrival order (shard-sensitive digests).
-    all_events: Vec<SessionEvent>,
-    /// Highest `trace.inputs` seen per session — progress counters must
-    /// never regress, not even across evict/restore cycles.
-    progress: HashMap<SessionId, u64>,
-    /// Latent-codec precision every session spec in this run uses.
-    precision: Precision,
-}
-
-impl SimRun {
-    fn new(
-        scenario: Arc<DomainIlScenario>,
-        config: FleetConfig,
-        scheduler_seed: u64,
-        precision: Precision,
-    ) -> Self {
-        Self {
-            engine: FleetEngine::new_sim(scenario, config, scheduler_seed),
-            logs: HashMap::new(),
-            all_events: Vec::new(),
-            progress: HashMap::new(),
-            precision,
+impl Outcome {
+    /// Whether the seed ran under an injected fault plan: memory bit
+    /// flips, or a hostile disk for a crash seed.
+    pub fn faulted(&self) -> bool {
+        match self {
+            Self::Lifecycle(o) => o.faulted,
+            Self::Crash(o) => o.file_faulted,
+            Self::Route(o) => o.faulted,
+            Self::Balance(o) => o.faulted,
         }
     }
 
-    /// Applies one op (riding out backpressure), drains its events into
-    /// the per-session logs, then probes the touched session with a
-    /// `Checkpoint` command so the full `CHAMFLT1` bytes after this
-    /// prefix are part of the observable history.
-    fn apply(&mut self, seed: u64, op: &Op, probe: bool) -> Result<(), String> {
-        let session = op.session();
-        let submitted = match op {
-            Op::Create { session } => self.engine.create_blocking(
-                *session,
-                script::session_spec_at(seed, *session, self.precision),
+    /// Named counts a sweep sums across its passing seeds; the same names
+    /// in the same order for every seed of one explorer.
+    pub fn tallies(&self) -> Vec<(&'static str, u64)> {
+        match self {
+            Self::Lifecycle(o) => vec![("events", o.events)],
+            Self::Crash(o) => vec![
+                ("eviction boundaries", o.boundaries as u64),
+                ("session recoveries", o.sessions_recovered),
+                ("records lost", o.records_lost),
+            ],
+            Self::Route(o) => vec![
+                ("handoffs", o.handoffs),
+                ("node kills", o.kills),
+                ("sessions re-homed", o.recovered),
+                ("router restarts", o.router_restarts),
+            ],
+            Self::Balance(o) => vec![("migrations", o.migrations), ("skipped moves", o.skipped)],
+        }
+    }
+}
+
+impl fmt::Display for Outcome {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Self::Lifecycle(o) => write!(
+                f,
+                "{} ops, {} shards, {} events, event digest {:#010x}, \
+                 checkpoint crc {:#010x}, span digest {:#010x}",
+                o.ops, o.shards, o.events, o.event_digest, o.checkpoint_crc, o.span_digest
             ),
-            Op::Step { session, batches } => self
-                .engine
-                .command_blocking(*session, SessionCommand::Step { batches: *batches }),
-            Op::Checkpoint { session } => self
-                .engine
-                .command_blocking(*session, SessionCommand::Checkpoint),
-            Op::Evict { session } => self
-                .engine
-                .command_blocking(*session, SessionCommand::Evict),
-            Op::Evaluate { session } => self
-                .engine
-                .command_blocking(*session, SessionCommand::Evaluate),
-        };
-        if let Err(error) = submitted {
-            // Synchronous refusals (unknown/duplicate ids) are part of
-            // the observable contract: both engines must refuse the
-            // same ops. `Rejected` cannot reach here (blocking submit).
-            self.log_refusal(session, &error);
-        }
-        self.collect()?;
-        if probe && self.engine.known(session) {
-            self.engine
-                .command_blocking(session, SessionCommand::Checkpoint)
-                .map_err(|e| format!("checkpoint probe refused: {e}"))?;
-            self.collect()?;
-        }
-        Ok(())
-    }
-
-    /// Drains pending events into the logs, checking per-event
-    /// invariants as they stream past.
-    fn collect(&mut self) -> Result<(), String> {
-        for event in self.engine.drain_pending() {
-            let log = self.logs.entry(event.session).or_default();
-            encode_event(log, &event, ShardScope::Exclude);
-            self.check_invariants(&event)?;
-            self.all_events.push(event);
-        }
-        Ok(())
-    }
-
-    fn log_refusal(&mut self, session: SessionId, error: &FleetError) {
-        let log = self.logs.entry(session).or_default();
-        log.push(0xFF);
-        log.extend_from_slice(error.to_string().as_bytes());
-    }
-
-    /// Invariants every event must satisfy regardless of interleaving:
-    /// checkpoint blobs parse and their quarantine/progress counters
-    /// never run backwards; evaluation accuracies stay in [0, 100].
-    fn check_invariants(&mut self, event: &SessionEvent) -> Result<(), String> {
-        match &event.kind {
-            SessionEventKind::Checkpointed(blob) => {
-                let ck = SessionCheckpoint::from_bytes(blob).map_err(|e| {
-                    format!("session {}: emitted blob unparsable: {e:?}", event.session)
-                })?;
-                if ck.session != event.session {
-                    return Err(format!(
-                        "blob names session {} but event names {}",
-                        ck.session, event.session
-                    ));
-                }
-                let inputs = ck.counters.trace.inputs;
-                let seen = self.progress.entry(event.session).or_insert(0);
-                if inputs < *seen {
-                    return Err(format!(
-                        "session {}: trace.inputs regressed {} -> {inputs}",
-                        event.session, *seen
-                    ));
-                }
-                *seen = inputs;
-                for (store, stats) in [
-                    ("short-term", &ck.counters.short_term_stats),
-                    ("long-term", &ck.counters.long_term_stats),
-                ] {
-                    if stats.corrupt_evictions > stats.sample_reads + stats.sample_writes {
-                        return Err(format!(
-                            "session {}: {store} quarantined more samples than it ever touched",
-                            event.session
-                        ));
-                    }
-                }
-            }
-            SessionEventKind::Evaluated(report) => {
-                let all = std::iter::once(report.acc_all)
-                    .chain(report.per_domain.iter().copied())
-                    .chain(report.per_class.iter().copied());
-                for acc in all {
-                    if !(0.0..=100.0).contains(&acc) {
-                        return Err(format!(
-                            "session {}: accuracy {acc} outside [0, 100]",
-                            event.session
-                        ));
-                    }
-                }
-            }
-            _ => {}
-        }
-        Ok(())
-    }
-
-    /// Final `CHAMFLT1` blob of every created session, in id order.
-    fn final_blobs(&mut self) -> Result<Vec<(SessionId, Vec<u8>)>, String> {
-        let mut ids: Vec<SessionId> = (0..script::SESSION_POOL)
-            .filter(|&id| self.engine.known(id))
-            .collect();
-        ids.sort_unstable();
-        let mut blobs = Vec::with_capacity(ids.len());
-        for id in ids {
-            self.engine
-                .command_blocking(id, SessionCommand::Checkpoint)
-                .map_err(|e| format!("final checkpoint refused: {e}"))?;
-            let events = self.engine.drain_pending();
-            let blob = events
-                .into_iter()
-                .find_map(|e| match e.kind {
-                    SessionEventKind::Checkpointed(blob) => Some(blob),
-                    _ => None,
-                })
-                .ok_or_else(|| format!("session {id}: final checkpoint produced no blob"))?;
-            blobs.push((id, blob));
-        }
-        Ok(blobs)
-    }
-
-    /// Residency conservation: every created session is accounted for as
-    /// either resident or cold, never lost, never duplicated.
-    fn check_session_conservation(&mut self) -> Result<(), String> {
-        let created = (0..script::SESSION_POOL)
-            .filter(|&id| self.engine.known(id))
-            .count();
-        let metrics = self.engine.metrics();
-        let held = metrics.sessions_resident() + metrics.sessions_cold();
-        if held != created {
-            return Err(format!(
-                "session conservation broken: {created} created but {held} held"
-            ));
+            Self::Crash(o) => write!(
+                f,
+                "{} ops, {} eviction boundaries, {} session recoveries, {} record(s) lost",
+                o.ops, o.boundaries, o.sessions_recovered, o.records_lost
+            ),
+            Self::Route(o) => write!(
+                f,
+                "{} ops on {} nodes, {} handoff(s), {} kill(s) re-homing {} session(s), \
+                 {} router restart(s), log digest {:#010x}, checkpoint crc {:#010x}",
+                o.ops,
+                o.nodes,
+                o.handoffs,
+                o.kills,
+                o.recovered,
+                o.router_restarts,
+                o.log_digest,
+                o.checkpoint_crc
+            ),
+            Self::Balance(o) => write!(
+                f,
+                "{} ops on {} shards, {} migration(s), {} skipped, log digest {:#010x}, \
+                 checkpoint crc {:#010x}",
+                o.ops, o.shards, o.migrations, o.skipped, o.log_digest, o.checkpoint_crc
+            ),
+        }?;
+        if self.faulted() {
+            f.write_str(" (faulted)")?;
         }
         Ok(())
     }
 }
 
-/// Runs the full shard-count-invariance + replay-determinism check for
-/// one seed.
-///
-/// # Errors
-///
-/// A human-readable description of the first violated invariant; the
-/// seed reproduces it bit-identically.
-pub fn check_seed(scenario: &Arc<DomainIlScenario>, seed: u64) -> Result<SeedOutcome, String> {
-    check_seed_at(scenario, seed, Precision::F32)
-}
+/// Per-session observable history: every event (probes included) and
+/// every synchronous refusal, encoded without shard ids so histories
+/// compare across placements.
+pub(crate) type Logs = BTreeMap<SessionId, Vec<u8>>;
 
-/// [`check_seed`] with every session spec pinned to `precision` — the
-/// quantized soak slice. The same shard-count-invariance and
-/// replay-determinism contracts must hold when latents round-trip
-/// through the codec: quantization is deterministic, so a quantized
-/// fleet replays bit-identically too.
-///
-/// # Errors
-///
-/// A human-readable description of the first violated invariant.
-pub fn check_seed_at(
-    scenario: &Arc<DomainIlScenario>,
-    seed: u64,
-    precision: Precision,
-) -> Result<SeedOutcome, String> {
-    let ops = script::generate(seed);
-    let faults = script::fault_plan(seed);
-    let shards = 2 + (splitmix64(seed ^ 0x5A4D) % 3) as usize;
-    let config = |num_shards: usize| FleetConfig {
+/// Final `CHAMFLT1` blob of every session.
+pub(crate) type Blobs = BTreeMap<SessionId, Vec<u8>>;
+
+/// Sessions a run moved or interrupted: `(op_index, session)` in apply
+/// order, each before the op at `op_index`.
+pub(crate) type Trace = Vec<(usize, SessionId)>;
+
+/// Fleet config of a single-engine run of `seed`: the seed's fault plan
+/// and assignment seed, and an unbounded budget so residency never
+/// depends on which sessions share a shard.
+pub(crate) fn sim_config(seed: u64, num_shards: usize) -> FleetConfig {
+    FleetConfig {
         num_shards,
         queue_depth: 4,
         budget_bytes: u64::MAX,
         assignment_seed: splitmix64(seed ^ 0xA551),
-        faults,
-    };
-    let mut solo = SimRun::new(Arc::clone(scenario), config(1), seed, precision);
-    let mut multi = SimRun::new(
-        Arc::clone(scenario),
-        config(shards),
-        splitmix64(seed ^ 0xB0B),
-        precision,
-    );
-    let mut replay = SimRun::new(
-        Arc::clone(scenario),
-        config(shards),
-        splitmix64(seed ^ 0xB0B),
-        precision,
-    );
-
-    for (index, op) in ops.iter().enumerate() {
-        let fail = |run: &str, e: String| format!("seed {seed} op {index} ({op:?}) [{run}]: {e}");
-        solo.apply(seed, op, true).map_err(|e| fail("1-shard", e))?;
-        multi
-            .apply(seed, op, true)
-            .map_err(|e| fail(format!("{shards}-shard").as_str(), e))?;
-        replay
-            .apply(seed, op, true)
-            .map_err(|e| fail("replay", e))?;
-        // Shard-count invariance after this prefix: the touched
-        // session's entire observable history (events + probed
-        // checkpoint bytes) must be identical at 1 and K shards.
-        let session = op.session();
-        if solo.logs.get(&session) != multi.logs.get(&session) {
-            return Err(format!(
-                "seed {seed} op {index} ({op:?}): session {session} history diverges \
-                 between 1 and {shards} shards"
-            ));
-        }
+        faults: script::fault_plan(seed),
     }
-
-    // Whole-run cross-check: every session's history, not just touched
-    // prefixes, plus residency conservation per engine.
-    if solo.logs != multi.logs {
-        return Err(format!(
-            "seed {seed}: per-session histories diverge between 1 and {shards} shards"
-        ));
-    }
-    solo.check_session_conservation()
-        .map_err(|e| format!("seed {seed} [1-shard]: {e}"))?;
-    multi
-        .check_session_conservation()
-        .map_err(|e| format!("seed {seed} [{shards}-shard]: {e}"))?;
-
-    // Replay determinism: identical seeds ⇒ identical event logs (shard
-    // ids included) and identical final checkpoint bytes.
-    let event_digest = digest_events(&multi.all_events, ShardScope::Include);
-    let replay_digest = digest_events(&replay.all_events, ShardScope::Include);
-    if event_digest != replay_digest {
-        return Err(format!(
-            "seed {seed}: same-seed replay produced a different event log \
-             ({event_digest:#010x} vs {replay_digest:#010x})"
-        ));
-    }
-    let blobs = multi
-        .final_blobs()
-        .map_err(|e| format!("seed {seed}: {e}"))?;
-    let replay_blobs = replay
-        .final_blobs()
-        .map_err(|e| format!("seed {seed} [replay]: {e}"))?;
-    if blobs != replay_blobs {
-        return Err(format!(
-            "seed {seed}: same-seed replay produced different final checkpoint bytes"
-        ));
-    }
-
-    // Span determinism: the virtual-clock span aggregates the fleet
-    // observer recorded must replay bit-identically too.
-    let span_digest = digest_spans(&multi.engine.observer().snapshot_spans());
-    let replay_spans = digest_spans(&replay.engine.observer().snapshot_spans());
-    if span_digest != replay_spans {
-        return Err(format!(
-            "seed {seed}: same-seed replay produced different span aggregates \
-             ({span_digest:#010x} vs {replay_spans:#010x})"
-        ));
-    }
-
-    let mut concat = Vec::new();
-    for (id, blob) in &blobs {
-        concat.extend_from_slice(&id.to_le_bytes());
-        concat.extend_from_slice(blob);
-    }
-    let events = (solo.all_events.len() + multi.all_events.len() + replay.all_events.len()) as u64;
-    Ok(SeedOutcome {
-        seed,
-        ops: ops.len(),
-        shards,
-        faulted: faults.is_some(),
-        events,
-        event_digest,
-        checkpoint_crc: crc32(&concat),
-        span_digest,
-    })
 }
 
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use chameleon_stream::DatasetSpec;
-
-    fn scenario() -> Arc<DomainIlScenario> {
-        Arc::new(DomainIlScenario::generate(
-            &DatasetSpec::core50_tiny(),
-            0x51A7E57,
-        ))
-    }
-
-    #[test]
-    fn a_clean_and_a_faulted_seed_pass_and_replay_identically() {
-        let scenario = scenario();
-        for seed in [0u64, 1] {
-            let a = check_seed(&scenario, seed).expect("invariants hold");
-            let b = check_seed(&scenario, seed).expect("invariants hold");
-            assert_eq!(a, b, "outcome of seed {seed} not reproducible");
-            assert_eq!(a.faulted, seed % 2 == 1);
+/// Submits `op` to `engine` as its fleet command, riding out
+/// backpressure. Sessions are created from `seed`'s spec at `precision`.
+///
+/// # Errors
+///
+/// The engine's synchronous refusal (unknown or duplicate id); the
+/// script issues those on purpose.
+pub(crate) fn submit(
+    engine: &mut FleetEngine,
+    seed: u64,
+    op: &Op,
+    precision: Precision,
+) -> Result<(), FleetError> {
+    let command = match *op {
+        Op::Create { session } => {
+            return engine
+                .create_blocking(session, script::session_spec_at(seed, session, precision))
         }
-    }
+        Op::Step { batches, .. } => SessionCommand::Step { batches },
+        Op::Checkpoint { .. } => SessionCommand::Checkpoint,
+        Op::Evict { .. } => SessionCommand::Evict,
+        Op::Evaluate { .. } => SessionCommand::Evaluate,
+    };
+    engine.command_blocking(op.session(), command)
+}
 
-    #[test]
-    fn quantized_seeds_replay_deterministically() {
-        // The quantized soak slice: int8 sessions must satisfy the same
-        // shard-count-invariance and replay-determinism contracts, and
-        // must actually change the observable bytes versus f32 (the
-        // checkpoints carry packed latents).
-        let scenario = scenario();
-        for seed in [0u64, 1] {
-            let a = check_seed_at(&scenario, seed, Precision::Int8).expect("invariants hold");
-            let b = check_seed_at(&scenario, seed, Precision::Int8).expect("invariants hold");
-            assert_eq!(a, b, "quantized seed {seed} not reproducible");
-            let f32_run = check_seed(&scenario, seed).expect("invariants hold");
-            assert_ne!(
-                a.checkpoint_crc, f32_run.checkpoint_crc,
-                "int8 checkpoints should differ from f32 bytes"
+/// Applies `op`, folds its refusal or its events into `logs`, then probes
+/// the touched session with a `Checkpoint` so its post-op `CHAMFLT1`
+/// bytes are part of the history. `observe` sees every event after it is
+/// logged.
+///
+/// # Errors
+///
+/// A refused probe, or the first error `observe` returns.
+pub(crate) fn apply_logged(
+    engine: &mut FleetEngine,
+    logs: &mut Logs,
+    seed: u64,
+    op: &Op,
+    precision: Precision,
+    mut observe: impl FnMut(SessionEvent) -> Result<(), String>,
+) -> Result<(), String> {
+    let session = op.session();
+    if let Err(error) = submit(engine, seed, op, precision) {
+        // Refusals are observable: every compared run must refuse the
+        // same ops. `Rejected` cannot reach here (blocking submit).
+        let log = logs.entry(session).or_default();
+        log.push(0xFF);
+        log.extend_from_slice(error.to_string().as_bytes());
+    }
+    let mut drain = |engine: &mut FleetEngine| {
+        for event in engine.drain_pending() {
+            encode_event(
+                logs.entry(event.session).or_default(),
+                &event,
+                ShardScope::Exclude,
             );
+            observe(event)?;
+        }
+        Ok::<(), String>(())
+    };
+    drain(engine)?;
+    if engine.known(session) {
+        engine
+            .command_blocking(session, SessionCommand::Checkpoint)
+            .map_err(|e| format!("checkpoint probe refused: {e}"))?;
+        drain(engine)?;
+    }
+    Ok(())
+}
+
+/// The current `CHAMFLT1` blob of `session`, probed with a `Checkpoint`
+/// command.
+///
+/// # Errors
+///
+/// A refused checkpoint, or one that produced no blob.
+pub(crate) fn final_blob(engine: &mut FleetEngine, session: SessionId) -> Result<Vec<u8>, String> {
+    engine
+        .command_blocking(session, SessionCommand::Checkpoint)
+        .map_err(|e| format!("final checkpoint refused: {e}"))?;
+    engine
+        .drain_pending()
+        .into_iter()
+        .find_map(|e| match e.kind {
+            SessionEventKind::Checkpointed(blob) => Some(blob),
+            _ => None,
+        })
+        .ok_or_else(|| format!("session {session}: final checkpoint produced no blob"))
+}
+
+/// [`final_blob`] of every session `engine` knows, probed in id order.
+///
+/// # Errors
+///
+/// As [`final_blob`].
+pub(crate) fn final_blobs(engine: &mut FleetEngine) -> Result<Blobs, String> {
+    let mut blobs = Blobs::new();
+    for id in 0..script::SESSION_POOL {
+        if engine.known(id) {
+            blobs.insert(id, final_blob(engine, id)?);
         }
     }
+    Ok(blobs)
+}
 
-    #[test]
-    fn different_seeds_explore_different_interleavings() {
-        let scenario = scenario();
-        let a = check_seed(&scenario, 2).expect("pass");
-        let b = check_seed(&scenario, 4).expect("pass");
-        assert_ne!(
-            (a.event_digest, a.checkpoint_crc),
-            (b.event_digest, b.checkpoint_crc),
-            "two distinct seeds produced identical observables — scheduler not seeded?"
-        );
+/// The Evict-at-the-same-boundary reference: an undisturbed
+/// `shards`-shard engine runs `ops`, evicting each traced session before
+/// the op at its index (evict is idempotent on a cold session). Moves
+/// restart transient training state by design, so a moved session must
+/// match this run byte for byte. Eviction acknowledgements stay out of
+/// the history, as the moves' own export/import events do.
+///
+/// # Errors
+///
+/// As [`apply_logged`] and [`final_blobs`].
+pub(crate) fn evict_reference(
+    scenario: &Arc<DomainIlScenario>,
+    seed: u64,
+    shards: usize,
+    ops: &[Op],
+    trace: &Trace,
+) -> Result<(Logs, Blobs), String> {
+    let mut engine = FleetEngine::new_sim(Arc::clone(scenario), sim_config(seed, shards), seed);
+    let mut logs = Logs::new();
+    for (index, op) in ops.iter().enumerate() {
+        for (_, session) in trace.iter().filter(|(at, _)| *at == index) {
+            let _ = engine.command_blocking(*session, SessionCommand::Evict);
+            engine.drain_pending();
+        }
+        apply_logged(&mut engine, &mut logs, seed, op, Precision::F32, |_| Ok(()))
+            .map_err(|e| format!("op {index} ({op:?}): {e}"))?;
     }
+    Ok((logs, final_blobs(&mut engine)?))
 }

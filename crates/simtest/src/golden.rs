@@ -24,7 +24,7 @@ use chameleon_serve::ServeCounters;
 use chameleon_stream::{DatasetSpec, DomainIlScenario};
 
 use crate::digest::{digest_events, ShardScope};
-use crate::explorer;
+use crate::lifecycle;
 use crate::script;
 
 /// Scenario seed every golden derivation uses.
@@ -377,7 +377,7 @@ fn derive_metric_digests() -> GoldenFile {
     ));
 
     for seed in GOLDEN_SIM_SEEDS {
-        let outcome = explorer::check_seed(&scenario, seed)
+        let outcome = lifecycle::check_seed(&scenario, seed)
             .unwrap_or_else(|e| panic!("golden sim seed {seed} violated an invariant: {e}"));
         entries.push((
             format!("sim_seed_{seed}"),

@@ -37,12 +37,13 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
+use chameleon_core::Precision;
 use chameleon_fleet::{FleetConfig, FleetEngine, SessionCommand, SessionEventKind, SessionId};
-use chameleon_replay::crc32;
 use chameleon_runtime::{splitmix64, SimRng};
 use chameleon_stream::DomainIlScenario;
 
-use crate::digest::{encode_event, ShardScope};
+use crate::digest::digest_by_session;
+use crate::explorer::{apply_logged, evict_reference, final_blob, Blobs, Logs, Trace};
 use crate::script::{self, Op};
 
 /// One scheduled disruption, applied before the op at its index.
@@ -135,11 +136,6 @@ pub struct RouteSeedOutcome {
     pub checkpoint_crc: u32,
 }
 
-/// The interruption trace a multi-node run actually performed:
-/// `(op_index, session)` per moved session, in apply order. The
-/// single-node reference replays this as `Evict` commands.
-type Trace = Vec<(usize, SessionId)>;
-
 /// A simulated cluster: K engines, a placement map, and the shadow
 /// checkpoint cache (the routing tier's state, in miniature).
 struct Cluster {
@@ -150,8 +146,10 @@ struct Cluster {
     /// Per-session shadow refresh count — the op-sequence stamp the
     /// routing tier writes next to each shadow in its CHAMRTE1 log.
     shadow_seqs: HashMap<SessionId, u64>,
-    logs: HashMap<SessionId, Vec<u8>>,
+    logs: Logs,
     seed: u64,
+    /// Sessions moved by handoffs and failovers; the single-node
+    /// reference replays this as `Evict` commands.
     trace: Trace,
     handoffs: u64,
     kills: u64,
@@ -183,7 +181,7 @@ impl Cluster {
             placement: HashMap::new(),
             shadows: HashMap::new(),
             shadow_seqs: HashMap::new(),
-            logs: HashMap::new(),
+            logs: Logs::new(),
             seed,
             trace: Trace::new(),
             handoffs: 0,
@@ -209,59 +207,29 @@ impl Cluster {
             .or_else(|| self.rendezvous(session, None))
     }
 
-    /// Drains a node's pending events into the session logs (handoff
-    /// machinery calls `drain_to_bin` instead, keeping export/import
-    /// noise out of the compared history).
-    fn drain_to_logs(&mut self, node: usize) {
-        for event in self.engines[node].drain_pending() {
-            if let SessionEventKind::Checkpointed(blob) = &event.kind {
-                self.shadows.insert(event.session, blob.clone());
-                *self.shadow_seqs.entry(event.session).or_insert(0) += 1;
-            }
-            let log = self.logs.entry(event.session).or_default();
-            encode_event(log, &event, ShardScope::Exclude);
-        }
-    }
-
-    fn drain_to_bin(&mut self, node: usize) -> Vec<chameleon_fleet::SessionEvent> {
-        self.engines[node].drain_pending()
-    }
-
-    /// Applies one script op on the session's current node, then probes
-    /// the touched session with a `Checkpoint` so its post-op state is
-    /// both observable history and the shadow for later failovers.
+    /// Applies one script op on the session's current node; every probed
+    /// post-op blob doubles as the session's shadow for later failovers.
     fn apply(&mut self, op: &Op) -> Result<(), String> {
         let session = op.session();
         let Some(node) = self.owner_of(session) else {
             return Err("no live node left to route to".to_string());
         };
-        let submitted = match op {
-            Op::Create { session } => self.engines[node]
-                .create_blocking(*session, script::session_spec(self.seed, *session)),
-            Op::Step { session, batches } => self.engines[node]
-                .command_blocking(*session, SessionCommand::Step { batches: *batches }),
-            Op::Checkpoint { session } => {
-                self.engines[node].command_blocking(*session, SessionCommand::Checkpoint)
-            }
-            Op::Evict { session } => {
-                self.engines[node].command_blocking(*session, SessionCommand::Evict)
-            }
-            Op::Evaluate { session } => {
-                self.engines[node].command_blocking(*session, SessionCommand::Evaluate)
-            }
-        };
-        if let Err(error) = submitted {
-            let log = self.logs.entry(session).or_default();
-            log.push(0xFF);
-            log.extend_from_slice(error.to_string().as_bytes());
-        }
-        self.drain_to_logs(node);
+        apply_logged(
+            &mut self.engines[node],
+            &mut self.logs,
+            self.seed,
+            op,
+            Precision::F32,
+            |event| {
+                if let SessionEventKind::Checkpointed(blob) = event.kind {
+                    self.shadows.insert(event.session, blob);
+                    *self.shadow_seqs.entry(event.session).or_insert(0) += 1;
+                }
+                Ok(())
+            },
+        )?;
         if self.engines[node].known(session) {
             self.placement.entry(session).or_insert(node);
-            self.engines[node]
-                .command_blocking(session, SessionCommand::Checkpoint)
-                .map_err(|e| format!("checkpoint probe refused: {e}"))?;
-            self.drain_to_logs(node);
         }
         Ok(())
     }
@@ -281,8 +249,9 @@ impl Cluster {
         {
             return Ok(());
         }
-        let blob = self
-            .drain_to_bin(old)
+        // Export/import acknowledgements stay out of the compared history.
+        let blob = self.engines[old]
+            .drain_pending()
             .into_iter()
             .find_map(|e| match e.kind {
                 SessionEventKind::Exported(blob) => Some(blob),
@@ -292,7 +261,7 @@ impl Cluster {
         self.engines[new]
             .import_blocking(session, blob.clone())
             .map_err(|e| format!("session {session}: import refused: {e}"))?;
-        self.drain_to_bin(new);
+        self.engines[new].drain_pending();
         self.placement.insert(session, new);
         self.shadows.insert(session, blob);
         *self.shadow_seqs.entry(session).or_insert(0) += 1;
@@ -388,7 +357,7 @@ impl Cluster {
             self.engines[new]
                 .import_blocking(session, blob)
                 .map_err(|e| format!("session {session}: failover import refused: {e}"))?;
-            self.drain_to_bin(new);
+            self.engines[new].drain_pending();
             self.placement.insert(session, new);
             self.trace.push((op_index, session));
             self.recovered += 1;
@@ -398,39 +367,26 @@ impl Cluster {
 
     /// Final `CHAMFLT1` blob of every session, probed on its current
     /// node, in id order.
-    fn final_blobs(&mut self) -> Result<Vec<(SessionId, Vec<u8>)>, String> {
+    fn final_blobs(&mut self) -> Result<Blobs, String> {
         let mut ids: Vec<SessionId> = self.placement.keys().copied().collect();
         ids.sort_unstable();
-        let mut blobs = Vec::with_capacity(ids.len());
+        let mut blobs = Blobs::new();
         for id in ids {
-            let node = self.placement[&id];
-            self.engines[node]
-                .command_blocking(id, SessionCommand::Checkpoint)
-                .map_err(|e| format!("final checkpoint refused: {e}"))?;
-            let blob = self
-                .drain_to_bin(node)
-                .into_iter()
-                .find_map(|e| match e.kind {
-                    SessionEventKind::Checkpointed(blob) => Some(blob),
-                    _ => None,
-                })
-                .ok_or_else(|| format!("session {id}: final checkpoint produced no blob"))?;
-            blobs.push((id, blob));
+            blobs.insert(id, final_blob(&mut self.engines[self.placement[&id]], id)?);
         }
         Ok(blobs)
     }
 }
 
-/// Runs the multi-node schedule for one seed; returns the per-session
-/// logs, the interruption trace, and the final blobs.
-#[allow(clippy::type_complexity)]
+/// Runs the multi-node schedule for one seed; returns the cluster (its
+/// logs and interruption trace) and the final blobs.
 fn run_cluster(
     scenario: &Arc<DomainIlScenario>,
     seed: u64,
     nodes: usize,
     ops: &[Op],
     plan: &[(usize, Disruption)],
-) -> Result<(Cluster, Vec<(SessionId, Vec<u8>)>), String> {
+) -> Result<(Cluster, Blobs), String> {
     let mut cluster = Cluster::new(scenario, seed, nodes);
     for (index, op) in ops.iter().enumerate() {
         for (at, disruption) in plan.iter().filter(|(at, _)| *at == index) {
@@ -446,96 +402,6 @@ fn run_cluster(
     }
     let blobs = cluster.final_blobs()?;
     Ok((cluster, blobs))
-}
-
-/// The single-node reference: the same script on one engine, with the
-/// multi-node run's interruption trace replayed as local `Evict`
-/// commands at the same boundaries (evict is idempotent when the
-/// session is already cold, so traces through cold sessions are safe).
-#[allow(clippy::type_complexity)]
-fn run_reference(
-    scenario: &Arc<DomainIlScenario>,
-    seed: u64,
-    ops: &[Op],
-    trace: &Trace,
-) -> Result<(HashMap<SessionId, Vec<u8>>, Vec<(SessionId, Vec<u8>)>), String> {
-    let faults = script::fault_plan(seed);
-    let mut engine = FleetEngine::new_sim(
-        Arc::clone(scenario),
-        FleetConfig {
-            num_shards: 1,
-            queue_depth: 4,
-            budget_bytes: u64::MAX,
-            assignment_seed: splitmix64(seed ^ 0xA551),
-            faults,
-        },
-        seed,
-    );
-    let mut logs: HashMap<SessionId, Vec<u8>> = HashMap::new();
-    let drain =
-        |engine: &mut FleetEngine, logs: &mut HashMap<SessionId, Vec<u8>>, to_logs: bool| {
-            for event in engine.drain_pending() {
-                if to_logs {
-                    let log = logs.entry(event.session).or_default();
-                    encode_event(log, &event, ShardScope::Exclude);
-                }
-            }
-        };
-    for (index, op) in ops.iter().enumerate() {
-        for (_, session) in trace.iter().filter(|(at, _)| *at == index) {
-            // The stand-in for a handoff/failover: a local interruption
-            // at the same boundary. Machinery events stay out of the
-            // compared history on both sides.
-            let _ = engine.command_blocking(*session, SessionCommand::Evict);
-            drain(&mut engine, &mut logs, false);
-        }
-        let session = op.session();
-        let submitted = match op {
-            Op::Create { session } => {
-                engine.create_blocking(*session, script::session_spec(seed, *session))
-            }
-            Op::Step { session, batches } => {
-                engine.command_blocking(*session, SessionCommand::Step { batches: *batches })
-            }
-            Op::Checkpoint { session } => {
-                engine.command_blocking(*session, SessionCommand::Checkpoint)
-            }
-            Op::Evict { session } => engine.command_blocking(*session, SessionCommand::Evict),
-            Op::Evaluate { session } => engine.command_blocking(*session, SessionCommand::Evaluate),
-        };
-        if let Err(error) = submitted {
-            let log = logs.entry(session).or_default();
-            log.push(0xFF);
-            log.extend_from_slice(error.to_string().as_bytes());
-        }
-        drain(&mut engine, &mut logs, true);
-        if engine.known(session) {
-            engine
-                .command_blocking(session, SessionCommand::Checkpoint)
-                .map_err(|e| format!("reference probe refused: {e}"))?;
-            drain(&mut engine, &mut logs, true);
-        }
-    }
-    let mut ids: Vec<SessionId> = (0..script::SESSION_POOL)
-        .filter(|&id| engine.known(id))
-        .collect();
-    ids.sort_unstable();
-    let mut blobs = Vec::with_capacity(ids.len());
-    for id in ids {
-        engine
-            .command_blocking(id, SessionCommand::Checkpoint)
-            .map_err(|e| format!("reference final checkpoint refused: {e}"))?;
-        let blob = engine
-            .drain_pending()
-            .into_iter()
-            .find_map(|e| match e.kind {
-                SessionEventKind::Checkpointed(blob) => Some(blob),
-                _ => None,
-            })
-            .ok_or_else(|| format!("session {id}: reference produced no final blob"))?;
-        blobs.push((id, blob));
-    }
-    Ok((logs, blobs))
 }
 
 /// Runs the full multi-node placement-invisibility + replay-determinism
@@ -574,7 +440,7 @@ pub fn check_route_seed(
 
     // Placement invisibility: the single-node reference with the same
     // interruption boundaries must match every observable byte.
-    let (ref_logs, ref_blobs) = run_reference(scenario, seed, &ops, &cluster.trace)
+    let (ref_logs, ref_blobs) = evict_reference(scenario, seed, 1, &ops, &cluster.trace)
         .map_err(|e| format!("route seed {seed} [reference]: {e}"))?;
     for id in 0..script::SESSION_POOL {
         if cluster.logs.get(&id) != ref_logs.get(&id) {
@@ -591,18 +457,6 @@ pub fn check_route_seed(
         ));
     }
 
-    let mut log_concat = Vec::new();
-    for id in 0..script::SESSION_POOL {
-        if let Some(log) = cluster.logs.get(&id) {
-            log_concat.extend_from_slice(&id.to_le_bytes());
-            log_concat.extend_from_slice(log);
-        }
-    }
-    let mut blob_concat = Vec::new();
-    for (id, blob) in &blobs {
-        blob_concat.extend_from_slice(&id.to_le_bytes());
-        blob_concat.extend_from_slice(blob);
-    }
     Ok(RouteSeedOutcome {
         seed,
         ops: ops.len(),
@@ -612,8 +466,8 @@ pub fn check_route_seed(
         recovered: cluster.recovered,
         router_restarts: cluster.router_restarts,
         faulted: script::fault_plan(seed).is_some(),
-        log_digest: crc32(&log_concat),
-        checkpoint_crc: crc32(&blob_concat),
+        log_digest: digest_by_session(&cluster.logs),
+        checkpoint_crc: digest_by_session(&blobs),
     })
 }
 

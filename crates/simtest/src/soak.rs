@@ -1,4 +1,4 @@
-//! The budgeted soak runner: sweep a seed range through the explorer
+//! The budgeted soak runner: sweep a seed range through one explorer
 //! until the range or the wall-clock budget is exhausted.
 //!
 //! Soaking trades per-seed depth for interleaving coverage: every seed
@@ -12,11 +12,13 @@ use std::time::{Duration, Instant};
 
 use chameleon_stream::DomainIlScenario;
 
-use crate::explorer::{self, SeedOutcome};
+use crate::explorer::{Explorer, Outcome};
 
 /// What to sweep and for how long.
 #[derive(Clone, Copy, Debug)]
 pub struct SoakConfig {
+    /// The explorer every seed runs.
+    pub explorer: Explorer,
     /// First seed checked.
     pub start_seed: u64,
     /// Seeds requested (the sweep may stop early on budget).
@@ -34,8 +36,8 @@ pub struct SoakReport {
     pub passed: u64,
     /// Seeds that ran under an injected fault plan.
     pub faulted: u64,
-    /// Events observed across all runs of all checked seeds.
-    pub events: u64,
+    /// The explorer's [`Outcome::tallies`], summed over passing seeds.
+    pub tallies: Vec<(&'static str, u64)>,
     /// `(seed, violation)` for every failing seed, in seed order.
     pub failures: Vec<(u64, String)>,
     /// Whether the budget ended the sweep before the range did.
@@ -49,13 +51,14 @@ impl SoakReport {
     }
 }
 
-/// Sweeps `config.seeds` seeds from `config.start_seed`, stopping early
-/// only when the budget runs out. Calls `progress` after every seed
-/// with its outcome.
+/// Sweeps `config.seeds` seeds from `config.start_seed` through
+/// `config.explorer`, stopping early only when the budget runs out; a
+/// failing seed does not stop the sweep. Calls `progress` after every
+/// seed with its outcome.
 pub fn run(
     scenario: &Arc<DomainIlScenario>,
     config: &SoakConfig,
-    mut progress: impl FnMut(u64, &Result<SeedOutcome, String>),
+    mut progress: impl FnMut(u64, &Result<Outcome, String>),
 ) -> SoakReport {
     let started = Instant::now();
     let mut report = SoakReport::default();
@@ -66,13 +69,18 @@ pub fn run(
                 break;
             }
         }
-        let outcome = explorer::check_seed(scenario, seed);
+        let outcome = config.explorer.check(scenario, seed);
         report.checked += 1;
         match &outcome {
             Ok(o) => {
                 report.passed += 1;
-                report.faulted += u64::from(o.faulted);
-                report.events += o.events;
+                report.faulted += u64::from(o.faulted());
+                for (i, (name, count)) in o.tallies().into_iter().enumerate() {
+                    match report.tallies.get_mut(i) {
+                        Some((_, total)) => *total += count,
+                        None => report.tallies.push((name, count)),
+                    }
+                }
             }
             Err(e) => report.failures.push((seed, e.clone())),
         }
@@ -97,6 +105,7 @@ mod tests {
     fn sweep_covers_the_requested_range_and_passes() {
         let scenario = scenario();
         let config = SoakConfig {
+            explorer: Explorer::Lifecycle,
             start_seed: 10,
             seeds: 3,
             budget: None,
@@ -114,13 +123,19 @@ mod tests {
     #[test]
     fn zero_budget_still_checks_at_least_one_seed() {
         let scenario = scenario();
-        let config = SoakConfig {
-            start_seed: 0,
-            seeds: 50,
-            budget: Some(Duration::ZERO),
-        };
-        let report = run(&scenario, &config, |_, _| {});
-        assert_eq!(report.checked, 1, "budget must not starve the sweep");
-        assert!(report.budget_exhausted);
+        for explorer in [Explorer::Lifecycle, Explorer::Crash] {
+            let config = SoakConfig {
+                explorer,
+                start_seed: 0,
+                seeds: 50,
+                budget: Some(Duration::ZERO),
+            };
+            let report = run(&scenario, &config, |_, _| {});
+            assert_eq!(
+                report.checked, 1,
+                "{explorer}: budget must not starve the sweep"
+            );
+            assert!(report.budget_exhausted, "{explorer}");
+        }
     }
 }

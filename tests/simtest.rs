@@ -1,12 +1,18 @@
 //! Simulation-harness contract at the workspace level: a range of
 //! scheduler seeds holds the shard-count-invariance and
-//! replay-determinism invariants, the committed golden corpus matches a
-//! fresh derivation, and the drift gate demonstrably fails when pinned
-//! bytes change without a version bump.
+//! replay-determinism invariants, every other explorer reproduces its
+//! pinned seeds, the committed golden corpus matches a fresh derivation,
+//! and the drift gate demonstrably fails when pinned bytes change
+//! without a version bump.
 
 use std::path::PathBuf;
 
-use chameleon_simtest::{check_seed, derive_corpus, diff, golden, parse, soak, SoakConfig};
+use chameleon_core::Precision;
+use chameleon_simtest::{
+    check_balance_seed, check_crash_seed, check_route_seed, check_seed, check_seed_at,
+    derive_corpus, diff, golden, parse, soak, BalanceSeedOutcome, CrashOutcome, Explorer,
+    RouteSeedOutcome, SeedOutcome, SoakConfig,
+};
 
 /// Seeds the in-test sweep covers. The CI soak job drives 200+ seeds
 /// through the release binary (`chameleon simtest --seeds 200`); here a
@@ -27,6 +33,7 @@ fn committed_golden_dir() -> PathBuf {
 fn a_seed_range_holds_the_simulation_invariants() {
     let scenario = golden::golden_scenario();
     let config = SoakConfig {
+        explorer: Explorer::Lifecycle,
         start_seed: 0,
         seeds: seeds_to_sweep(),
         budget: None,
@@ -53,6 +60,105 @@ fn a_seed_reproduces_its_outcome_bit_for_bit() {
     let first = check_seed(&scenario, 5).expect("invariants hold");
     let second = check_seed(&scenario, 5).expect("invariants hold");
     assert_eq!(first, second, "same seed, different outcome");
+}
+
+/// Seeds 0–3 of every explorer except lifecycle (whose seeds 0–3 the
+/// golden metric digests already pin): every outcome field, so a
+/// refactor of the explorer plumbing cannot shift what any seed observes.
+#[test]
+fn non_lifecycle_explorer_seeds_reproduce_their_pinned_outcomes() {
+    let scenario = golden::golden_scenario();
+
+    // (seed, ops, shards, faulted, events, event digest, checkpoint crc, span digest)
+    for (seed, ops, shards, faulted, events, event_digest, checkpoint_crc, span_digest) in [
+        (0, 26, 3, false, 156, 0x2af06782, 0xa65e7378, 0xedfed680),
+        (1, 28, 2, true, 162, 0xf8590042, 0x69599055, 0x8d8e5d71),
+        (2, 23, 4, false, 123, 0xde9f574a, 0x60ec473a, 0x9dc356fe),
+        (3, 23, 3, true, 135, 0x0e3380e2, 0x0c4d87f2, 0xd409e508),
+    ] {
+        let pinned = SeedOutcome {
+            seed,
+            ops,
+            shards,
+            faulted,
+            events,
+            event_digest,
+            checkpoint_crc,
+            span_digest,
+        };
+        assert_eq!(
+            check_seed_at(&scenario, seed, Precision::Int8),
+            Ok(pinned),
+            "quantized"
+        );
+    }
+
+    let scratch = std::env::temp_dir().join(format!("chameleon-pinned-{}", std::process::id()));
+    // (seed, ops, boundaries, sessions recovered, records lost, file faulted)
+    for (seed, ops, boundaries, sessions_recovered, records_lost, file_faulted) in [
+        (0, 26, 3, 5, 0, false),
+        (1, 28, 1, 1, 0, true),
+        (2, 23, 1, 1, 0, false),
+        (3, 23, 3, 2, 1, true),
+    ] {
+        let pinned = CrashOutcome {
+            seed,
+            ops,
+            boundaries,
+            sessions_recovered,
+            records_lost,
+            file_faulted,
+        };
+        assert_eq!(
+            check_crash_seed(&scenario, seed, &scratch),
+            Ok(pinned),
+            "crash"
+        );
+    }
+    let _ = std::fs::remove_dir_all(&scratch);
+
+    // (seed, ops, nodes, handoffs, kills, recovered, router restarts,
+    //  faulted, log digest, checkpoint crc)
+    for (seed, ops, nodes, handoffs, kills, recovered, router_restarts, faulted, log, ck) in [
+        (0, 26, 3, 1, 2, 3, 0, false, 0xb6320bf2, 0x8202937e),
+        (1, 28, 3, 0, 2, 0, 3, true, 0x62dbdd67, 0x2126f165),
+        (2, 23, 3, 1, 1, 0, 0, false, 0x40a48a36, 0x30dd7cff),
+        (3, 23, 3, 1, 1, 1, 0, true, 0x0fe44596, 0xedbde706),
+    ] {
+        let pinned = RouteSeedOutcome {
+            seed,
+            ops,
+            nodes,
+            handoffs,
+            kills,
+            recovered,
+            router_restarts,
+            faulted,
+            log_digest: log,
+            checkpoint_crc: ck,
+        };
+        assert_eq!(check_route_seed(&scenario, seed), Ok(pinned), "route");
+    }
+
+    // (seed, ops, shards, migrations, skipped, faulted, log digest, checkpoint crc)
+    for (seed, ops, shards, migrations, skipped, faulted, log_digest, checkpoint_crc) in [
+        (0, 26, 2, 1, 3, false, 0xb6320bf2, 0x8202937e),
+        (1, 28, 2, 2, 1, true, 0xca52bb2b, 0xd86ca89b),
+        (2, 23, 3, 0, 2, false, 0x40a48a36, 0x30dd7cff),
+        (3, 23, 2, 0, 3, true, 0xa60ebcef, 0xae878d1d),
+    ] {
+        let pinned = BalanceSeedOutcome {
+            seed,
+            ops,
+            shards,
+            migrations,
+            skipped,
+            faulted,
+            log_digest,
+            checkpoint_crc,
+        };
+        assert_eq!(check_balance_seed(&scenario, seed), Ok(pinned), "balance");
+    }
 }
 
 #[test]
