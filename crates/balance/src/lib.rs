@@ -29,8 +29,8 @@
 //! stream position) moves bit for bit; transient training state restarts
 //! exactly as the checkpoint format documents. The
 //! `chameleon-simtest` migration explorer proves learning outcomes are
-//! bit-identical regardless of migration schedule (`simtest
-//! --balance-seeds N`), and the write-ahead store discipline from
+//! bit-identical regardless of migration schedule (`simtest --explorer
+//! balance --seeds N`), and the write-ahead store discipline from
 //! `chameleon-store` makes mid-migration crashes recoverable: the
 //! override table is in-memory, so recovery simply re-homes every
 //! session on its hash-default shard and reads the latest sealed

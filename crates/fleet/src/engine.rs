@@ -18,6 +18,7 @@ use crate::metrics::FleetMetrics;
 use crate::session::{splitmix64, SessionId, SessionSpec};
 use crate::shard::{
     RecoveredSession, Request, SessionCommand, SessionEvent, SessionEventKind, ShardWorker,
+    WakeHook,
 };
 use crate::sim::SimExecutor;
 
@@ -220,7 +221,7 @@ impl FleetEngine {
             Runtime::Threads => Arc::new(Observer::new(WallClock::shared())),
             Runtime::Sim(scheduler) => Arc::new(Observer::new(scheduler.clock())),
         };
-        Self::with_observer(scenario, config, runtime, observer)
+        Self::with_observer(scenario, config, runtime, observer, None)
     }
 
     /// Builds an engine on an explicit [`Runtime`] with a caller-supplied
@@ -231,6 +232,12 @@ impl FleetEngine {
     /// the shard workers feed it the *same* elapsed nanos that accumulate
     /// in [`crate::ShardMetrics`], so span totals reconcile exactly.
     ///
+    /// `wake`, when set, runs on a shard thread right after each event
+    /// that shard sends, so a caller that blocks on its own inbox (the
+    /// serving layer's engine thread) learns without polling that
+    /// [`Self::drain`] has work. Under [`Runtime::Sim`] it never runs:
+    /// nothing executes until the caller drives the engine.
+    ///
     /// # Panics
     ///
     /// Panics if `config` fails [`FleetConfig::validate`].
@@ -239,8 +246,9 @@ impl FleetEngine {
         config: FleetConfig,
         runtime: Runtime,
         observer: Arc<Observer>,
+        wake: Option<WakeHook>,
     ) -> Self {
-        Self::build(scenario, config, runtime, observer, None, Vec::new())
+        Self::build(scenario, config, runtime, observer, None, Vec::new(), wake)
     }
 
     /// Builds an engine with the durable session store attached: LRU
@@ -259,7 +267,7 @@ impl FleetEngine {
         store: SharedStore,
     ) -> Self {
         let observer = Self::default_observer(&runtime);
-        Self::build(scenario, config, runtime, observer, Some(store), Vec::new())
+        Self::with_observer_and_store(scenario, config, runtime, observer, store)
     }
 
     /// [`Self::with_store`] with a caller-supplied [`Observer`].
@@ -274,7 +282,15 @@ impl FleetEngine {
         observer: Arc<Observer>,
         store: SharedStore,
     ) -> Self {
-        Self::build(scenario, config, runtime, observer, Some(store), Vec::new())
+        Self::build(
+            scenario,
+            config,
+            runtime,
+            observer,
+            Some(store),
+            Vec::new(),
+            None,
+        )
     }
 
     /// Rebuilds a fleet from the durable session store after a crash:
@@ -299,10 +315,11 @@ impl FleetEngine {
         store: SharedStore,
     ) -> Result<(Self, RecoveryReport), StoreError> {
         let observer = Self::default_observer(&runtime);
-        Self::recover_with_observer(scenario, config, runtime, observer, store)
+        Self::recover_with_observer(scenario, config, runtime, observer, store, None)
     }
 
-    /// [`Self::recover`] with a caller-supplied [`Observer`].
+    /// [`Self::recover`] with a caller-supplied [`Observer`] and optional
+    /// wake hook (see [`Self::with_observer`]).
     ///
     /// # Errors
     ///
@@ -317,6 +334,7 @@ impl FleetEngine {
         runtime: Runtime,
         observer: Arc<Observer>,
         store: SharedStore,
+        wake: Option<WakeHook>,
     ) -> Result<(Self, RecoveryReport), StoreError> {
         if let Err(e) = config.validate() {
             panic!("invalid fleet config: {e}");
@@ -346,7 +364,15 @@ impl FleetEngine {
             }
         }
         let sessions_recovered = per_shard.iter().map(Vec::len).sum();
-        let engine = Self::build(scenario, config, runtime, observer, Some(store), per_shard);
+        let engine = Self::build(
+            scenario,
+            config,
+            runtime,
+            observer,
+            Some(store),
+            per_shard,
+            wake,
+        );
         engine.observer.event(format!(
             "store: recovered {sessions_recovered} sessions ({rejects} rejects)"
         ));
@@ -374,6 +400,7 @@ impl FleetEngine {
         observer: Arc<Observer>,
         store: Option<SharedStore>,
         mut recovered: Vec<Vec<RecoveredSession>>,
+        wake: Option<WakeHook>,
     ) -> Self {
         if let Err(e) = config.validate() {
             panic!("invalid fleet config: {e}");
@@ -402,9 +429,10 @@ impl FleetEngine {
                             let seeds = recovered.get_mut(shard).map(std::mem::take);
                             worker.attach_store(store.clone(), seeds.unwrap_or_default());
                         }
+                        let wake = wake.clone();
                         let join = std::thread::Builder::new()
                             .name(format!("fleet-shard-{shard}"))
-                            .spawn(move || worker.run(rx))
+                            .spawn(move || worker.run(rx, wake))
                             .expect("spawn shard worker");
                         ShardHandle {
                             sender: tx,
@@ -963,5 +991,118 @@ impl FleetEngine {
 impl Drop for FleetEngine {
     fn drop(&mut self) {
         self.shutdown();
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use chameleon_core::ChameleonConfig;
+    use chameleon_stream::{DatasetSpec, StreamConfig};
+    use std::time::Duration;
+
+    fn scenario() -> Arc<DomainIlScenario> {
+        Arc::new(DomainIlScenario::generate(
+            &DatasetSpec::core50_tiny(),
+            0xDA7A,
+        ))
+    }
+
+    fn spec(seed: u64) -> SessionSpec {
+        SessionSpec {
+            learner: ChameleonConfig {
+                long_term_capacity: 30,
+                ..ChameleonConfig::default()
+            },
+            stream: StreamConfig::default(),
+            learner_seed: seed,
+            stream_seed: seed,
+        }
+    }
+
+    /// A hook that reports each of its calls on a channel.
+    fn reporting_hook() -> (WakeHook, Receiver<()>) {
+        let (tx, rx) = mpsc::channel();
+        let hook: WakeHook = Arc::new(move || {
+            let _ = tx.send(());
+        });
+        (hook, rx)
+    }
+
+    #[test]
+    fn each_event_is_drainable_once_its_wake_has_run() {
+        let (hook, wakes) = reporting_hook();
+        let runtime = Runtime::Threads;
+        let observer = FleetEngine::default_observer(&runtime);
+        let mut fleet = FleetEngine::with_observer(
+            scenario(),
+            FleetConfig::default(),
+            runtime,
+            observer,
+            Some(hook),
+        );
+        // Pipelined requests on both shards, so events and wakes from two
+        // threads interleave; the bad import covers the `Failed` path.
+        let ids = [1u64, 2, 3, 4];
+        for &id in &ids {
+            fleet.create(id, spec(id)).expect("create");
+        }
+        for &id in &ids {
+            for command in [
+                SessionCommand::Step { batches: 2 },
+                SessionCommand::Checkpoint,
+                SessionCommand::Evict,
+            ] {
+                fleet.command(id, command).expect("command");
+            }
+        }
+        fleet
+            .import_correlated(9, vec![0; 4], 7)
+            .expect("bad import is refused by the shard, not the engine");
+        let events = fleet.pending();
+        assert_eq!(events, 17);
+
+        let mut drained = Vec::new();
+        for woken in 1..=events {
+            wakes
+                .recv_timeout(Duration::from_secs(60))
+                .expect("no wake for a submitted request");
+            drained.extend(fleet.drain());
+            assert!(
+                drained.len() >= woken,
+                "{woken} wakes ran but drain() returned {} events",
+                drained.len()
+            );
+        }
+        assert_eq!(drained.len(), events);
+        assert!(drained
+            .iter()
+            .any(|e| e.correlation == 7 && matches!(e.kind, SessionEventKind::Failed(_))));
+        // Joining the shards leaves nothing behind: one wake per event.
+        drop(fleet);
+        assert_eq!(wakes.try_iter().count(), 0, "a wake without an event");
+    }
+
+    #[test]
+    fn a_simulated_engine_never_runs_the_hook() {
+        let (hook, wakes) = reporting_hook();
+        let runtime = Runtime::sim(3);
+        let observer = FleetEngine::default_observer(&runtime);
+        let mut fleet = FleetEngine::with_observer(
+            scenario(),
+            FleetConfig::default(),
+            runtime,
+            observer,
+            Some(hook),
+        );
+        for id in 1..=3u64 {
+            fleet.create(id, spec(id)).expect("create");
+            fleet
+                .command(id, SessionCommand::Step { batches: 2 })
+                .expect("step");
+        }
+        assert_eq!(fleet.drain_pending().len(), 6);
+        drop(fleet);
+        assert_eq!(wakes.try_iter().count(), 0);
     }
 }

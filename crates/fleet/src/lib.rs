@@ -82,4 +82,4 @@ pub use engine::{
 };
 pub use metrics::{FleetMetrics, ShardMetrics};
 pub use session::{session_fault_plan, SessionId, SessionSpec, UserSession};
-pub use shard::{SessionCommand, SessionEvent, SessionEventKind};
+pub use shard::{SessionCommand, SessionEvent, SessionEventKind, WakeHook};

@@ -89,6 +89,11 @@ pub struct SessionEvent {
     pub kind: SessionEventKind,
 }
 
+/// Called on a shard thread right after that shard sends an event, so a
+/// caller blocked on something else learns that [`crate::FleetEngine::drain`]
+/// has work.
+pub type WakeHook = Arc<dyn Fn() + Send + Sync>;
+
 /// A request on a shard's bounded queue.
 pub(crate) enum Request {
     Create {
@@ -150,6 +155,8 @@ pub(crate) struct ShardWorker {
     lru_clock: u64,
     time: Arc<dyn Clock>,
     events: Sender<SessionEvent>,
+    /// Set only on a threaded worker (see [`Self::run`]).
+    wake: Option<WakeHook>,
     metrics: ShardMetrics,
     /// Fleet-wide span recorder + event log. Spans are fed the *same*
     /// elapsed nanos the `metrics.*_nanos` counters accumulate (no extra
@@ -182,6 +189,7 @@ impl ShardWorker {
             lru_clock: 0,
             time,
             events,
+            wake: None,
             metrics: ShardMetrics {
                 shard,
                 budget_bytes,
@@ -220,8 +228,10 @@ impl ShardWorker {
     }
 
     /// Blocking request loop; returns when `Shutdown` arrives or every
-    /// engine handle hung up.
-    pub(crate) fn run(mut self, requests: Receiver<Request>) {
+    /// engine handle hung up. `wake`, when set, runs after every event
+    /// this worker sends.
+    pub(crate) fn run(mut self, requests: Receiver<Request>, wake: Option<WakeHook>) {
+        self.wake = wake;
         while let Ok(request) = requests.recv() {
             if !self.process(request) {
                 break;
@@ -266,6 +276,11 @@ impl ShardWorker {
             correlation,
             kind,
         });
+        // Only after the send: whoever the hook wakes finds the event
+        // already in the channel.
+        if let Some(wake) = &self.wake {
+            wake();
+        }
     }
 
     fn handle_create(&mut self, id: SessionId, spec: SessionSpec, correlation: u64) {

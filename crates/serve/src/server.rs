@@ -5,9 +5,11 @@
 //! Threading model:
 //!
 //! * the **engine thread** is the only holder of the `FleetEngine`. It
-//!   receives decoded requests over an mpsc channel, submits them with a
-//!   monotonically increasing correlation id, and matches the fleet's
-//!   acknowledgement events back to the waiting connection worker.
+//!   blocks on one mpsc inbox that carries decoded requests, shard
+//!   wake-ups and a stop message. It submits each request with a
+//!   monotonically increasing correlation id; a shard that has sent an
+//!   event wakes it, and it matches the fleet's acknowledgement events
+//!   back to the waiting connection worker.
 //!   Fleet backpressure ([`chameleon_fleet::FleetError::Rejected`]) is
 //!   answered with a wire-level [`Response::RetryAfter`] instead of
 //!   blocking, so one saturated shard never stalls the serving layer;
@@ -30,20 +32,23 @@
 //! Shutdown is graceful and ordered: the stop flag is raised, the
 //! acceptor is woken (a loopback self-connect) and joined, workers finish
 //! their in-flight requests and exit when the connection queue closes,
-//! and finally the engine drains every outstanding fleet acknowledgement
-//! before dropping the engine (which joins the shard threads).
+//! and then the engine thread is sent its stop. It drains every
+//! outstanding fleet acknowledgement before dropping the engine (which
+//! joins the shard threads).
 
 use std::collections::HashMap;
 use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{self, Receiver, RecvTimeoutError, SyncSender, TrySendError};
+use std::sync::mpsc::{self, Receiver, SyncSender, TrySendError};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
 use chameleon_balance::{BalanceConfig, Balancer};
-use chameleon_fleet::{FleetConfig, FleetEngine, FleetError, SessionCommand, SessionEventKind};
+use chameleon_fleet::{
+    FleetConfig, FleetEngine, FleetError, SessionCommand, SessionEventKind, WakeHook,
+};
 use chameleon_obs::{Observation, Observer, Stage};
 use chameleon_replay::crc32;
 use chameleon_runtime::{timed, Clock, Runtime, WallClock};
@@ -132,6 +137,17 @@ impl ServeConfig {
     }
 }
 
+/// What the engine thread blocks on.
+enum EngineMsg {
+    /// A decoded request from a connection worker.
+    Op(EngineOp),
+    /// A shard has sent a fleet event.
+    Wake,
+    /// Sent by [`Server::shutdown`] once every connection worker has
+    /// joined.
+    Stop,
+}
+
 /// One decoded request on its way to the engine thread, carrying the wire
 /// correlation id and the frame's start timestamp so the reply can be
 /// written (and its latency priced) by the connection's writer thread.
@@ -170,7 +186,7 @@ fn answer(reply: &mpsc::Sender<Outbound>, correlation: u64, started: u64, respon
 /// Everything a connection worker needs, cloned once per worker thread.
 #[derive(Clone)]
 struct WorkerCtx {
-    ops: mpsc::Sender<EngineOp>,
+    engine: mpsc::Sender<EngineMsg>,
     metrics: Arc<ServeMetrics>,
     stop: Arc<AtomicBool>,
     obs: Arc<Observer>,
@@ -193,6 +209,7 @@ pub struct Server {
     acceptor: Option<JoinHandle<()>>,
     workers: Vec<JoinHandle<()>>,
     engine: Option<JoinHandle<()>>,
+    engine_inbox: mpsc::Sender<EngineMsg>,
 }
 
 impl Server {
@@ -240,6 +257,14 @@ impl Server {
         // into it, the connection workers add encode/decode spans, and
         // `Request::Observe` snapshots it all in one round-trip.
         let observer = Arc::new(Observer::new(Arc::clone(&clock)));
+        let (engine_inbox, inbox_rx) = mpsc::channel::<EngineMsg>();
+        // Each shard wakes the engine thread right after it sends an
+        // event, so the engine blocks on its inbox with no timeout and
+        // still answers a reply as soon as its shard finishes.
+        let wake_tx = engine_inbox.clone();
+        let wake: WakeHook = Arc::new(move || {
+            let _ = wake_tx.send(EngineMsg::Wake);
+        });
         let fleet = match &config.store_dir {
             Some(dir) => {
                 // Durable mode: open (or create) the session store, then
@@ -256,6 +281,7 @@ impl Server {
                     Runtime::Threads,
                     Arc::clone(&observer),
                     store,
+                    Some(wake),
                 )
                 .map_err(store_err)?;
                 fleet
@@ -265,21 +291,21 @@ impl Server {
                 fleet_config,
                 Runtime::Threads,
                 Arc::clone(&observer),
+                Some(wake),
             ),
         };
-        let (op_tx, op_rx) = mpsc::channel::<EngineOp>();
         let engine_metrics = Arc::clone(&metrics);
         let retry_after = config.retry_after;
         let balance = config.balance.clone();
         let engine = std::thread::Builder::new()
             .name("serve-engine".to_string())
-            .spawn(move || engine_loop(fleet, &op_rx, &engine_metrics, retry_after, balance))
+            .spawn(move || engine_loop(fleet, &inbox_rx, &engine_metrics, retry_after, balance))
             .expect("spawn engine thread");
 
         let (conn_tx, conn_rx) = mpsc::sync_channel::<TcpStream>(config.workers);
         let conn_rx = Arc::new(Mutex::new(conn_rx));
         let ctx = WorkerCtx {
-            ops: op_tx,
+            engine: engine_inbox.clone(),
             metrics: Arc::clone(&metrics),
             stop: Arc::clone(&stop),
             obs: Arc::clone(&observer),
@@ -299,9 +325,6 @@ impl Server {
                     .expect("spawn connection worker")
             })
             .collect();
-        // `ctx` (holding the original `op_tx`) drops at the end of this
-        // scope: only worker threads keep engine senders alive, so the
-        // engine exits exactly when the last worker does.
 
         let acceptor_metrics = Arc::clone(&metrics);
         let acceptor_stop = Arc::clone(&stop);
@@ -326,6 +349,7 @@ impl Server {
             acceptor: Some(acceptor),
             workers,
             engine: Some(engine),
+            engine_inbox,
         })
     }
 
@@ -357,6 +381,10 @@ impl Server {
         for join in self.workers.drain(..) {
             let _ = join.join();
         }
+        // The shards' wake handles keep the inbox open, so the engine
+        // stops only when told. Every op a worker sent is queued ahead of
+        // this message, because every worker has joined.
+        let _ = self.engine_inbox.send(EngineMsg::Stop);
         if let Some(join) = self.engine.take() {
             let _ = join.join();
         }
@@ -375,7 +403,7 @@ impl Drop for Server {
 
 fn engine_loop(
     mut fleet: FleetEngine,
-    ops: &Receiver<EngineOp>,
+    inbox: &Receiver<EngineMsg>,
     metrics: &ServeMetrics,
     retry_after: Duration,
     balance: Option<BalanceConfig>,
@@ -387,9 +415,11 @@ fn engine_loop(
     // access; it ticks between ops, so a migration never interleaves with
     // a request's submit/acknowledge pair.
     let mut balancer = balance.as_ref().map(BalanceConfig::build);
-    loop {
-        match ops.recv_timeout(Duration::from_millis(1)) {
-            Ok(op) => {
+    // No timeout: a shard sends its event before it wakes us, so the
+    // flush after a `Wake` always finds that event.
+    while let Ok(msg) = inbox.recv() {
+        match msg {
+            EngineMsg::Op(op) => {
                 handle_op(
                     &mut fleet,
                     op,
@@ -403,8 +433,8 @@ fn engine_loop(
                     balancer.on_op(&mut fleet);
                 }
             }
-            Err(RecvTimeoutError::Timeout) => {}
-            Err(RecvTimeoutError::Disconnected) => break,
+            EngineMsg::Wake => {}
+            EngineMsg::Stop => break,
         }
         flush_events(&mut fleet, &mut pending);
     }
@@ -918,7 +948,7 @@ fn serve_one(ctx: &WorkerCtx, out: &mpsc::Sender<Outbound>, payload: &[u8]) {
                 started,
                 reply: out.clone(),
             };
-            if ctx.ops.send(op).is_err() {
+            if ctx.engine.send(EngineMsg::Op(op)).is_err() {
                 let reply = Response::Error {
                     code: ErrorCode::EngineDown,
                     message: "engine thread is gone".to_string(),

@@ -372,6 +372,31 @@ fn shutdown_joins_every_thread_and_releases_the_scenario() {
     drop(server2);
 }
 
+/// A reply leaves as soon as its shard finishes. With one connection
+/// nothing else wakes the engine thread, so an engine that waited on a
+/// timer between requests would pace every round trip by that timer.
+#[test]
+fn sequential_round_trips_are_not_paced_by_a_timer() {
+    let mut server = Server::start(scenario(), FleetConfig::default(), ServeConfig::default())
+        .expect("start server");
+    let mut conn = Connection::connect(server.local_addr()).expect("connect");
+    conn.create_session(1, user_spec(1)).expect("create");
+    let mut micros: Vec<u128> = (0..201)
+        .map(|_| {
+            let start = std::time::Instant::now();
+            conn.step(1, 0).expect("step");
+            start.elapsed().as_micros()
+        })
+        .collect();
+    server.shutdown();
+    micros.sort_unstable();
+    let median = micros[micros.len() / 2];
+    assert!(
+        median < 500,
+        "median round trip {median} us: replies wait for a timer"
+    );
+}
+
 /// Regression for the `run_to_completion` livelock: a server that keeps
 /// answering `delivered == 0, done == false` used to spin the client
 /// forever. The zero-progress budget now bounds the loop with a typed
