@@ -1,0 +1,359 @@
+//! The append-only record log behind both durable formats: `CHAMSEG1`
+//! session segments (`chameleon-store`) and the `CHAMRTE1` router-state
+//! log (`chameleon-route`). Each format adds only its body layout and its
+//! policies (header damage, compaction, replay).
+//!
+//! A log file is an 8-byte format magic followed by records framed as
+//! `len:u32 LE | body | crc32(body):u32 LE`, where `len` counts the body
+//! only. The length prefix is checked against [`MAX_RECORD_BYTES`] and
+//! the format's minimum body before anything is sliced or allocated, and
+//! every prefix of a valid record decodes as [`RecordError::Truncated`].
+//! That makes torn-tail recovery sound: [`scan`] stops at the first record
+//! that does not decode, [`AppendLog::open`] truncates the file there, and
+//! everything sealed before it survives. Appends are fsynced before they
+//! are acknowledged; whole-file rewrites go through [`replace`].
+
+use std::fs::{File, OpenOptions};
+use std::io::{self, Write};
+use std::path::{Path, PathBuf};
+
+use crate::integrity::{crc32, Crc32};
+
+/// Bytes of the format magic opening every log file.
+pub const MAGIC_BYTES: usize = 8;
+
+/// Bytes a record adds around its body: length prefix + CRC trailer.
+pub const RECORD_FRAME_BYTES: usize = 4 + 4;
+
+/// Upper bound on one record body. Checkpoints are a few hundred KiB to a
+/// few MiB; the cap keeps a corrupt length prefix from driving a giant
+/// allocation.
+pub const MAX_RECORD_BYTES: usize = 64 * 1024 * 1024;
+
+/// Typed decode failures for log headers and record frames.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum RecordError {
+    /// Fewer bytes than the structure requires (torn tail, short read).
+    Truncated,
+    /// The log does not open with its format magic.
+    BadMagic,
+    /// Length prefix exceeds [`MAX_RECORD_BYTES`] — rejected before any
+    /// allocation is sized by it.
+    Oversized {
+        /// The hostile length prefix.
+        len: u64,
+        /// The cap it violated.
+        max: u64,
+    },
+    /// Body too short for the format's fixed fields.
+    BadLength {
+        /// The impossible body length.
+        len: u64,
+    },
+    /// Body bytes do not match the CRC trailer.
+    BadChecksum {
+        /// CRC computed over the body as read.
+        found: u32,
+        /// CRC recorded in the trailer.
+        expected: u32,
+    },
+}
+
+impl std::fmt::Display for RecordError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            RecordError::Truncated => write!(f, "log record truncated"),
+            RecordError::BadMagic => write!(f, "log magic mismatch"),
+            RecordError::Oversized { len, max } => {
+                write!(f, "record length {len} exceeds cap {max}")
+            }
+            RecordError::BadLength { len } => {
+                write!(f, "record body length {len} below its fixed fields")
+            }
+            RecordError::BadChecksum { found, expected } => {
+                write!(
+                    f,
+                    "record checksum {found:#010x} != sealed {expected:#010x}"
+                )
+            }
+        }
+    }
+}
+
+impl std::error::Error for RecordError {}
+
+/// Frames one record whose body is the concatenation of `parts`, copying
+/// each part once.
+pub fn encode_frame(parts: &[&[u8]]) -> Vec<u8> {
+    let len: usize = parts.iter().map(|part| part.len()).sum();
+    let mut out = Vec::with_capacity(RECORD_FRAME_BYTES + len);
+    out.extend_from_slice(&(len as u32).to_le_bytes());
+    let mut crc = Crc32::new();
+    for part in parts {
+        out.extend_from_slice(part);
+        crc.update(part);
+    }
+    out.extend_from_slice(&crc.finish().to_le_bytes());
+    out
+}
+
+/// Decodes the record frame at the front of `bytes`, returning its body
+/// (borrowed, CRC-verified) and the number of bytes consumed.
+///
+/// # Errors
+/// From the length prefix alone: [`RecordError::Oversized`] past the cap,
+/// then [`RecordError::BadLength`] under `min_body`. Then
+/// [`RecordError::Truncated`] if `bytes` ends mid-record and
+/// [`RecordError::BadChecksum`] if the trailer does not seal the body.
+pub fn decode_frame(bytes: &[u8], min_body: usize) -> Result<(&[u8], usize), RecordError> {
+    if bytes.len() < 4 {
+        return Err(RecordError::Truncated);
+    }
+    let len = u32::from_le_bytes(bytes[..4].try_into().expect("4 bytes")) as usize;
+    if len > MAX_RECORD_BYTES {
+        return Err(RecordError::Oversized {
+            len: len as u64,
+            max: MAX_RECORD_BYTES as u64,
+        });
+    }
+    if len < min_body {
+        return Err(RecordError::BadLength { len: len as u64 });
+    }
+    let total = RECORD_FRAME_BYTES + len;
+    if bytes.len() < total {
+        return Err(RecordError::Truncated);
+    }
+    let body = &bytes[4..4 + len];
+    let expected = u32::from_le_bytes(bytes[4 + len..total].try_into().expect("4 bytes"));
+    let found = crc32(body);
+    if found != expected {
+        return Err(RecordError::BadChecksum { found, expected });
+    }
+    Ok((body, total))
+}
+
+/// Checks that `bytes` opens with `magic`.
+///
+/// # Errors
+/// [`RecordError::Truncated`] under [`MAGIC_BYTES`] bytes,
+/// [`RecordError::BadMagic`] if they are not `magic`.
+pub fn check_header(bytes: &[u8], magic: &[u8; MAGIC_BYTES]) -> Result<(), RecordError> {
+    if bytes.len() < MAGIC_BYTES {
+        return Err(RecordError::Truncated);
+    }
+    if &bytes[..MAGIC_BYTES] != magic {
+        return Err(RecordError::BadMagic);
+    }
+    Ok(())
+}
+
+/// Walks a log image from just after its `magic` header to the first
+/// record `decode` refuses. `decode` gets each record's offset and the
+/// bytes from there on, and returns the bytes the record used. Returns
+/// the clean length and the error that stopped the walk early, if any.
+///
+/// # Errors
+/// The [`check_header`] failure, before any record is decoded.
+pub fn scan<'a, E>(
+    bytes: &'a [u8],
+    magic: &[u8; MAGIC_BYTES],
+    mut decode: impl FnMut(usize, &'a [u8]) -> Result<usize, E>,
+) -> Result<(usize, Option<E>), RecordError> {
+    check_header(bytes, magic)?;
+    let mut offset = MAGIC_BYTES;
+    while offset < bytes.len() {
+        match decode(offset, &bytes[offset..]) {
+            Ok(used) => offset += used,
+            Err(error) => return Ok((offset, Some(error))),
+        }
+    }
+    Ok((offset, None))
+}
+
+/// The hidden sibling [`replace`] stages `path`'s new bytes in; a crash
+/// before the rename can leave it behind, holding nothing live.
+pub fn temp_path(path: &Path) -> PathBuf {
+    let name = path.file_name().unwrap_or_default().to_string_lossy();
+    path.with_file_name(format!(".{name}.tmp"))
+}
+
+/// Writes and fsyncs `bytes` at [`temp_path`] and renames it over `path`,
+/// returning the handle that now holds `path`.
+fn swap_in(path: &Path, bytes: &[u8]) -> io::Result<File> {
+    let tmp = temp_path(path);
+    let mut file = File::create(&tmp)?;
+    file.write_all(bytes)?;
+    file.sync_data()?;
+    std::fs::rename(&tmp, path)?;
+    Ok(file)
+}
+
+/// Fsyncs the directory holding `path`, making a rename there durable.
+fn sync_parent(path: &Path) -> io::Result<()> {
+    let dir = path.parent().filter(|dir| !dir.as_os_str().is_empty());
+    File::open(dir.unwrap_or(Path::new(".")))?.sync_all()
+}
+
+/// Atomically replaces the file at `path` with `bytes`: temp sibling,
+/// fsync, rename, directory fsync. A crash leaves the old or the new bytes.
+///
+/// # Errors
+/// The first failing step — the directory fsync included, since until it
+/// succeeds the rename may not survive power loss.
+pub fn replace(path: &Path, bytes: &[u8]) -> io::Result<()> {
+    swap_in(path, bytes)?;
+    sync_parent(path)
+}
+
+/// One open log file, appended to at its end. Every method fails with the
+/// underlying I/O error.
+#[derive(Debug)]
+pub struct AppendLog {
+    file: File,
+    path: PathBuf,
+    len: u64,
+}
+
+impl AppendLog {
+    /// Creates (or empties) the log at `path` holding only `magic`, fsynced
+    /// before the file may be referenced.
+    pub fn create(path: &Path, magic: &[u8; MAGIC_BYTES]) -> io::Result<Self> {
+        let mut file = File::create(path)?;
+        file.write_all(magic)?;
+        file.sync_data()?;
+        let (path, len) = (path.to_path_buf(), MAGIC_BYTES as u64);
+        Ok(Self { file, path, len })
+    }
+
+    /// Opens the log at `path` to append after `clean_len` bytes, the clean
+    /// prefix [`scan`] found, truncating (and fsyncing) any tail past it.
+    pub fn open(path: &Path, clean_len: u64) -> io::Result<Self> {
+        let file = OpenOptions::new().append(true).open(path)?;
+        if file.metadata()?.len() > clean_len {
+            file.set_len(clean_len)?;
+            file.sync_data()?;
+        }
+        let (path, len) = (path.to_path_buf(), clean_len);
+        Ok(Self { file, path, len })
+    }
+
+    /// Writes framed records without fsyncing; [`AppendLog::sync`] before
+    /// acknowledging them.
+    pub fn write(&mut self, framed: &[u8]) -> io::Result<()> {
+        self.file.write_all(framed)?;
+        self.len += framed.len() as u64;
+        Ok(())
+    }
+
+    /// Fsyncs everything written so far.
+    pub fn sync(&self) -> io::Result<()> {
+        self.file.sync_data()
+    }
+
+    /// Writes and fsyncs framed records before returning.
+    pub fn append(&mut self, framed: &[u8]) -> io::Result<()> {
+        self.write(framed)?;
+        self.sync()
+    }
+
+    /// Rewrites the log as `bytes` (magic included) through [`replace`],
+    /// failing as it does. The old log is untouched unless the rename ran;
+    /// once it did, appends go to the new file even if the directory fsync
+    /// then failed.
+    pub fn replace(&mut self, bytes: &[u8]) -> io::Result<()> {
+        self.file = swap_in(&self.path, bytes)?;
+        self.len = bytes.len() as u64;
+        sync_parent(&self.path)
+    }
+
+    /// Bytes in the log, header included.
+    pub fn bytes(&self) -> u64 {
+        self.len
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    const MAGIC: &[u8; MAGIC_BYTES] = b"TESTLOG1";
+
+    fn scratch(name: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!("append-log-{name}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).expect("mkdir");
+        dir
+    }
+
+    #[test]
+    fn parts_frame_like_one_body() {
+        let framed = encode_frame(&[b"ab", b"", b"cde"]);
+        assert_eq!(framed, encode_frame(&[b"abcde"]));
+        assert_eq!(decode_frame(&framed, 5), Ok((&b"abcde"[..], framed.len())));
+        assert_eq!(
+            decode_frame(&framed, 6),
+            Err(RecordError::BadLength { len: 5 })
+        );
+    }
+
+    #[test]
+    fn scan_stops_at_the_first_undecodable_record() {
+        let mut log = MAGIC.to_vec();
+        log.extend_from_slice(&encode_frame(&[b"one"]));
+        let clean = log.len();
+        log.extend_from_slice(&encode_frame(&[b"two"])[..5]);
+        let mut seen = Vec::new();
+        let scanned = scan(&log, MAGIC, |offset, rest| {
+            let (body, used) = decode_frame(rest, 0)?;
+            seen.push((offset, body.to_vec()));
+            Ok::<_, RecordError>(used)
+        });
+        assert_eq!(scanned, Ok((clean, Some(RecordError::Truncated))));
+        assert_eq!(seen, vec![(MAGIC_BYTES, b"one".to_vec())]);
+        let header = scan(&log[..3], MAGIC, |_, _| Ok::<_, RecordError>(0));
+        assert_eq!(header, Err(RecordError::Truncated));
+        assert_eq!(
+            scan(b"NOTALOG!", MAGIC, |_, _| Ok::<_, RecordError>(0)),
+            Err(RecordError::BadMagic)
+        );
+    }
+
+    #[test]
+    fn open_truncates_the_tail_and_appends_after_the_clean_prefix() {
+        let dir = scratch("open");
+        let path = dir.join("log");
+        let mut log = AppendLog::create(&path, MAGIC).expect("create");
+        log.append(&encode_frame(&[b"kept"])).expect("append");
+        let clean = log.bytes();
+        log.append(&[0xAB; 5]).expect("torn tail");
+        drop(log);
+        let mut log = AppendLog::open(&path, clean).expect("open");
+        assert_eq!(std::fs::metadata(&path).expect("stat").len(), clean);
+        log.append(&encode_frame(&[b"next"])).expect("append");
+        let bytes = std::fs::read(&path).expect("read");
+        assert_eq!(bytes.len() as u64, log.bytes());
+        assert_eq!(
+            scan(&bytes, MAGIC, |_, rest| decode_frame(rest, 0)
+                .map(|(_, used)| used)),
+            Ok((bytes.len(), None))
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn replace_swaps_the_file_and_the_append_handle() {
+        let dir = scratch("replace");
+        let path = dir.join("log");
+        let mut log = AppendLog::create(&path, MAGIC).expect("create");
+        log.append(&encode_frame(&[b"superseded"])).expect("append");
+        let mut fresh = MAGIC.to_vec();
+        fresh.extend_from_slice(&encode_frame(&[b"live"]));
+        log.replace(&fresh).expect("replace");
+        log.append(&encode_frame(&[b"after"])).expect("append");
+        fresh.extend_from_slice(&encode_frame(&[b"after"]));
+        assert_eq!(std::fs::read(&path).expect("read"), fresh);
+        assert_eq!(log.bytes(), fresh.len() as u64);
+        assert!(!temp_path(&path).exists());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}

@@ -21,6 +21,10 @@
 //! in on-chip SRAM or off-chip DRAM — the split `chameleon-faults` uses to
 //! scale bit-upset rates.
 //!
+//! Durability support: [`append_log`] is the one CRC-sealed record log
+//! behind `chameleon-store`'s `CHAMSEG1` segments and `chameleon-route`'s
+//! `CHAMRTE1` router state.
+//!
 //! # Example
 //!
 //! ```
@@ -38,6 +42,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod append_log;
 mod balanced;
 pub mod codec;
 mod integrity;

@@ -21,16 +21,16 @@
 //! path instead of hanging a worker forever.
 
 use std::collections::HashMap;
-use std::io::{Read, Write};
+use std::io::Write;
 use std::net::{Shutdown, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use chameleon_replay::crc32;
 use chameleon_runtime::{splitmix64, Clock, SimRng};
-use chameleon_serve::wire::{encode_frame, Request, Response, WIRE_MAGIC};
+use chameleon_serve::jittered_backoff_millis;
+use chameleon_serve::wire::{encode_frame, read_frame, Request, Response};
 
 use crate::plock;
 
@@ -148,6 +148,28 @@ struct MuxInner {
 pub struct MuxConnection {
     inner: Arc<MuxInner>,
     backoff: Mutex<SimRng>,
+}
+
+impl MuxInner {
+    /// Kills generation `gen`'s socket (if still current) and fails every
+    /// request parked on it.
+    fn teardown(&self, gen: u64, reason: &str) {
+        {
+            let mut writer = plock(&self.writer);
+            if writer.generation == gen {
+                if let Some(stream) = writer.stream.take() {
+                    let _ = stream.shutdown(Shutdown::Both);
+                }
+            }
+        }
+        let mut pending = plock(&self.pending);
+        for slot in pending.values_mut() {
+            if matches!(slot, Slot::Waiting { generation } if *generation == gen) {
+                *slot = Slot::Failed(reason.to_string());
+            }
+        }
+        self.completed.notify_all();
+    }
 }
 
 impl MuxConnection {
@@ -359,7 +381,7 @@ impl MuxConnection {
                 // A backend that accepts but never answers is wedged;
                 // drop the socket so the next request probes it fresh
                 // (and everyone else parked on it fails fast too).
-                self.teardown(generation, "request timed out");
+                inner.teardown(generation, "request timed out");
                 return Err(MuxError::TimedOut {
                     waited: timeout,
                     was_fresh,
@@ -371,27 +393,6 @@ impl MuxConnection {
                 .unwrap_or_else(std::sync::PoisonError::into_inner);
             pending = guard;
         }
-    }
-
-    /// Kills generation `gen`'s socket (if still current) and fails every
-    /// request parked on it.
-    fn teardown(&self, gen: u64, reason: &str) {
-        let inner = &*self.inner;
-        {
-            let mut writer = plock(&inner.writer);
-            if writer.generation == gen {
-                if let Some(stream) = writer.stream.take() {
-                    let _ = stream.shutdown(Shutdown::Both);
-                }
-            }
-        }
-        let mut pending = plock(&inner.pending);
-        for slot in pending.values_mut() {
-            if matches!(slot, Slot::Waiting { generation } if *generation == gen) {
-                *slot = Slot::Failed(reason.to_string());
-            }
-        }
-        inner.completed.notify_all();
     }
 }
 
@@ -405,7 +406,7 @@ impl Drop for MuxConnection {
             }
             (writer.generation, writer.reader.take())
         };
-        self.teardown(gen, "router shutting down");
+        self.inner.teardown(gen, "router shutting down");
         if let Some(handle) = handle {
             let _ = handle.join();
         }
@@ -420,8 +421,9 @@ fn reader_loop(inner: &MuxInner, mut stream: TcpStream, generation: u64) {
             break "router shutting down".to_string();
         }
         let payload = match read_frame(&mut stream, inner.options.max_payload) {
-            Ok(payload) => payload,
-            Err(reason) => break reason,
+            Ok(Ok(payload)) => payload,
+            Ok(Err(e)) => break format!("bad response frame: {e}"),
+            Err(e) => break format!("read failed: {e}"),
         };
         let (correlation, response) = match Response::decode_payload(&payload) {
             Ok(decoded) => decoded,
@@ -458,61 +460,14 @@ fn reader_loop(inner: &MuxInner, mut stream: TcpStream, generation: u64) {
     };
     // Connection over: clear the write half (if still ours) and fail
     // whoever is still parked on this generation.
-    {
-        let mut writer = plock(&inner.writer);
-        if writer.generation == generation {
-            if let Some(stream) = writer.stream.take() {
-                let _ = stream.shutdown(Shutdown::Both);
-            }
-        }
-    }
-    let mut pending = plock(&inner.pending);
-    for slot in pending.values_mut() {
-        if matches!(slot, Slot::Waiting { generation: g } if *g == generation) {
-            *slot = Slot::Failed(reason.clone());
-        }
-    }
-    inner.completed.notify_all();
-}
-
-/// Reads one CHAMWIRE frame (blocking) and returns its CRC-checked
-/// payload, or a human-readable reason the connection is done for.
-fn read_frame(stream: &mut TcpStream, max_payload: usize) -> Result<Vec<u8>, String> {
-    let mut header = [0u8; 12];
-    stream
-        .read_exact(&mut header)
-        .map_err(|e| format!("read failed: {e}"))?;
-    if header[..8] != WIRE_MAGIC[..] {
-        return Err("response magic mismatch".to_string());
-    }
-    let len = u32::from_le_bytes(header[8..12].try_into().expect("4 bytes")) as usize;
-    if len > max_payload {
-        return Err(format!("oversized response frame ({len} bytes)"));
-    }
-    let mut body = vec![0u8; len + 4];
-    stream
-        .read_exact(&mut body)
-        .map_err(|e| format!("read failed: {e}"))?;
-    let footer = u32::from_le_bytes(body[len..].try_into().expect("4 bytes"));
-    body.truncate(len);
-    if crc32(&body) != footer {
-        return Err("response checksum mismatch".to_string());
-    }
-    Ok(body)
-}
-
-/// Backoff for riding `RetryAfter`: the hinted wait plus an escalating
-/// boost, fully jittered. (Same shape as the serve client's backoff —
-/// kept local because it is private there.)
-fn jittered_backoff_millis(rng: &mut SimRng, millis: u32, boost: u64) -> u64 {
-    let base = u64::from(millis).max(1) + boost;
-    base + rng.below(base + 1)
+    inner.teardown(generation, &reason);
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use chameleon_runtime::WallClock;
+    use std::io::Read;
     use std::net::TcpListener;
 
     fn options() -> MuxOptions {

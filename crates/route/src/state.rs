@@ -6,11 +6,10 @@
 //! and failover without re-learning placement — the restart-amnesia
 //! failure mode is gone.
 //!
-//! The on-disk discipline is the same one CHAMSEG1 uses for session
-//! blobs (DESIGN.md §12): an 8-byte magic header followed by records of
-//! `len:u32 LE | body | crc32(body):u32 LE`, with the length cap checked
-//! *before* any allocation and a torn tail truncated on open. Record
-//! bodies are `op:u8 | session:u64 LE | ...`:
+//! The file is a [`chameleon_replay::append_log`] opening with the magic
+//! `"CHAMRTE1"` — the same framing, length cap, torn-tail truncation and
+//! atomic replace as the store's CHAMSEG1 segments (DESIGN.md §12).
+//! Record bodies are `op:u8 | session:u64 LE | ...`:
 //!
 //! * `OP_PIN` — `addr` bytes (UTF-8): the session is pinned to the
 //!   backend listening at `addr`. Pins are keyed by address, not index,
@@ -29,31 +28,22 @@
 //! lock, so two refreshes of one session can land in the log in the
 //! opposite order of their in-memory application, and last-record-wins
 //! would let a restarted router regress to the older checkpoint. When
-//! the log grows well past its live size it
-//! is compacted: the current image is written to a sibling file that is
-//! atomically renamed over the log.
+//! the log grows well past its live size it is compacted: the current
+//! image atomically replaces the log.
 //!
 //! The codec half of this module (`encode_*`, [`decode_state`]) is pure
 //! — no I/O — so the simtest multinode explorer round-trips its router
 //! state through the real bytes.
 
 use std::collections::HashMap;
-use std::fs::{File, OpenOptions};
-use std::io::{Read, Write};
-use std::path::{Path, PathBuf};
+use std::io::ErrorKind;
+use std::path::Path;
 
 use chameleon_fleet::SessionId;
-use chameleon_replay::crc32;
+use chameleon_replay::append_log::{self, AppendLog, RecordError, RECORD_FRAME_BYTES};
 
 /// File magic opening a CHAMRTE1 router-state log.
 pub const STATE_MAGIC: &[u8; 8] = b"CHAMRTE1";
-
-/// `len | crc` framing bytes around each record body.
-const RECORD_FRAME_BYTES: usize = 8;
-
-/// Upper bound on a record body, checked before allocating: a shadow
-/// blob can never exceed a wire payload, so anything larger is damage.
-pub const MAX_STATE_RECORD_BYTES: usize = 64 * 1024 * 1024;
 
 const OP_PIN: u8 = 0x01;
 const OP_UNPIN: u8 = 0x02;
@@ -88,35 +78,15 @@ pub enum StateRecord {
     },
 }
 
-/// Why a CHAMRTE1 log (or record) failed to decode. Mirrors the store's
-/// `RecordError` taxonomy: every way of *shortening* a valid log is
-/// `Truncated` (a torn tail, recoverable by truncation); everything else
-/// is damage.
-#[derive(Clone, Debug, PartialEq, Eq)]
+/// Why a CHAMRTE1 log (or record) failed to decode. Every way of
+/// *shortening* a valid log is the shared [`RecordError::Truncated`] (a
+/// torn tail, recoverable by truncation); everything else is damage.
+#[derive(Clone, PartialEq, Eq)]
 pub enum StateError {
-    /// The log ends mid-record (or mid-header): a torn tail.
-    Truncated,
-    /// The file does not open with [`STATE_MAGIC`].
-    BadMagic,
-    /// A record's length prefix exceeds [`MAX_STATE_RECORD_BYTES`].
-    Oversized {
-        /// The claimed body length.
-        len: u64,
-        /// The enforced cap.
-        max: u64,
-    },
-    /// A record body is too short to hold its opcode's fixed fields.
-    BadLength {
-        /// The claimed body length.
-        len: u64,
-    },
-    /// The record's CRC32 footer does not match its body.
-    BadChecksum {
-        /// CRC computed over the body as read.
-        found: u32,
-        /// CRC the footer claims.
-        expected: u32,
-    },
+    /// A shared header or framing failure, or
+    /// [`RecordError::BadLength`] for a body too short for its opcode's
+    /// fixed fields.
+    Record(RecordError),
     /// An unknown opcode byte.
     BadOp {
         /// The opcode as read.
@@ -126,18 +96,28 @@ pub enum StateError {
     BadUtf8,
 }
 
+impl From<RecordError> for StateError {
+    fn from(error: RecordError) -> Self {
+        Self::Record(error)
+    }
+}
+
+// Transparent over the shared error, so a torn tail reads `Truncated` in
+// both formats' diagnostics.
+impl std::fmt::Debug for StateError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            Self::Record(error) => std::fmt::Debug::fmt(error, f),
+            Self::BadOp { op } => f.debug_struct("BadOp").field("op", op).finish(),
+            Self::BadUtf8 => f.write_str("BadUtf8"),
+        }
+    }
+}
+
 impl std::fmt::Display for StateError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            Self::Truncated => write!(f, "state log ends mid-record"),
-            Self::BadMagic => write!(f, "not a CHAMRTE1 state log"),
-            Self::Oversized { len, max } => {
-                write!(f, "state record claims {len} bytes (cap {max})")
-            }
-            Self::BadLength { len } => write!(f, "state record body too short ({len} bytes)"),
-            Self::BadChecksum { found, expected } => {
-                write!(f, "state record checksum {found:#010x} != {expected:#010x}")
-            }
+            Self::Record(error) => write!(f, "CHAMRTE1 state log: {error}"),
             Self::BadOp { op } => write!(f, "unknown state record opcode {op:#04x}"),
             Self::BadUtf8 => write!(f, "pin record address is not UTF-8"),
         }
@@ -146,39 +126,24 @@ impl std::fmt::Display for StateError {
 
 impl std::error::Error for StateError {}
 
-fn encode_body(body: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(RECORD_FRAME_BYTES + body.len());
-    out.extend_from_slice(&(body.len() as u32).to_le_bytes());
-    out.extend_from_slice(body);
-    out.extend_from_slice(&crc32(body).to_le_bytes());
-    out
-}
-
 /// Encodes a pin record (framed, ready to append).
 pub fn encode_pin(session: SessionId, addr: &str) -> Vec<u8> {
-    let mut body = Vec::with_capacity(MIN_BODY_BYTES + addr.len());
-    body.push(OP_PIN);
-    body.extend_from_slice(&session.to_le_bytes());
-    body.extend_from_slice(addr.as_bytes());
-    encode_body(&body)
+    append_log::encode_frame(&[&[OP_PIN], &session.to_le_bytes(), addr.as_bytes()])
 }
 
 /// Encodes an unpin record (framed, ready to append).
 pub fn encode_unpin(session: SessionId) -> Vec<u8> {
-    let mut body = Vec::with_capacity(MIN_BODY_BYTES);
-    body.push(OP_UNPIN);
-    body.extend_from_slice(&session.to_le_bytes());
-    encode_body(&body)
+    append_log::encode_frame(&[&[OP_UNPIN], &session.to_le_bytes()])
 }
 
 /// Encodes a shadow-checkpoint record (framed, ready to append).
 pub fn encode_shadow(session: SessionId, seq: u64, blob: &[u8]) -> Vec<u8> {
-    let mut body = Vec::with_capacity(MIN_BODY_BYTES + 8 + blob.len());
-    body.push(OP_SHADOW);
-    body.extend_from_slice(&session.to_le_bytes());
-    body.extend_from_slice(&seq.to_le_bytes());
-    body.extend_from_slice(blob);
-    encode_body(&body)
+    append_log::encode_frame(&[
+        &[OP_SHADOW],
+        &session.to_le_bytes(),
+        &seq.to_le_bytes(),
+        blob,
+    ])
 }
 
 /// Encodes a [`StateRecord`] (framed, ready to append).
@@ -195,31 +160,16 @@ pub fn encode_state_record(record: &StateRecord) -> Vec<u8> {
 ///
 /// # Errors
 ///
-/// Any shortening of a valid record is [`StateError::Truncated`]; other
-/// variants report the specific damage.
+/// Any shortening of a valid record is [`RecordError::Truncated`]; other
+/// variants report the specific damage. Body lengths are checked only
+/// once the checksum has verified the body.
 pub fn decode_state_record(bytes: &[u8]) -> Result<(StateRecord, usize), StateError> {
-    if bytes.len() < 4 {
-        return Err(StateError::Truncated);
-    }
-    let len = u32::from_le_bytes(bytes[..4].try_into().expect("4 bytes")) as usize;
-    if len > MAX_STATE_RECORD_BYTES {
-        return Err(StateError::Oversized {
-            len: len as u64,
-            max: MAX_STATE_RECORD_BYTES as u64,
-        });
-    }
-    let total = RECORD_FRAME_BYTES + len;
-    if bytes.len() < total {
-        return Err(StateError::Truncated);
-    }
-    let body = &bytes[4..4 + len];
-    let expected = u32::from_le_bytes(bytes[4 + len..total].try_into().expect("4 bytes"));
-    let found = crc32(body);
-    if found != expected {
-        return Err(StateError::BadChecksum { found, expected });
-    }
+    let (body, used) = append_log::decode_frame(bytes, 0)?;
+    let bad_length = || RecordError::BadLength {
+        len: body.len() as u64,
+    };
     if body.len() < MIN_BODY_BYTES {
-        return Err(StateError::BadLength { len: len as u64 });
+        return Err(bad_length().into());
     }
     let session = u64::from_le_bytes(body[1..9].try_into().expect("8 bytes"));
     let rest = &body[MIN_BODY_BYTES..];
@@ -230,25 +180,16 @@ pub fn decode_state_record(bytes: &[u8]) -> Result<(StateRecord, usize), StateEr
                 .map_err(|_| StateError::BadUtf8)?
                 .to_string(),
         },
-        OP_UNPIN => {
-            if !rest.is_empty() {
-                return Err(StateError::BadLength { len: len as u64 });
-            }
-            StateRecord::Unpin { session }
-        }
-        OP_SHADOW => {
-            if rest.len() < 8 {
-                return Err(StateError::BadLength { len: len as u64 });
-            }
-            StateRecord::Shadow {
-                session,
-                seq: u64::from_le_bytes(rest[..8].try_into().expect("8 bytes")),
-                blob: rest[8..].to_vec(),
-            }
-        }
+        OP_UNPIN if rest.is_empty() => StateRecord::Unpin { session },
+        OP_SHADOW if rest.len() >= 8 => StateRecord::Shadow {
+            session,
+            seq: u64::from_le_bytes(rest[..8].try_into().expect("8 bytes")),
+            blob: rest[8..].to_vec(),
+        },
+        OP_UNPIN | OP_SHADOW => return Err(bad_length().into()),
         op => return Err(StateError::BadOp { op }),
     };
-    Ok((record, total))
+    Ok((record, used))
 }
 
 /// The router image a log replays to: the pin table (by backend address)
@@ -315,59 +256,38 @@ impl RouterImage {
 
 /// Replays a whole log image from bytes (magic + records).
 ///
-/// Returns the image and the offset of the first undecodable byte (==
-/// `bytes.len()` for a clean log). A trailing [`StateError::Truncated`]
-/// is *not* an error — it is the expected signature of a crash mid-append
-/// and the tail is simply ignored, mirroring the store's torn-tail rule.
-/// Any other damage is fatal: a CRC-sealed record that fails its checksum
-/// mid-file means the log cannot be trusted past that point either, so
-/// the same truncation applies, but the error is surfaced so callers can
-/// count it.
+/// Returns the image replayed from the clean prefix, where that prefix
+/// ends (`bytes.len()` for a clean log), and why replay stopped early:
+/// `damage` is `None` for a clean log, `Some(Truncated)` for a torn tail
+/// (the expected signature of a crash mid-append, including a partially
+/// written header), and any other error for mid-file damage — recovered
+/// by the same truncation, but worth counting separately.
 ///
 /// # Errors
 ///
-/// [`StateError::BadMagic`] if the header is wrong; otherwise `Ok` with
-/// the clean prefix replayed and `damage` describing why replay stopped
-/// early (`None` for a clean log or a plain torn tail... see
-/// [`DecodedState::damage`]).
+/// [`RecordError::BadMagic`] if the bytes do not open with (a prefix of)
+/// [`STATE_MAGIC`].
 pub fn decode_state(bytes: &[u8]) -> Result<DecodedState, StateError> {
     let head = bytes.len().min(STATE_MAGIC.len());
     if bytes[..head] != STATE_MAGIC[..head] {
-        return Err(StateError::BadMagic);
-    }
-    if bytes.len() < STATE_MAGIC.len() {
-        // An empty or partially written header: nothing to replay.
-        return Ok(DecodedState {
-            image: RouterImage::default(),
-            clean_len: bytes.len(),
-            records: 0,
-            damage: if bytes.is_empty() {
-                None
-            } else {
-                Some(StateError::Truncated)
-            },
-        });
+        return Err(RecordError::BadMagic.into());
     }
     let mut image = RouterImage::default();
-    let mut offset = STATE_MAGIC.len();
     let mut records = 0u64;
-    let mut damage = None;
-    while offset < bytes.len() {
-        match decode_state_record(&bytes[offset..]) {
-            Ok((record, used)) => {
-                image.apply(record);
-                offset += used;
-                records += 1;
-            }
-            Err(error) => {
-                damage = Some(error);
-                break;
-            }
-        }
-    }
+    let scanned = append_log::scan(bytes, STATE_MAGIC, |_, rest| {
+        let (record, used) = decode_state_record(rest)?;
+        image.apply(record);
+        records += 1;
+        Ok(used)
+    });
+    let (clean_len, damage) = match scanned {
+        Ok(scanned) => scanned,
+        // An empty or partially written header: nothing to replay.
+        Err(error) => (bytes.len(), (!bytes.is_empty()).then(|| error.into())),
+    };
     Ok(DecodedState {
         image,
-        clean_len: offset,
+        clean_len,
         records,
         damage,
     })
@@ -403,15 +323,12 @@ pub struct StateLogCounters {
     pub truncated_bytes: u64,
 }
 
-/// The file-backed CHAMRTE1 log. Appends are `write_all` +
-/// `sync_data` — an acked pin or shadow survives a SIGKILL of the router
+/// The file-backed CHAMRTE1 log. Appends are written and fsynced before
+/// they return — an acked pin or shadow survives a SIGKILL of the router
 /// process, the same durability bar the session store sets.
 #[derive(Debug)]
 pub struct StateLog {
-    file: File,
-    path: PathBuf,
-    dir: PathBuf,
-    bytes: u64,
+    log: AppendLog,
     counters: StateLogCounters,
 }
 
@@ -426,52 +343,37 @@ impl StateLog {
     ///
     /// # Errors
     ///
-    /// I/O errors, or a file whose header is not CHAMRTE1 (a state dir
-    /// pointed at something that is not a router-state log is refused
-    /// rather than clobbered).
+    /// I/O errors, or a file of 8 or more bytes that does not open with
+    /// CHAMRTE1 (a state dir pointed at something that is not a
+    /// router-state log is refused rather than clobbered).
     pub fn open(dir: &Path) -> std::io::Result<(Self, RouterImage)> {
         std::fs::create_dir_all(dir)?;
         let path = dir.join("ROUTER.log");
-        let mut file = OpenOptions::new()
-            .read(true)
-            .append(true)
-            .create(true)
-            .open(&path)?;
-        let mut bytes = Vec::new();
-        file.read_to_end(&mut bytes)?;
+        let bytes = match std::fs::read(&path) {
+            Ok(bytes) => bytes,
+            Err(e) if e.kind() == ErrorKind::NotFound => Vec::new(),
+            Err(e) => return Err(e),
+        };
         let mut counters = StateLogCounters::default();
-        if bytes.len() < STATE_MAGIC.len() {
+        let (log, image) = if bytes.len() < STATE_MAGIC.len() {
             // Fresh file, or a crash during creation left a partial
             // header. Nothing decodable lives in under 8 bytes, so start
             // the header over — appending after a partial magic would
             // make every later open fail with BadMagic, permanently
             // refusing the state dir.
-            if !bytes.is_empty() {
-                counters.truncated_bytes = bytes.len() as u64;
-                file.set_len(0)?;
-            }
-            file.write_all(STATE_MAGIC)?;
-            file.sync_data()?;
-            bytes = STATE_MAGIC.to_vec();
-        }
-        let decoded = decode_state(&bytes)
-            .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))?;
-        if decoded.clean_len < bytes.len() {
-            // Torn tail (or damage): keep the clean prefix, drop the rest.
+            counters.truncated_bytes = bytes.len() as u64;
+            (
+                AppendLog::create(&path, STATE_MAGIC)?,
+                RouterImage::default(),
+            )
+        } else {
+            let decoded = decode_state(&bytes)
+                .map_err(|e| std::io::Error::new(ErrorKind::InvalidData, e.to_string()))?;
             counters.truncated_bytes = (bytes.len() - decoded.clean_len) as u64;
-            file.set_len(decoded.clean_len as u64)?;
-            file.sync_data()?;
-        }
-        Ok((
-            Self {
-                file,
-                path,
-                dir: dir.to_path_buf(),
-                bytes: decoded.clean_len as u64,
-                counters,
-            },
-            decoded.image,
-        ))
+            let log = AppendLog::open(&path, decoded.clean_len as u64)?;
+            (log, decoded.image)
+        };
+        Ok((Self { log, counters }, image))
     }
 
     /// Appends one already-framed record durably.
@@ -480,9 +382,7 @@ impl StateLog {
     ///
     /// The underlying write or fsync failure.
     pub fn append(&mut self, framed: &[u8]) -> std::io::Result<()> {
-        self.file.write_all(framed)?;
-        self.file.sync_data()?;
-        self.bytes += framed.len() as u64;
+        self.log.append(framed)?;
         self.counters.appends += 1;
         self.counters.append_bytes += framed.len() as u64;
         Ok(())
@@ -491,30 +391,21 @@ impl StateLog {
     /// Whether the log has grown enough past `live` (the current image's
     /// [`RouterImage::encoded_len`]) to be worth compacting.
     pub fn wants_compaction(&self, live: u64) -> bool {
-        self.bytes > COMPACT_FLOOR_BYTES && self.bytes > live.saturating_mul(4)
+        let bytes = self.log.bytes();
+        bytes > COMPACT_FLOOR_BYTES && bytes > live.saturating_mul(4)
     }
 
-    /// Rewrites the log as `image`'s minimal form: write a sibling temp
-    /// file, fsync it, atomically rename it over the log, fsync the
-    /// directory.
+    /// Rewrites the log as `image`'s minimal form through the shared
+    /// atomic replace (temp file, fsync, rename, directory fsync).
     ///
     /// # Errors
     ///
-    /// The underlying I/O failure; the original log is untouched on error.
+    /// The underlying I/O failure. A failed directory fsync is an error
+    /// too: the rename may not survive power loss, and with it every
+    /// append acked after it. The original log is untouched unless the
+    /// rename ran.
     pub fn compact(&mut self, image: &RouterImage) -> std::io::Result<()> {
-        let tmp = self.dir.join("ROUTER.log.tmp");
-        let encoded = image.encode();
-        {
-            let mut out = File::create(&tmp)?;
-            out.write_all(&encoded)?;
-            out.sync_data()?;
-        }
-        std::fs::rename(&tmp, &self.path)?;
-        if let Ok(dir) = File::open(&self.dir) {
-            let _ = dir.sync_data();
-        }
-        self.file = OpenOptions::new().append(true).open(&self.path)?;
-        self.bytes = encoded.len() as u64;
+        self.log.replace(&image.encode())?;
         self.counters.compactions += 1;
         Ok(())
     }
@@ -526,7 +417,7 @@ impl StateLog {
 
     /// Current log size in bytes.
     pub fn bytes(&self) -> u64 {
-        self.bytes
+        self.log.bytes()
     }
 }
 
@@ -572,7 +463,7 @@ mod tests {
         for cut in 0..framed.len() {
             assert_eq!(
                 decode_state_record(&framed[..cut]),
-                Err(StateError::Truncated),
+                Err(RecordError::Truncated.into()),
                 "cut at {cut}"
             );
         }
@@ -599,7 +490,7 @@ mod tests {
         assert_eq!(decoded.clean_len, clean);
         assert!(matches!(
             decoded.damage,
-            Some(StateError::BadChecksum { .. })
+            Some(StateError::Record(RecordError::BadChecksum { .. }))
         ));
     }
 
@@ -609,7 +500,7 @@ mod tests {
         framed.extend_from_slice(&[0u8; 32]);
         assert!(matches!(
             decode_state_record(&framed),
-            Err(StateError::Oversized { .. })
+            Err(StateError::Record(RecordError::Oversized { .. }))
         ));
     }
 
@@ -628,7 +519,7 @@ mod tests {
         // Crash mid-append: garbage half-record at the tail.
         {
             use std::io::Write as _;
-            let mut f = OpenOptions::new()
+            let mut f = std::fs::OpenOptions::new()
                 .append(true)
                 .open(dir.join("ROUTER.log"))
                 .expect("reopen");

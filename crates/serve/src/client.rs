@@ -1,20 +1,19 @@
 //! CHAMWIRE client: a blocking connection with typed request helpers and
 //! retry/backoff that honors the server's [`Response::RetryAfter`] hint.
 
-use std::io::{Read, Write};
+use std::io::Write;
 use std::net::{TcpStream, ToSocketAddrs};
 use std::sync::Arc;
 use std::time::Duration;
 
 use chameleon_fleet::{SessionId, SessionSpec};
-use chameleon_replay::crc32;
 use chameleon_runtime::{splitmix64, Clock, SimRng, WallClock};
 
 use chameleon_obs::Observation;
 
 use crate::wire::{
-    encode_frame, ErrorCode, PredictSummary, ProbeSummary, Request, Response, StatsSnapshot,
-    WireError, MAX_PAYLOAD_BYTES, WIRE_MAGIC,
+    encode_frame, read_frame, ErrorCode, PredictSummary, ProbeSummary, Request, Response,
+    StatsSnapshot, WireError, MAX_PAYLOAD_BYTES,
 };
 
 /// Why a client call failed.
@@ -182,7 +181,7 @@ impl Connection {
         self.next_correlation += 1;
         let frame = encode_frame(&request.encode_payload(correlation));
         self.stream.write_all(&frame)?;
-        let payload = self.read_payload()?;
+        let payload = read_frame(&mut self.stream, self.max_payload)??;
         let (received, response) = Response::decode_payload(&payload)?;
         // A turn-away from a saturated acceptor is sent before any request
         // is read and carries correlation 0; it can pair with any request.
@@ -417,43 +416,14 @@ impl Connection {
             other => Ok(other),
         }
     }
-
-    /// Reads one frame and returns its CRC-verified payload.
-    fn read_payload(&mut self) -> Result<Vec<u8>, ClientError> {
-        let mut header = [0u8; 12];
-        self.stream.read_exact(&mut header)?;
-        if &header[..8] != WIRE_MAGIC {
-            return Err(WireError::BadMagic.into());
-        }
-        let len = u32::from_le_bytes(header[8..12].try_into().expect("4 bytes")) as usize;
-        if len > self.max_payload {
-            return Err(WireError::Oversized {
-                len: len as u64,
-                max: self.max_payload as u64,
-            }
-            .into());
-        }
-        let mut body = vec![0u8; len + 4];
-        self.stream.read_exact(&mut body)?;
-        let footer = u32::from_le_bytes(body[len..].try_into().expect("4 bytes"));
-        body.truncate(len);
-        let found = crc32(&body);
-        if found != footer {
-            return Err(WireError::BadChecksum {
-                found,
-                expected: footer,
-            }
-            .into());
-        }
-        Ok(body)
-    }
 }
 
 /// One backoff sleep: the server's hint plus the escalation boost, plus
 /// seeded full jitter of up to the same magnitude. Synchronized clients
 /// hammered with identical `RetryAfter` hints thus spread over a 2×
-/// window instead of retrying in lockstep.
-fn jittered_backoff_millis(rng: &mut SimRng, millis: u32, boost: u64) -> u64 {
+/// window instead of retrying in lockstep. The router's backend mux rides
+/// `RetryAfter` with the same schedule.
+pub fn jittered_backoff_millis(rng: &mut SimRng, millis: u32, boost: u64) -> u64 {
     let base = u64::from(millis).max(1) + boost;
     base + rng.below(base + 1)
 }

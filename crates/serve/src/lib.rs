@@ -65,6 +65,6 @@ mod metrics;
 mod server;
 pub mod wire;
 
-pub use client::{ClientError, Connection, DEFAULT_STALL_BUDGET};
+pub use client::{jittered_backoff_millis, ClientError, Connection, DEFAULT_STALL_BUDGET};
 pub use metrics::{LatencyHistogram, ServeCounters, LATENCY_BUCKETS};
 pub use server::{ServeConfig, Server};

@@ -18,6 +18,8 @@
 //! [`WireError`] — never a panic, never an over-allocation. The proptest
 //! frame fuzzer in `tests/wire_fuzz.rs` holds the protocol to that.
 
+use std::io::Read;
+
 use chameleon_core::StepTrace;
 use chameleon_fleet::{SessionId, SessionSpec};
 use chameleon_obs::{EventRecord, Observation, Stage, StageStats};
@@ -116,30 +118,65 @@ pub fn decode_frame(bytes: &[u8], max_payload: usize) -> Result<(Vec<u8>, usize)
             },
         );
     }
-    if &bytes[..WIRE_MAGIC.len()] != WIRE_MAGIC {
+    let len = payload_len(bytes, max_payload)?;
+    let total = FRAME_OVERHEAD + len;
+    if bytes.len() < total {
+        return Err(WireError::Truncated);
+    }
+    let payload = &bytes[12..12 + len];
+    check_footer(payload, &bytes[12 + len..total])?;
+    Ok((payload.to_vec(), total))
+}
+
+/// Reads one frame from a blocking reader and returns its CRC-verified
+/// payload, checking the length prefix before allocating for it. A reader
+/// that ends mid-frame is an I/O error here, not [`WireError::Truncated`].
+///
+/// # Errors
+///
+/// The outer error when the reader fails; the inner [`WireError`] when
+/// the bytes read are not a sound frame.
+pub fn read_frame(
+    reader: &mut impl Read,
+    max_payload: usize,
+) -> std::io::Result<Result<Vec<u8>, WireError>> {
+    let mut header = [0u8; WIRE_MAGIC.len() + 4];
+    reader.read_exact(&mut header)?;
+    let len = match payload_len(&header, max_payload) {
+        Ok(len) => len,
+        Err(error) => return Ok(Err(error)),
+    };
+    let mut body = vec![0u8; len + 4];
+    reader.read_exact(&mut body)?;
+    let checked = check_footer(&body[..len], &body[len..]);
+    body.truncate(len);
+    Ok(checked.map(|()| body))
+}
+
+/// Checks a frame header's magic and length prefix (against the cap),
+/// returning the payload length.
+fn payload_len(header: &[u8], max_payload: usize) -> Result<usize, WireError> {
+    if header[..WIRE_MAGIC.len()] != WIRE_MAGIC[..] {
         return Err(WireError::BadMagic);
     }
-    let len = u32::from_le_bytes(bytes[8..12].try_into().expect("4 bytes")) as usize;
+    let len = u32::from_le_bytes(header[8..12].try_into().expect("4 bytes")) as usize;
     if len > max_payload {
         return Err(WireError::Oversized {
             len: len as u64,
             max: max_payload as u64,
         });
     }
-    let total = FRAME_OVERHEAD + len;
-    if bytes.len() < total {
-        return Err(WireError::Truncated);
-    }
-    let payload = &bytes[12..12 + len];
-    let footer = u32::from_le_bytes(bytes[12 + len..total].try_into().expect("4 bytes"));
+    Ok(len)
+}
+
+/// Checks `payload` against its CRC32 `footer`.
+fn check_footer(payload: &[u8], footer: &[u8]) -> Result<(), WireError> {
+    let expected = u32::from_le_bytes(footer.try_into().expect("4 bytes"));
     let found = crc32(payload);
-    if found != footer {
-        return Err(WireError::BadChecksum {
-            found,
-            expected: footer,
-        });
+    if found != expected {
+        return Err(WireError::BadChecksum { found, expected });
     }
-    Ok((payload.to_vec(), total))
+    Ok(())
 }
 
 // ---------------------------------------------------------------------------

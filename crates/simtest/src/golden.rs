@@ -3,11 +3,11 @@
 //! re-derived from fixed seeds on every CI run.
 //!
 //! The corpus exists so format changes are *deliberate*: a CHAMWIRE
-//! frame, `CHAMFLT1`/`CHAMLN02` checkpoint byte, or end-of-stream metric
-//! digest that drifts without its version line changing fails the gate
-//! with a pointed message, while a deliberate change bumps the format
-//! magic (which changes the version line) and regenerates the files via
-//! `chameleon simtest --regen-golden`.
+//! frame, `CHAMFLT1`/`CHAMLN02` checkpoint byte, `CHAMSEG1`/`CHAMRTE1`
+//! log record, or end-of-stream metric digest that drifts without its
+//! version line changing fails the gate with a pointed message, while a
+//! deliberate change bumps the format magic (which changes the version
+//! line) and regenerates the files via `chameleon simtest --regen-golden`.
 
 use std::sync::Arc;
 
@@ -282,17 +282,19 @@ fn golden_observation() -> Observation {
 /// Derives the checkpoint family: full `CHAMFLT1` session blobs (clean
 /// and faulted) and the embedded `CHAMLN02` learner blob, from a fixed
 /// 12-batch solo session — plus the `CHAMSEG1` durable-store framing
-/// those blobs are sealed into on eviction, and the quantized
-/// `CHAMFLT2`/`CHAMLN03` twins of the clean session (int8 latents).
+/// those blobs are sealed into on eviction, the quantized
+/// `CHAMFLT2`/`CHAMLN03` twins of the clean session (int8 latents), and
+/// the `CHAMRTE1` router-state records a router shadows them into.
 fn derive_checkpoints() -> GoldenFile {
     let scenario = golden_scenario();
     let version = format!(
-        "{}+{}+{}+{}+{}",
+        "{}+{}+{}+{}+{}+{}",
         String::from_utf8_lossy(chameleon_fleet::FLEET_MAGIC),
         String::from_utf8_lossy(chameleon_fleet::FLEET_MAGIC_V2),
         String::from_utf8_lossy(chameleon_core::checkpoint::MAGIC),
         String::from_utf8_lossy(chameleon_core::checkpoint::MAGIC_V3),
         String::from_utf8_lossy(chameleon_store::SEGMENT_MAGIC),
+        String::from_utf8_lossy(chameleon_route::state::STATE_MAGIC),
     );
     let blob_after = |faults: Option<FaultPlan>, precision: chameleon_core::Precision| {
         let mut session = UserSession::new(
@@ -336,6 +338,26 @@ fn derive_checkpoints() -> GoldenFile {
             (
                 "chamseg1_record_int8".to_string(),
                 hex(&chameleon_store::encode_record(1, 0, &int8.to_bytes())),
+            ),
+            (
+                "chamrte1_header".to_string(),
+                hex(chameleon_route::state::STATE_MAGIC),
+            ),
+            (
+                "chamrte1_pin".to_string(),
+                hex(&chameleon_route::state::encode_pin(7, "127.0.0.1:7411")),
+            ),
+            (
+                "chamrte1_unpin".to_string(),
+                hex(&chameleon_route::state::encode_unpin(7)),
+            ),
+            (
+                "chamrte1_shadow_clean".to_string(),
+                hex(&chameleon_route::state::encode_shadow(
+                    1,
+                    12,
+                    &clean.to_bytes(),
+                )),
             ),
         ],
     }

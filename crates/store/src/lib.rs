@@ -6,18 +6,18 @@
 //! This crate persists the fleet's unit of session state, the `CHAMFLT1`
 //! checkpoint blob, in an append-only segment log:
 //!
-//! * **Segments** — files opening with the `"CHAMSEG1"` magic followed by
-//!   length-prefixed, CRC32-sealed records carrying `(session, seq,
-//!   payload)`. Records are immutable once written; updates append a
-//!   higher sequence number.
+//! * **Segments** — [`chameleon_replay::append_log`] files opening with
+//!   the `"CHAMSEG1"` magic, whose length-prefixed, CRC32-sealed records
+//!   carry `(session, seq, payload)`. Records are immutable once written;
+//!   updates append a higher sequence number.
 //! * **Write-ahead discipline** — [`SessionStore::append`] seals the
 //!   record and fsyncs it *before* returning: the returned sequence
 //!   number is the durability acknowledgement the fleet's eviction path
 //!   waits on before dropping its in-RAM copy.
 //! * **Index** — an in-memory map from session to its latest sealed
-//!   record, rebuilt on open by scanning the manifest's segments. A torn
-//!   tail (crash mid-append) is truncated away; everything sealed before
-//!   it survives.
+//!   record, rebuilt on open by scanning the manifest's segments. Each
+//!   segment is truncated at its first undecodable record (a torn tail
+//!   from a crash mid-append); everything sealed before it survives.
 //! * **Compaction** — once superseded records dominate the log, live
 //!   records are rewritten into a fresh segment and the `MANIFEST` is
 //!   swapped atomically (temp file, fsync, rename, directory fsync).
@@ -48,8 +48,8 @@
 mod segment;
 mod store;
 
+pub use chameleon_replay::append_log::{RecordError, MAX_RECORD_BYTES, RECORD_FRAME_BYTES};
 pub use segment::{
-    check_segment_header, decode_record, encode_record, Record, RecordError, MAX_RECORD_BYTES,
-    RECORD_FRAME_BYTES, RECORD_HEADER_BYTES, SEGMENT_MAGIC,
+    check_segment_header, decode_record, encode_record, Record, RECORD_HEADER_BYTES, SEGMENT_MAGIC,
 };
 pub use store::{SessionStore, SharedStore, StoreConfig, StoreCounters, StoreError};

@@ -1,36 +1,28 @@
-//! The pure `CHAMSEG1` segment codec: byte layout only, no I/O.
+//! The pure `CHAMSEG1` segment body layout: bytes only, no I/O.
 //!
-//! A segment file is the 8-byte magic `"CHAMSEG1"` followed by zero or
-//! more records. Each record is:
+//! A segment file is a [`chameleon_replay::append_log`] opening with the
+//! magic `"CHAMSEG1"`; the shared log owns the record framing, length cap
+//! and torn-tail rule. Each record body is:
 //!
 //! ```text
-//! len:u32 LE | body | crc32(body):u32 LE
 //! body = session:u64 LE | seq:u64 LE | payload
 //! ```
 //!
-//! `len` counts the body bytes only, so a record occupies
-//! `len + RECORD_FRAME_BYTES` bytes on disk. The CRC seals the body; a
-//! record whose checksum verifies is *sealed* and is the unit of
-//! durability the store's fsync contract speaks about. Decoding is
-//! defensive: hostile length prefixes are rejected before any allocation,
-//! every truncation point is a typed [`RecordError`], and no input can
+//! A record whose checksum verifies is *sealed* and is the unit of
+//! durability the store's fsync contract speaks about. A length prefix
+//! too short for the 16-byte session/seq header is refused as
+//! [`RecordError::BadLength`] before the truncation check; no input can
 //! panic the decoder (see `tests/store_fuzz.rs`).
 
-use chameleon_replay::crc32;
+use chameleon_replay::append_log::{
+    check_header, decode_frame, encode_frame, RecordError, MAX_RECORD_BYTES,
+};
 
 /// Magic bytes opening every segment file.
 pub const SEGMENT_MAGIC: &[u8; 8] = b"CHAMSEG1";
 
-/// Bytes a record adds around its body: length prefix + CRC trailer.
-pub const RECORD_FRAME_BYTES: usize = 4 + 4;
-
 /// Body bytes before the payload: session id + sequence number.
 pub const RECORD_HEADER_BYTES: usize = 8 + 8;
-
-/// Upper bound on one record body (header + payload). Checkpoints are a
-/// few hundred KiB; 64 MiB leaves two orders of magnitude headroom while
-/// keeping a corrupt length prefix from driving a giant allocation.
-pub const MAX_RECORD_BYTES: usize = 64 * 1024 * 1024;
 
 /// One decoded segment record.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -43,75 +35,24 @@ pub struct Record {
     pub payload: Vec<u8>,
 }
 
-/// Typed decode failures for segment headers and records.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum RecordError {
-    /// Fewer bytes than the structure requires (torn tail, short read).
-    Truncated,
-    /// Segment does not open with [`SEGMENT_MAGIC`].
-    BadMagic,
-    /// Length prefix exceeds [`MAX_RECORD_BYTES`] — rejected before any
-    /// allocation is sized by it.
-    Oversized {
-        /// The hostile length prefix.
-        len: u64,
-        /// The cap it violated.
-        max: u64,
-    },
-    /// Length prefix smaller than the fixed body header — cannot be a
-    /// well-formed record.
-    BadLength {
-        /// The impossible length prefix.
-        len: u64,
-    },
-    /// Body bytes do not match the CRC trailer.
-    BadChecksum {
-        /// CRC computed over the body as read.
-        found: u32,
-        /// CRC recorded in the trailer.
-        expected: u32,
-    },
-}
-
-impl std::fmt::Display for RecordError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            RecordError::Truncated => write!(f, "segment record truncated"),
-            RecordError::BadMagic => write!(f, "segment magic mismatch"),
-            RecordError::Oversized { len, max } => {
-                write!(f, "record length {len} exceeds cap {max}")
-            }
-            RecordError::BadLength { len } => {
-                write!(f, "record length {len} below fixed header size")
-            }
-            RecordError::BadChecksum { found, expected } => {
-                write!(
-                    f,
-                    "record checksum {found:#010x} != sealed {expected:#010x}"
-                )
-            }
-        }
-    }
-}
-
-impl std::error::Error for RecordError {}
-
 /// Encodes one record: length-prefixed body sealed with a CRC32 trailer.
 ///
 /// # Panics
 /// Panics if `payload` would push the body over [`MAX_RECORD_BYTES`];
 /// callers control payload sizes and never approach the cap.
 pub fn encode_record(session: u64, seq: u64, payload: &[u8]) -> Vec<u8> {
-    let body_len = RECORD_HEADER_BYTES + payload.len();
-    assert!(body_len <= MAX_RECORD_BYTES, "record payload over cap");
-    let mut out = Vec::with_capacity(RECORD_FRAME_BYTES + body_len);
-    out.extend_from_slice(&(body_len as u32).to_le_bytes());
-    out.extend_from_slice(&session.to_le_bytes());
-    out.extend_from_slice(&seq.to_le_bytes());
-    out.extend_from_slice(payload);
-    let crc = crc32(&out[4..]);
-    out.extend_from_slice(&crc.to_le_bytes());
-    out
+    assert!(
+        RECORD_HEADER_BYTES + payload.len() <= MAX_RECORD_BYTES,
+        "record payload over cap"
+    );
+    encode_frame(&[&session.to_le_bytes(), &seq.to_le_bytes(), payload])
+}
+
+/// Splits a verified body into its session, sequence and payload. The
+/// frame decoder guarantees the body holds the 16-byte header.
+pub(crate) fn split_body(body: &[u8]) -> (u64, u64, &[u8]) {
+    let word = |at: usize| u64::from_le_bytes(body[at..at + 8].try_into().expect("8 bytes"));
+    (word(0), word(8), &body[RECORD_HEADER_BYTES..])
 }
 
 /// Decodes the record starting at the front of `bytes`, returning it with
@@ -123,45 +64,16 @@ pub fn encode_record(session: u64, seq: u64, payload: &[u8]) -> Vec<u8> {
 /// length prefixes (checked before any slicing or allocation), and
 /// [`RecordError::BadChecksum`] when the sealed CRC does not match.
 pub fn decode_record(bytes: &[u8]) -> Result<(Record, usize), RecordError> {
-    if bytes.len() < 4 {
-        return Err(RecordError::Truncated);
-    }
-    let len = u32::from_le_bytes([bytes[0], bytes[1], bytes[2], bytes[3]]) as usize;
-    if len > MAX_RECORD_BYTES {
-        return Err(RecordError::Oversized {
-            len: len as u64,
-            max: MAX_RECORD_BYTES as u64,
-        });
-    }
-    if len < RECORD_HEADER_BYTES {
-        return Err(RecordError::BadLength { len: len as u64 });
-    }
-    let total = RECORD_FRAME_BYTES + len;
-    if bytes.len() < total {
-        return Err(RecordError::Truncated);
-    }
-    let body = &bytes[4..4 + len];
-    let expected = u32::from_le_bytes([
-        bytes[4 + len],
-        bytes[5 + len],
-        bytes[6 + len],
-        bytes[7 + len],
-    ]);
-    let found = crc32(body);
-    if found != expected {
-        return Err(RecordError::BadChecksum { found, expected });
-    }
-    let mut session_bytes = [0u8; 8];
-    session_bytes.copy_from_slice(&body[0..8]);
-    let mut seq_bytes = [0u8; 8];
-    seq_bytes.copy_from_slice(&body[8..16]);
+    let (body, used) = decode_frame(bytes, RECORD_HEADER_BYTES)?;
+    let (session, seq, payload) = split_body(body);
+    let payload = payload.to_vec();
     Ok((
         Record {
-            session: u64::from_le_bytes(session_bytes),
-            seq: u64::from_le_bytes(seq_bytes),
-            payload: body[RECORD_HEADER_BYTES..].to_vec(),
+            session,
+            seq,
+            payload,
         },
-        total,
+        used,
     ))
 }
 
@@ -171,18 +83,13 @@ pub fn decode_record(bytes: &[u8]) -> Result<(Record, usize), RecordError> {
 /// [`RecordError::Truncated`] if fewer than 8 bytes are present,
 /// [`RecordError::BadMagic`] if they are not `"CHAMSEG1"`.
 pub fn check_segment_header(bytes: &[u8]) -> Result<(), RecordError> {
-    if bytes.len() < SEGMENT_MAGIC.len() {
-        return Err(RecordError::Truncated);
-    }
-    if &bytes[..SEGMENT_MAGIC.len()] != SEGMENT_MAGIC {
-        return Err(RecordError::BadMagic);
-    }
-    Ok(())
+    check_header(bytes, SEGMENT_MAGIC)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use chameleon_replay::append_log::RECORD_FRAME_BYTES;
 
     #[test]
     fn roundtrip_is_identity() {

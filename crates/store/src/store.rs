@@ -1,15 +1,16 @@
 //! The durable session store: segment files, manifest, index, recovery.
 
 use std::collections::HashMap;
-use std::fs::{self, File, OpenOptions};
-use std::io::{Read, Seek, SeekFrom, Write};
+use std::fs::{self, File};
+use std::io::{Read, Seek, SeekFrom};
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex, MutexGuard};
 
 use chameleon_faults::{FaultInjector, FaultPlan};
+use chameleon_replay::append_log::{self, AppendLog, RecordError};
 
 use crate::segment::{
-    check_segment_header, decode_record, encode_record, Record, RecordError, SEGMENT_MAGIC,
+    decode_record, encode_record, split_body, Record, RECORD_HEADER_BYTES, SEGMENT_MAGIC,
 };
 
 /// Manifest file name inside the store directory.
@@ -172,19 +173,17 @@ struct IndexEntry {
 /// sequence number is the durability acknowledgement the fleet's eviction
 /// path relies on. An in-memory index maps each session to its latest
 /// sealed record; open rebuilds the index by scanning the manifest's
-/// segments, truncating any torn tail on the last one. Superseded records
-/// are garbage; once they dominate the log a compaction rewrites live
-/// records into a fresh segment and atomically swaps the manifest.
+/// segments, truncating each at its first undecodable record. Superseded
+/// records are garbage; once they dominate the log a compaction rewrites
+/// live records into a fresh segment and atomically swaps the manifest.
 #[derive(Debug)]
 pub struct SessionStore {
     config: StoreConfig,
     manifest: Vec<u64>,
-    active: File,
+    active: AppendLog,
     active_id: u64,
-    /// Bytes written to the active segment (including header).
-    active_len: u64,
     /// Bytes of the active segment actually durable at the last fsync.
-    /// Equal to `active_len` unless a partial-fsync fault lied.
+    /// Equal to its length unless a partial-fsync fault lied.
     durable_len: u64,
     index: HashMap<u64, IndexEntry>,
     /// Total record-frame bytes across all segments (live + dead).
@@ -208,10 +207,8 @@ fn segment_path(dir: &Path, id: u64) -> PathBuf {
     dir.join(format!("seg-{id:08}.chamseg"))
 }
 
-/// Writes `manifest` atomically: temp sibling, fsync, rename over
-/// `MANIFEST`, then fsync the directory so the rename itself is durable.
+/// Writes `manifest` atomically through [`append_log::replace`].
 fn write_manifest(dir: &Path, manifest: &[u64]) -> Result<(), StoreError> {
-    let tmp = dir.join(format!(".{MANIFEST_NAME}.tmp"));
     let target = dir.join(MANIFEST_NAME);
     let mut text = String::from(MANIFEST_MAGIC);
     text.push('\n');
@@ -219,16 +216,7 @@ fn write_manifest(dir: &Path, manifest: &[u64]) -> Result<(), StoreError> {
         text.push_str(&id.to_string());
         text.push('\n');
     }
-    let mut file = File::create(&tmp).map_err(io_err("create manifest temp", &tmp))?;
-    file.write_all(text.as_bytes())
-        .map_err(io_err("write manifest temp", &tmp))?;
-    file.sync_data()
-        .map_err(io_err("sync manifest temp", &tmp))?;
-    fs::rename(&tmp, &target).map_err(io_err("swap manifest", &target))?;
-    File::open(dir)
-        .and_then(|d| d.sync_all())
-        .map_err(io_err("sync store directory", dir))?;
-    Ok(())
+    append_log::replace(&target, text.as_bytes()).map_err(io_err("swap manifest", &target))
 }
 
 fn read_manifest(dir: &Path) -> Result<Option<Vec<u64>>, StoreError> {
@@ -267,29 +255,26 @@ fn read_manifest(dir: &Path) -> Result<Option<Vec<u64>>, StoreError> {
 
 /// Creates a fresh segment file: magic written and fsynced before the
 /// segment may be referenced by a manifest.
-fn create_segment(dir: &Path, id: u64) -> Result<File, StoreError> {
+fn create_segment(dir: &Path, id: u64) -> Result<AppendLog, StoreError> {
     let path = segment_path(dir, id);
-    let mut file = File::create(&path).map_err(io_err("create segment", &path))?;
-    file.write_all(SEGMENT_MAGIC)
-        .map_err(io_err("write segment header", &path))?;
-    file.sync_data()
-        .map_err(io_err("sync segment header", &path))?;
-    Ok(file)
+    AppendLog::create(&path, SEGMENT_MAGIC).map_err(io_err("create segment", &path))
 }
 
 impl SessionStore {
     /// Opens (or initializes) the store at `config.dir`, rebuilding the
     /// index from disk: scan every manifest segment in order, keep each
-    /// session's highest-sequence sealed record, and truncate the torn
-    /// tail of the last segment if a crash left one.
+    /// session's highest-sequence sealed record, and truncate every
+    /// segment at its first undecodable record (a torn tail, or damage
+    /// that seals nothing after it). An active (last) segment whose header
+    /// never became durable is reset to an empty segment.
     ///
     /// # Errors
-    /// I/O failures, a malformed manifest, or corruption in a sealed
-    /// (non-last) segment.
+    /// I/O failures, a malformed manifest, or a damaged header on a
+    /// sealed (non-last) segment.
     pub fn open(config: StoreConfig) -> Result<Self, StoreError> {
         fs::create_dir_all(&config.dir).map_err(io_err("create store dir", &config.dir))?;
         // A temp left by a manifest swap interrupted before rename is dead.
-        let _ = fs::remove_file(config.dir.join(format!(".{MANIFEST_NAME}.tmp")));
+        let _ = fs::remove_file(append_log::temp_path(&config.dir.join(MANIFEST_NAME)));
         let mut counters = StoreCounters::default();
         let manifest = match read_manifest(&config.dir)? {
             Some(ids) => ids,
@@ -302,87 +287,79 @@ impl SessionStore {
 
         let mut index: HashMap<u64, IndexEntry> = HashMap::new();
         let mut record_bytes_total = 0u64;
+        let mut active = None;
         for (pos, &id) in manifest.iter().enumerate() {
             let is_last = pos + 1 == manifest.len();
             let path = segment_path(&config.dir, id);
             let bytes = fs::read(&path).map_err(io_err("read segment", &path))?;
-            if let Err(error) = check_segment_header(&bytes) {
-                if is_last {
-                    // The active segment never got a durable header; it
-                    // holds nothing sealed. Reset it to an empty segment.
-                    counters.torn_truncations += 1;
-                    counters.truncated_bytes += bytes.len() as u64;
-                    drop(create_segment(&config.dir, id)?);
-                    continue;
+            let scanned = append_log::scan(&bytes, SEGMENT_MAGIC, |offset, rest| {
+                let (body, used) = append_log::decode_frame(rest, RECORD_HEADER_BYTES)?;
+                let (session, seq, _) = split_body(body);
+                if !matches!(index.get(&session), Some(existing) if existing.seq > seq) {
+                    let entry = IndexEntry {
+                        segment: id,
+                        offset: offset as u64,
+                        len: used as u64,
+                        seq,
+                    };
+                    index.insert(session, entry);
                 }
-                return Err(StoreError::Corrupt {
-                    segment: id,
-                    offset: 0,
-                    error,
-                });
-            }
-            let mut offset = HEADER_LEN as usize;
-            while offset < bytes.len() {
-                match decode_record(&bytes[offset..]) {
-                    Ok((record, used)) => {
-                        let entry = IndexEntry {
-                            segment: id,
-                            offset: offset as u64,
-                            len: used as u64,
-                            seq: record.seq,
-                        };
-                        match index.get(&record.session) {
-                            Some(existing) if existing.seq > record.seq => {}
-                            _ => {
-                                index.insert(record.session, entry);
-                            }
-                        }
-                        record_bytes_total += used as u64;
-                        offset += used;
-                    }
-                    Err(error) => {
+                record_bytes_total += used as u64;
+                Ok::<_, RecordError>(used)
+            });
+            let clean_len = match scanned {
+                Ok((clean_len, damage)) => {
+                    if let Some(error) = damage {
                         // Torn or garbled tail: everything sealed before it
                         // survives; the tail is discarded. A clean
                         // `Truncated` is the expected crash shape; anything
                         // else means the torn region was also garbled.
-                        if !matches!(error, RecordError::Truncated) {
+                        if error != RecordError::Truncated {
                             counters.decode_rejects += 1;
                         }
                         counters.torn_truncations += 1;
-                        counters.truncated_bytes += (bytes.len() - offset) as u64;
-                        let file = OpenOptions::new()
-                            .write(true)
-                            .open(&path)
-                            .map_err(io_err("open segment for truncation", &path))?;
-                        file.set_len(offset as u64)
-                            .map_err(io_err("truncate torn tail", &path))?;
-                        file.sync_data().map_err(io_err("sync truncation", &path))?;
-                        break;
+                        counters.truncated_bytes += (bytes.len() - clean_len) as u64;
                     }
+                    clean_len as u64
+                }
+                Err(_) if is_last => {
+                    // The active segment never got a durable header; it
+                    // holds nothing sealed. Reset it to an empty segment.
+                    counters.torn_truncations += 1;
+                    counters.truncated_bytes += bytes.len() as u64;
+                    active = Some(create_segment(&config.dir, id)?);
+                    continue;
+                }
+                Err(error) => {
+                    return Err(StoreError::Corrupt {
+                        segment: id,
+                        offset: 0,
+                        error,
+                    })
+                }
+            };
+            if is_last || clean_len < bytes.len() as u64 {
+                // Opening truncates the damaged tail; the last segment
+                // stays open as the active one.
+                let log =
+                    AppendLog::open(&path, clean_len).map_err(io_err("open segment", &path))?;
+                if is_last {
+                    active = Some(log);
                 }
             }
         }
 
+        let active = active.expect("manifest is never empty");
         let active_id = *manifest.last().expect("manifest is never empty");
-        let active_path = segment_path(&config.dir, active_id);
-        let active = OpenOptions::new()
-            .append(true)
-            .open(&active_path)
-            .map_err(io_err("open active segment", &active_path))?;
-        let active_len = active
-            .metadata()
-            .map_err(io_err("stat active segment", &active_path))?
-            .len();
         counters.sessions_recovered = index.len() as u64;
         let live_bytes = index.values().map(|e| e.len).sum();
         let injector = config.faults.map(FaultInjector::new);
         Ok(Self {
             config,
             manifest,
+            durable_len: active.bytes(),
             active,
             active_id,
-            active_len,
-            durable_len: active_len,
             index,
             record_bytes_total,
             live_bytes,
@@ -404,17 +381,17 @@ impl SessionStore {
     fn fsync_active(&mut self) -> Result<(), StoreError> {
         let path = segment_path(&self.config.dir, self.active_id);
         self.active
-            .sync_data()
+            .sync()
             .map_err(io_err("fsync active segment", &path))?;
         self.counters.fsyncs += 1;
-        let pending = (self.active_len - self.durable_len) as usize;
+        let pending = (self.active.bytes() - self.durable_len) as usize;
         let lie = self
             .injector
             .as_mut()
             .and_then(|injector| injector.partial_fsync(pending));
         match lie {
             Some(partial) => self.durable_len += partial as u64,
-            None => self.durable_len = self.active_len,
+            None => self.durable_len = self.active.bytes(),
         }
         Ok(())
     }
@@ -427,7 +404,6 @@ impl SessionStore {
         write_manifest(&self.config.dir, &self.manifest)?;
         self.active = file;
         self.active_id = id;
-        self.active_len = HEADER_LEN;
         self.durable_len = HEADER_LEN;
         self.counters.rotations += 1;
         Ok(())
@@ -444,17 +420,16 @@ impl SessionStore {
         self.check_alive()?;
         let seq = self.index.get(&session).map_or(0, |e| e.seq + 1);
         let record = encode_record(session, seq, payload);
-        if self.active_len + record.len() as u64 > self.config.segment_bytes
-            && self.active_len > HEADER_LEN
+        if self.active.bytes() + record.len() as u64 > self.config.segment_bytes
+            && self.active.bytes() > HEADER_LEN
         {
             self.rotate()?;
         }
-        let offset = self.active_len;
+        let offset = self.active.bytes();
         let path = segment_path(&self.config.dir, self.active_id);
         self.active
-            .write_all(&record)
+            .write(&record)
             .map_err(io_err("append record", &path))?;
-        self.active_len += record.len() as u64;
         self.fsync_active()?;
         let len = record.len() as u64;
         let entry = IndexEntry {
@@ -549,7 +524,8 @@ impl SessionStore {
 
     /// Every sealed record currently on disk, in log order (diagnostic /
     /// test surface; not fault-injected). Stops a segment's scan at the
-    /// first undecodable byte, mirroring recovery.
+    /// first undecodable byte, mirroring recovery, and skips a segment
+    /// whose header is damaged.
     ///
     /// # Errors
     /// I/O failures or [`StoreError::Crashed`].
@@ -559,19 +535,11 @@ impl SessionStore {
         for &id in &self.manifest {
             let path = segment_path(&self.config.dir, id);
             let bytes = fs::read(&path).map_err(io_err("read segment", &path))?;
-            if check_segment_header(&bytes).is_err() {
-                continue;
-            }
-            let mut offset = HEADER_LEN as usize;
-            while offset < bytes.len() {
-                match decode_record(&bytes[offset..]) {
-                    Ok((record, used)) => {
-                        out.push(record);
-                        offset += used;
-                    }
-                    Err(_) => break,
-                }
-            }
+            let _ = append_log::scan(&bytes, SEGMENT_MAGIC, |_, rest| {
+                let (record, used) = decode_record(rest)?;
+                out.push(record);
+                Ok::<_, RecordError>(used)
+            });
         }
         Ok(out)
     }
@@ -601,26 +569,24 @@ impl SessionStore {
         let mut sessions: Vec<u64> = self.index.keys().copied().collect();
         sessions.sort_unstable();
         let mut new_index = HashMap::with_capacity(sessions.len());
-        let mut offset = HEADER_LEN;
         for session in sessions {
             let entry = self.index[&session];
             // Raw byte copy: the record was CRC-verified when indexed, and
             // its seal travels with it.
             let bytes = self.read_entry_bytes(entry)?;
-            file.write_all(&bytes)
-                .map_err(io_err("write compacted record", &path))?;
             new_index.insert(
                 session,
                 IndexEntry {
                     segment: id,
-                    offset,
+                    offset: file.bytes(),
                     len: entry.len,
                     seq: entry.seq,
                 },
             );
-            offset += entry.len;
+            file.write(&bytes)
+                .map_err(io_err("write compacted record", &path))?;
         }
-        file.sync_data()
+        file.sync()
             .map_err(io_err("sync compacted segment", &path))?;
         self.counters.fsyncs += 1;
         let old = std::mem::replace(&mut self.manifest, vec![id]);
@@ -628,13 +594,13 @@ impl SessionStore {
         for old_id in old {
             let _ = fs::remove_file(segment_path(&self.config.dir, old_id));
         }
+        let len = file.bytes();
         self.index = new_index;
         self.active = file;
         self.active_id = id;
-        self.active_len = offset;
-        self.durable_len = offset;
-        self.record_bytes_total = offset - HEADER_LEN;
-        self.live_bytes = offset - HEADER_LEN;
+        self.durable_len = len;
+        self.record_bytes_total = len - HEADER_LEN;
+        self.live_bytes = len - HEADER_LEN;
         self.counters.compactions += 1;
         Ok(())
     }
@@ -670,12 +636,13 @@ impl SessionStore {
         self.check_alive()?;
         self.crashed = true;
         let path = segment_path(&self.config.dir, self.active_id);
+        let active_len = self.active.bytes();
         let mut tail = Vec::new();
-        if self.active_len > self.durable_len {
+        if active_len > self.durable_len {
             let mut file = File::open(&path).map_err(io_err("open segment for crash", &path))?;
             file.seek(SeekFrom::Start(self.durable_len))
                 .map_err(io_err("seek crash tail", &path))?;
-            tail = vec![0u8; (self.active_len - self.durable_len) as usize];
+            tail = vec![0u8; (active_len - self.durable_len) as usize];
             file.read_exact(&mut tail)
                 .map_err(io_err("read crash tail", &path))?;
             if let Some(injector) = self.injector.as_mut() {
@@ -684,20 +651,10 @@ impl SessionStore {
                 tail.clear();
             }
         }
-        let file = OpenOptions::new()
-            .write(true)
-            .open(&path)
-            .map_err(io_err("open segment for crash rewrite", &path))?;
-        file.set_len(self.durable_len)
-            .map_err(io_err("drop non-durable tail", &path))?;
-        let mut file = file;
-        file.seek(SeekFrom::Start(self.durable_len))
-            .map_err(io_err("seek crash rewrite", &path))?;
-        file.write_all(&tail)
-            .map_err(io_err("write surviving tail", &path))?;
-        file.sync_data()
-            .map_err(io_err("sync crash rewrite", &path))?;
-        Ok(())
+        // Drop the non-durable tail, then write back what of it survived.
+        AppendLog::open(&path, self.durable_len)
+            .and_then(|mut segment| segment.append(&tail))
+            .map_err(io_err("rewrite crash tail", &path))
     }
 }
 
@@ -792,6 +749,8 @@ impl SharedStore {
 mod tests {
     use super::*;
     use chameleon_faults::FileFaultModel;
+    use std::fs::OpenOptions;
+    use std::io::Write;
 
     fn scratch(name: &str) -> PathBuf {
         let dir =

@@ -1,14 +1,19 @@
-//! CHAMSEG1 record-codec fuzzer: corrupt, truncated, and oversized
-//! records must produce typed [`RecordError`]s — never a panic, and
-//! never an allocation sized by a hostile length prefix.
+//! Record-log fuzzer for both durable formats, CHAMSEG1 (store segments)
+//! and CHAMRTE1 (router state): corrupt, truncated, and oversized records
+//! must produce typed [`RecordError`]s — never a panic, and never an
+//! allocation sized by a hostile length prefix.
 //!
-//! Mirrors `tests/wire_fuzz.rs` for the durable store's on-disk framing:
+//! Mirrors `tests/wire_fuzz.rs` for the shared on-disk framing:
 //! structured single-bit/byte mutations at every offset, plus the
 //! `chameleon-faults` file damage model (torn tails + tail bit flips)
-//! applied to encoded records, so the segment codec is fuzzed by the
-//! same machinery the store's crash schedules use.
+//! applied to encoded records, so both codecs are fuzzed by the same
+//! machinery the store's crash schedules use.
 
 use chameleon_faults::{FaultInjector, FaultPlan, FileFaultModel};
+use chameleon_replay::append_log::encode_frame;
+use chameleon_route::state::{
+    decode_state, decode_state_record, encode_state_record, StateError, StateRecord, STATE_MAGIC,
+};
 use chameleon_store::{
     check_segment_header, decode_record, encode_record, RecordError, MAX_RECORD_BYTES,
     RECORD_FRAME_BYTES, RECORD_HEADER_BYTES, SEGMENT_MAGIC,
@@ -154,6 +159,121 @@ proptest! {
             // relies on to find the last sealed record.
             prop_assert!(decode_record(&damaged).is_err());
         }
+    }
+}
+
+/// A CHAMRTE1 record of opcode `op % 3` (pin, unpin, shadow) built from
+/// fuzzed fields.
+fn state_record(op: u8, session: u64, seq: u64, payload: &[u8]) -> StateRecord {
+    match op % 3 {
+        0 => StateRecord::Pin {
+            session,
+            addr: payload.iter().map(|b| char::from(b'0' + b % 10)).collect(),
+        },
+        1 => StateRecord::Unpin { session },
+        _ => StateRecord::Shadow {
+            session,
+            seq,
+            blob: payload.to_vec(),
+        },
+    }
+}
+
+proptest! {
+    #[test]
+    fn chamrte1_truncation_at_every_cut_is_a_typed_error(
+        op in 0u8..3,
+        session in 0u64..1_000,
+        seq in 0u64..1_000,
+        payload in prop::collection::vec(0u8..=255, 0..64),
+    ) {
+        let encoded = encode_state_record(&state_record(op, session, seq, &payload));
+        for cut in 0..encoded.len() {
+            let err = decode_state_record(&encoded[..cut]).unwrap_err();
+            prop_assert_eq!(&err, &StateError::Record(RecordError::Truncated), "cut {}", cut);
+            // Replayed as a log tail, the cut is a torn tail: nothing
+            // replays and the clean prefix is the header.
+            let mut log = STATE_MAGIC.to_vec();
+            log.extend_from_slice(&encoded[..cut]);
+            let decoded = decode_state(&log).expect("magic intact");
+            prop_assert_eq!(decoded.records, 0);
+            prop_assert_eq!(decoded.clean_len, STATE_MAGIC.len());
+            let torn = (cut > 0).then_some(StateError::Record(RecordError::Truncated));
+            prop_assert_eq!(decoded.damage, torn, "cut {}", cut);
+        }
+    }
+
+    #[test]
+    fn chamrte1_oversized_length_prefix_is_rejected_before_allocation(
+        len in (MAX_RECORD_BYTES as u64 + 1..=u32::MAX as u64),
+        noise in prop::collection::vec(0u8..=255, 0..16),
+    ) {
+        let mut bytes = (len as u32).to_le_bytes().to_vec();
+        bytes.extend_from_slice(&noise);
+        let err = decode_state_record(&bytes).unwrap_err();
+        prop_assert!(
+            matches!(err, StateError::Record(RecordError::Oversized { .. })),
+            "{:?}", err
+        );
+    }
+
+    #[test]
+    fn chamrte1_garbage_bytes_never_panic_the_decoder(
+        bytes in prop::collection::vec(0u8..=255, 0..96),
+    ) {
+        let _ = decode_state_record(&bytes);
+        let _ = decode_state(&bytes);
+        let mut log = STATE_MAGIC.to_vec();
+        log.extend_from_slice(&bytes);
+        let _ = decode_state(&log);
+    }
+
+    #[test]
+    fn chamrte1_fault_injected_tail_damage_is_detected(
+        seed in 0u64..10_000,
+        op in 0u8..3,
+        session in 0u64..1_000,
+        seq in 0u64..1_000,
+        payload in prop::collection::vec(0u8..=255, 1..64),
+    ) {
+        let record = state_record(op, session, seq, &payload);
+        let encoded = encode_state_record(&record);
+        let mut injector = FaultInjector::new(tail_damage_plan(seed));
+        let mut damaged = encoded.clone();
+        let _ = injector.crash_damage(&mut damaged);
+
+        if damaged == encoded {
+            let (decoded, _) = decode_state_record(&damaged).expect("intact record");
+            prop_assert_eq!(decoded, record);
+        } else {
+            // Torn or flipped: the decoder must refuse it — the property
+            // the router's open-time replay relies on to stop at the
+            // last sealed record.
+            prop_assert!(decode_state_record(&damaged).is_err());
+        }
+    }
+
+    #[test]
+    fn chamrte1_unknown_opcode_is_a_typed_error(
+        op in 0u8..=255,
+        session in 0u64..1_000,
+        rest in prop::collection::vec(0u8..=255, 0..32),
+    ) {
+        prop_assume!(!(1..=3).contains(&op));
+        let framed = encode_frame(&[&[op], &session.to_le_bytes(), &rest]);
+        prop_assert_eq!(decode_state_record(&framed).unwrap_err(), StateError::BadOp { op });
+    }
+
+    #[test]
+    fn chamrte1_non_utf8_pin_address_is_a_typed_error(
+        session in 0u64..1_000,
+        prefix in prop::collection::vec(b'a'..=b'z', 0..16),
+    ) {
+        // Opcode 0x01 is a pin; 0xFF never occurs in UTF-8.
+        let mut addr = prefix;
+        addr.push(0xFF);
+        let framed = encode_frame(&[&[0x01], &session.to_le_bytes(), &addr]);
+        prop_assert_eq!(decode_state_record(&framed).unwrap_err(), StateError::BadUtf8);
     }
 }
 
