@@ -1,8 +1,5 @@
 //! Subcommand implementations.
 
-use std::fs::File;
-use std::io::BufWriter;
-
 use chameleon_balance::{BalanceConfig, TrafficShape};
 use chameleon_core::{
     Chameleon, ChameleonConfig, Der, DerConfig, Er, EvalReport, EwcConfig, EwcPlusPlus, Finetune,
@@ -14,8 +11,9 @@ use chameleon_fleet::{
     FleetConfig, FleetEngine, SessionCommand, SessionEventKind, SessionSpec as FleetSessionSpec,
 };
 use chameleon_hw::{Device, JetsonNano, NominalModel, SystolicAccelerator, Workload, Zcu102};
+use chameleon_obs::{LatencyHistogram, Observation, Stage};
+use chameleon_replay::append_log;
 use chameleon_route::{Router, RouterConfig};
-use chameleon_serve::wire::StatsSnapshot;
 use chameleon_serve::{Connection, ServeConfig, ServeCounters, Server};
 use chameleon_stream::{DatasetSpec, DomainIlScenario, PreferenceProfile, StreamConfig};
 
@@ -317,7 +315,14 @@ fn train(options: &Options) -> Result<(), String> {
         let mut learner = Chameleon::new(&model, chameleon_config_at(buffer, precision)?, seed);
         let report = trainer.run(&scenario, &mut learner, seed);
         print_report(&spec, "Chameleon", &report);
-        save_checkpoint_atomically(&learner, path)?;
+        // A crash mid-save leaves the old checkpoint or none, never a
+        // half-written blob at `path`.
+        let mut blob = Vec::new();
+        learner
+            .save_checkpoint(&mut blob)
+            .map_err(|e| format!("cannot write checkpoint: {e}"))?;
+        append_log::replace(std::path::Path::new(path), &blob)
+            .map_err(|e| format!("cannot save checkpoint to {path}: {e}"))?;
         println!("checkpoint saved to {path}");
         return Ok(());
     }
@@ -326,44 +331,6 @@ fn train(options: &Options) -> Result<(), String> {
     let report = trainer.run(&scenario, strategy.as_mut(), seed);
     print_report(&spec, strategy.name(), &report);
     Ok(())
-}
-
-/// Writes a checkpoint through a temp file in the destination directory,
-/// fsyncs it, then renames into place — a crash mid-save leaves either the
-/// old checkpoint or none, never a half-written blob at `path`.
-fn save_checkpoint_atomically(learner: &Chameleon, path: &str) -> Result<(), String> {
-    let target = std::path::Path::new(path);
-    let tmp = temp_sibling_path(target);
-    let file = File::create(&tmp).map_err(|e| format!("cannot create {}: {e}", tmp.display()))?;
-    let mut writer = BufWriter::new(file);
-    learner
-        .save_checkpoint(&mut writer)
-        .map_err(|e| format!("cannot write checkpoint: {e}"))?;
-    let file = writer
-        .into_inner()
-        .map_err(|e| format!("cannot flush checkpoint: {e}"))?;
-    file.sync_all()
-        .map_err(|e| format!("cannot sync checkpoint: {e}"))?;
-    drop(file);
-    std::fs::rename(&tmp, target).map_err(|e| {
-        std::fs::remove_file(&tmp).ok();
-        format!("cannot move checkpoint into place: {e}")
-    })
-}
-
-/// Temp-file path for an atomic write to `target`: a dotted sibling in
-/// the *destination's* directory, never the process CWD — `rename` is
-/// only atomic within one filesystem, so the temp file must live next to
-/// where it will land.
-fn temp_sibling_path(target: &std::path::Path) -> std::path::PathBuf {
-    let name = target
-        .file_name()
-        .and_then(|n| n.to_str())
-        .unwrap_or("checkpoint");
-    match target.parent().filter(|d| !d.as_os_str().is_empty()) {
-        Some(dir) => dir.join(format!(".{name}.tmp")),
-        None => std::path::PathBuf::from(format!(".{name}.tmp")),
-    }
 }
 
 fn faults(options: &Options) -> Result<(), String> {
@@ -829,9 +796,10 @@ fn fleet_json(
     out
 }
 
-/// JSON object body (no braces) of the serving-layer counters, shared by
-/// `serve --json` and `loadgen --json` so CI can grep one shape.
-fn counters_json(c: &ServeCounters, indent: &str) -> String {
+/// JSON object body (no braces) of the serving-layer counters and request
+/// latency, shared by `serve --json` and `loadgen --json` so CI can grep
+/// one shape.
+fn counters_json(c: &ServeCounters, latency: &LatencyHistogram, indent: &str) -> String {
     use std::fmt::Write as _;
     let mut out = String::new();
     let _ = writeln!(
@@ -859,17 +827,17 @@ fn counters_json(c: &ServeCounters, indent: &str) -> String {
     let _ = writeln!(
         out,
         "{indent}\"latency_p50_us\": {},",
-        c.latency.quantile_upper_us(0.5)
+        latency.quantile_upper_us(0.5)
     );
     let _ = write!(
         out,
         "{indent}\"latency_p99_us\": {}",
-        c.latency.quantile_upper_us(0.99)
+        latency.quantile_upper_us(0.99)
     );
     out
 }
 
-fn print_serve_counters(c: &ServeCounters) {
+fn print_serve_counters(c: &ServeCounters, latency: &LatencyHistogram) {
     println!(
         "serve: {} frames in / {} out, {} KiB in / {} KiB out",
         c.frames_in,
@@ -883,9 +851,9 @@ fn print_serve_counters(c: &ServeCounters) {
     );
     println!(
         "  latency p50 ≤ {} µs, p99 ≤ {} µs over {} requests",
-        c.latency.quantile_upper_us(0.5),
-        c.latency.quantile_upper_us(0.99),
-        c.latency.count()
+        latency.quantile_upper_us(0.5),
+        latency.quantile_upper_us(0.99),
+        latency.count()
     );
 }
 
@@ -989,10 +957,11 @@ fn serve(options: &Options) -> Result<(), String> {
     }
     server.shutdown();
     let counters = server.metrics();
+    let latency = server.observer().stage_stats(Stage::Request).histogram;
     if options.has_flag("json") {
-        println!("{{\n{}\n}}", counters_json(&counters, "  "));
+        println!("{{\n{}\n}}", counters_json(&counters, &latency, "  "));
     } else {
-        print_serve_counters(&counters);
+        print_serve_counters(&counters, &latency);
     }
     Ok(())
 }
@@ -1364,21 +1333,17 @@ fn loadgen(options: &Options) -> Result<(), String> {
     }
     let wall = start.elapsed().as_secs_f64();
 
-    let mut target_stats: Vec<StatsSnapshot> = Vec::with_capacity(targets.len());
-    // One Observe round-trip per target: per-shard step distribution and
-    // the balance.* counters, so skew (and its correction) shows up in
-    // this command's own report.
+    // One Observe round-trip per target: its batches, serve counters and
+    // request latency, plus the per-shard step distribution and the
+    // balance.* counters, so skew (and its correction) shows up in this
+    // command's own report.
+    let mut target_stats = Vec::with_capacity(targets.len());
+    let (mut batches, mut evictions) = (0u64, 0u64);
     let mut shard_batches: Vec<u64> = Vec::new();
     let (mut migrations, mut rebalance_ticks) = (0u64, 0u64);
     for addr in &targets {
-        let mut stats_conn =
-            Connection::connect(addr).map_err(|e| format!("connect {addr} for stats: {e}"))?;
-        target_stats.push(
-            stats_conn
-                .stats()
-                .map_err(|e| format!("stats {addr}: {e}"))?,
-        );
-        let observation = stats_conn
+        let observation = Connection::connect(addr)
+            .map_err(|e| format!("connect {addr} for stats: {e}"))?
             .observe()
             .map_err(|e| format!("observe {addr}: {e}"))?;
         for (name, value) in &observation.counters {
@@ -1390,12 +1355,15 @@ fn loadgen(options: &Options) -> Result<(), String> {
                 rebalance_ticks += value;
             }
         }
+        let target_batches = observation.counter("fleet.batches").unwrap_or(0);
+        batches += target_batches;
+        evictions += observation.counter("fleet.evictions").unwrap_or(0);
+        let (counters, latency) = serve_view(&observation);
+        target_stats.push((target_batches, counters, latency));
     }
     if let Some(mut server) = server {
         server.shutdown();
     }
-    let batches: u64 = target_stats.iter().map(|s| s.batches).sum();
-    let evictions: u64 = target_stats.iter().map(|s| s.evictions).sum();
     // Max/min ratio of per-shard delivered batches across every target's
     // shards: 1.0 is perfectly level, large values mean one hot shard did
     // the work. The CI hot-shard smoke greps this.
@@ -1429,7 +1397,7 @@ fn loadgen(options: &Options) -> Result<(), String> {
         let _ = writeln!(out, "  \"balance.rebalance_ticks\": {rebalance_ticks},");
         let _ = writeln!(out, "  \"shard_step_ratio\": {shard_step_ratio:.2},");
         let _ = writeln!(out, "  \"targets\": [");
-        for (i, ((addr, stats), reqs)) in targets
+        for (i, ((addr, (target_batches, counters, latency)), reqs)) in targets
             .iter()
             .zip(&target_stats)
             .zip(&target_requests)
@@ -1438,11 +1406,11 @@ fn loadgen(options: &Options) -> Result<(), String> {
             let _ = writeln!(out, "    {{");
             let _ = writeln!(out, "      \"addr\": \"{addr}\",");
             let _ = writeln!(out, "      \"requests\": {reqs},");
-            let _ = writeln!(out, "      \"batches\": {},", stats.batches);
+            let _ = writeln!(out, "      \"batches\": {target_batches},");
             let _ = writeln!(
                 out,
                 "      \"serve\": {{\n{}\n      }}",
-                counters_json(&stats.serve, "        ")
+                counters_json(counters, latency, "        ")
             );
             let _ = writeln!(
                 out,
@@ -1467,20 +1435,42 @@ fn loadgen(options: &Options) -> Result<(), String> {
             "  shard step ratio {shard_step_ratio:.2} (max/min batches across shards), \
              {migrations} migration(s) over {rebalance_ticks} balance tick(s)"
         );
-        for ((addr, stats), reqs) in targets.iter().zip(&target_stats).zip(&target_requests) {
-            println!(
-                "  target {addr}: {reqs} requests, {} batches",
-                stats.batches
-            );
-            print_serve_counters(&stats.serve);
+        for ((addr, (target_batches, counters, latency)), reqs) in
+            targets.iter().zip(&target_stats).zip(&target_requests)
+        {
+            println!("  target {addr}: {reqs} requests, {target_batches} batches");
+            print_serve_counters(counters, latency);
         }
     }
     Ok(())
 }
 
+/// The `serve.*` counters and `request` span histogram of an observation
+/// (through a router, both are sums over its backends).
+fn serve_view(o: &Observation) -> (ServeCounters, LatencyHistogram) {
+    let c = |name: &str| o.counter(&format!("serve.{name}")).unwrap_or(0);
+    let counters = ServeCounters {
+        connections_accepted: c("connections_accepted"),
+        connections_closed: c("connections_closed"),
+        frames_in: c("frames_in"),
+        frames_out: c("frames_out"),
+        bytes_in: c("bytes_in"),
+        bytes_out: c("bytes_out"),
+        decode_rejects: c("decode_rejects"),
+        backpressure_replies: c("backpressure_replies"),
+        requests_ok: c("requests_ok"),
+        requests_failed: c("requests_failed"),
+    };
+    let latency = o
+        .stage(Stage::Request)
+        .map(|s| s.histogram.clone())
+        .unwrap_or_default();
+    (counters, latency)
+}
+
 /// JSON document for one `Observation` — one object per span stage on
 /// its own line so CI can grep `"stage": "step", "count": <nonzero>`.
-fn observation_json(o: &chameleon_obs::Observation) -> String {
+fn observation_json(o: &Observation) -> String {
     use std::fmt::Write as _;
     let mut out = String::new();
     let _ = writeln!(out, "{{");
@@ -1520,7 +1510,7 @@ fn observation_json(o: &chameleon_obs::Observation) -> String {
     out
 }
 
-fn print_observation(o: &chameleon_obs::Observation) {
+fn print_observation(o: &Observation) {
     println!("spans:");
     for (stage, stats) in &o.spans {
         println!(
@@ -2412,26 +2402,6 @@ mod tests {
         .expect_err("tampered corpus must fail the gate");
         assert!(err.contains("drift"), "{err}");
         std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn temp_sibling_path_stays_in_the_destination_directory() {
-        use std::path::{Path, PathBuf};
-        // An absolute nested target: the temp file must be its sibling,
-        // never a CWD-relative orphan.
-        assert_eq!(
-            temp_sibling_path(Path::new("/a/b/ckpt.bin")),
-            PathBuf::from("/a/b/.ckpt.bin.tmp")
-        );
-        assert_eq!(
-            temp_sibling_path(Path::new("nested/dir/ckpt.bin")),
-            PathBuf::from("nested/dir/.ckpt.bin.tmp")
-        );
-        // A bare filename has no parent; CWD-relative is then correct.
-        assert_eq!(
-            temp_sibling_path(Path::new("ckpt.bin")),
-            PathBuf::from(".ckpt.bin.tmp")
-        );
     }
 
     #[test]

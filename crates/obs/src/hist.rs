@@ -1,11 +1,9 @@
 //! The shared log₂-microsecond latency histogram.
 //!
-//! One bucketing rule serves both the serving layer's end-to-end request
-//! latencies and the per-stage span aggregates: bucket `i` covers
+//! One bucketing rule serves every per-stage span aggregate, the serving
+//! layer's end-to-end `request` latency included: bucket `i` covers
 //! `[2^i, 2^(i+1))` µs, with bucket 0 widened to `[0, 2)` µs and the
 //! last bucket open-ended (the Prometheus `le="+Inf"` analog).
-
-use std::time::Duration;
 
 /// Number of histogram buckets: bucket `i` counts latencies in
 /// `[2^i, 2^(i+1))` microseconds; bucket 0 covers `[0, 2)` µs and the
@@ -48,11 +46,6 @@ impl LatencyHistogram {
     /// Records one observation, in nanoseconds.
     pub fn record_nanos(&mut self, nanos: u64) {
         self.buckets[bucket_index(nanos)] += 1;
-    }
-
-    /// Records one observation.
-    pub fn record(&mut self, elapsed: Duration) {
-        self.record_nanos(elapsed.as_nanos().min(u128::from(u64::MAX)) as u64);
     }
 
     /// Total observations recorded.
@@ -142,8 +135,7 @@ mod tests {
     fn u64_max_lands_in_the_catch_all() {
         let mut h = LatencyHistogram::default();
         h.record_nanos(u64::MAX);
-        h.record(Duration::from_secs(u64::MAX)); // saturates, still catch-all
-        assert_eq!(h.buckets[LATENCY_BUCKETS - 1], 2);
+        assert_eq!(h.buckets[LATENCY_BUCKETS - 1], 1);
     }
 
     #[test]

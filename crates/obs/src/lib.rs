@@ -6,8 +6,8 @@
 //! sources (serve counters, fleet metrics, step traces) behind one
 //! vocabulary:
 //!
-//! * [`Observer`] — a lock-light span recorder: six fixed [`Stage`]s
-//!   (`step`/`checkpoint`/`restore`/`eval`/`encode`/`decode`), each
+//! * [`Observer`] — a lock-light span recorder: seven fixed [`Stage`]s
+//!   (`step`/`checkpoint`/`restore`/`eval`/`encode`/`decode`/`request`), each
 //!   aggregated as relaxed atomics (count / total / max / log₂-µs
 //!   [`LatencyHistogram`]). Spans are opened with the [`span!`] macro or
 //!   [`Observer::start`] against the injectable

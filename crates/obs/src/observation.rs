@@ -60,14 +60,7 @@ impl Observation {
                     ours.count += theirs.count;
                     ours.total_nanos += theirs.total_nanos;
                     ours.max_nanos = ours.max_nanos.max(theirs.max_nanos);
-                    for (mine, their) in ours
-                        .histogram
-                        .buckets
-                        .iter_mut()
-                        .zip(theirs.histogram.buckets.iter())
-                    {
-                        *mine += their;
-                    }
+                    ours.histogram.merge(&theirs.histogram);
                 }
                 None => self.spans.push((*stage, theirs.clone())),
             }

@@ -2,15 +2,15 @@
 //! clock.
 //!
 //! A *span* is one timed unit of pipeline work. The taxonomy is closed —
-//! the six [`Stage`]s cover the fleet hot path (`step`, `checkpoint`,
-//! `restore`, `eval`) and the serving hot path (`encode`, `decode`) —
-//! so aggregates stay fixed-size and lock-free: each stage is a block of
-//! relaxed `AtomicU64`s (count / total / max / log₂ histogram), updated
-//! either by an RAII [`Span`] guard around a region of code or by
-//! [`Observer::record`] when the caller already measured the elapsed
-//! time itself (the fleet does this so span totals reconcile *exactly*
-//! with its `ShardMetrics.*_nanos` counters, with no extra clock reads
-//! on the simulated hot path).
+//! the seven [`Stage`]s cover the fleet hot path (`step`, `checkpoint`,
+//! `restore`, `eval`) and the serving hot path (`encode`, `decode`, and
+//! the whole `request`) — so aggregates stay fixed-size and lock-free:
+//! each stage is a block of relaxed `AtomicU64`s (count / total / max /
+//! log₂ histogram), updated either by an RAII [`Span`] guard around a
+//! region of code or by [`Observer::record`] when the caller already
+//! measured the elapsed time itself (the fleet does this so span totals
+//! reconcile *exactly* with its `ShardMetrics.*_nanos` counters, with no
+//! extra clock reads on the simulated hot path).
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -38,11 +38,13 @@ pub enum Stage {
     Encode,
     /// Decoding one CHAMWIRE request payload.
     Decode,
+    /// One served request end to end: frame decoded → response written.
+    Request,
 }
 
 impl Stage {
     /// Number of stages.
-    pub const COUNT: usize = 6;
+    pub const COUNT: usize = 7;
 
     /// Every stage, in wire/display order.
     pub const ALL: [Stage; Stage::COUNT] = [
@@ -52,6 +54,7 @@ impl Stage {
         Stage::Eval,
         Stage::Encode,
         Stage::Decode,
+        Stage::Request,
     ];
 
     /// Stable lowercase name (`"step"`, `"checkpoint"`, …).
@@ -64,6 +67,7 @@ impl Stage {
             Stage::Eval => "eval",
             Stage::Encode => "encode",
             Stage::Decode => "decode",
+            Stage::Request => "request",
         }
     }
 
@@ -292,7 +296,7 @@ impl Drop for Span<'_> {
 ///
 /// # Panics
 ///
-/// Panics if a string stage name is not one of the six in the taxonomy.
+/// Panics if a string stage name is not one of the stages in the taxonomy.
 #[macro_export]
 macro_rules! span {
     ($observer:expr, $stage:literal) => {

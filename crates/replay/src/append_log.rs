@@ -341,6 +341,26 @@ mod tests {
     }
 
     #[test]
+    fn temp_path_stays_in_the_destination_directory() {
+        // An absolute nested target: the temp file must be its sibling,
+        // never a CWD-relative orphan, or the rename would cross
+        // filesystems.
+        assert_eq!(
+            temp_path(Path::new("/a/b/ckpt.bin")),
+            PathBuf::from("/a/b/.ckpt.bin.tmp")
+        );
+        assert_eq!(
+            temp_path(Path::new("nested/dir/ckpt.bin")),
+            PathBuf::from("nested/dir/.ckpt.bin.tmp")
+        );
+        // A bare filename has no parent; CWD-relative is then correct.
+        assert_eq!(
+            temp_path(Path::new("ckpt.bin")),
+            PathBuf::from(".ckpt.bin.tmp")
+        );
+    }
+
+    #[test]
     fn replace_swaps_the_file_and_the_append_handle() {
         let dir = scratch("replace");
         let path = dir.join("log");

@@ -41,7 +41,7 @@ use chameleon_obs::{Observation, Observer, Stage};
 use chameleon_runtime::{timed, Clock, WallClock};
 use chameleon_serve::wire::{
     correlation_of, decode_frame, encode_frame, ErrorCode, ProbeSummary, Request, Response,
-    StatsSnapshot, WireError, MAX_PAYLOAD_BYTES,
+    WireError, MAX_PAYLOAD_BYTES,
 };
 use chameleon_stream::ConfigError;
 
@@ -654,41 +654,9 @@ fn aggregate_probe(ctx: &Ctx) -> Response {
     Response::ProbeAck(total)
 }
 
-fn aggregate_stats(ctx: &Ctx) -> Response {
-    let indices = live_backends(&ctx.shared);
-    let mut total = StatsSnapshot::default();
-    let mut reached = 0usize;
-    for index in indices {
-        if let Ok(Response::Stats(snapshot)) = send_to_backend(&ctx.shared, index, &Request::Stats)
-        {
-            total.sessions_resident += snapshot.sessions_resident;
-            total.sessions_cold += snapshot.sessions_cold;
-            total.sessions_created += snapshot.sessions_created;
-            total.batches += snapshot.batches;
-            total.evictions += snapshot.evictions;
-            total.restores += snapshot.restores;
-            total.trace.merge(&snapshot.trace);
-            let s = &snapshot.serve;
-            total.serve.connections_accepted += s.connections_accepted;
-            total.serve.connections_closed += s.connections_closed;
-            total.serve.frames_in += s.frames_in;
-            total.serve.frames_out += s.frames_out;
-            total.serve.bytes_in += s.bytes_in;
-            total.serve.bytes_out += s.bytes_out;
-            total.serve.decode_rejects += s.decode_rejects;
-            total.serve.backpressure_replies += s.backpressure_replies;
-            total.serve.requests_ok += s.requests_ok;
-            total.serve.requests_failed += s.requests_failed;
-            total.serve.latency.merge(&s.latency);
-            reached += 1;
-        }
-    }
-    if reached == 0 {
-        return no_backend();
-    }
-    Response::Stats(Box::new(total))
-}
-
+/// The cluster view: the router's own observation merged with every live
+/// backend's, so `fleet.*` and `serve.*` are fleet-wide sums. The router
+/// records no `request` span, so that histogram is the backends' latency.
 fn aggregate_observation(ctx: &Ctx) -> Response {
     let mut merged = build_route_observation(&ctx.shared, &ctx.obs);
     for index in live_backends(&ctx.shared) {
@@ -757,7 +725,6 @@ fn handle_request(ctx: &Ctx, request: &Request) -> Response {
     match request {
         Request::Ping => Response::Pong,
         Request::Probe => aggregate_probe(ctx),
-        Request::Stats => aggregate_stats(ctx),
         Request::Observe => aggregate_observation(ctx),
         Request::HandoffExport { .. } | Request::Handoff { .. } => Response::Error {
             code: ErrorCode::BadRequest,

@@ -13,7 +13,7 @@ use chameleon_obs::Observation;
 
 use crate::wire::{
     encode_frame, read_frame, ErrorCode, PredictSummary, ProbeSummary, Request, Response,
-    StatsSnapshot, WireError, MAX_PAYLOAD_BYTES,
+    WireError, MAX_PAYLOAD_BYTES,
 };
 
 /// Why a client call failed.
@@ -340,7 +340,7 @@ impl Connection {
     }
 
     /// Cheap health probe: residency counts and in-flight depth, without
-    /// the cost of a full stats snapshot. The routing tier's health
+    /// the cost of a full observation. The routing tier's health
     /// checks ride on this.
     ///
     /// # Errors
@@ -378,18 +378,6 @@ impl Connection {
         match self.settle(&Request::Handoff { session, blob })? {
             Response::HandoffAck => Ok(()),
             _ => Err(ClientError::UnexpectedResponse("HandoffAck")),
-        }
-    }
-
-    /// Snapshots fleet + serving-layer metrics.
-    ///
-    /// # Errors
-    ///
-    /// See [`Connection::request`].
-    pub fn stats(&mut self) -> Result<StatsSnapshot, ClientError> {
-        match self.settle(&Request::Stats)? {
-            Response::Stats(snapshot) => Ok(*snapshot),
-            _ => Err(ClientError::UnexpectedResponse("Stats")),
         }
     }
 

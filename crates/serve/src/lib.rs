@@ -17,9 +17,11 @@
 //!   unbounded allocations.
 //! * [`Server`] — acceptor + bounded connection-worker pool + one engine
 //!   thread owning the [`chameleon_fleet::FleetEngine`]; graceful
-//!   drain-then-join shutdown; per-server [`ServeCounters`] with a
-//!   latency histogram. Fleet backpressure surfaces as wire-level
-//!   [`wire::Response::RetryAfter`] — the connection stays open.
+//!   drain-then-join shutdown; per-server [`ServeCounters`], and each
+//!   request's end-to-end latency as the `request` span of the server's
+//!   observer, both answered by one [`wire::Request::Observe`]. Fleet
+//!   backpressure surfaces as wire-level [`wire::Response::RetryAfter`] —
+//!   the connection stays open.
 //! * [`Connection`] — the client: typed helpers, retry/backoff honoring
 //!   the server's `RetryAfter` hint.
 //!
@@ -66,5 +68,5 @@ mod server;
 pub mod wire;
 
 pub use client::{jittered_backoff_millis, ClientError, Connection, DEFAULT_STALL_BUDGET};
-pub use metrics::{LatencyHistogram, ServeCounters, LATENCY_BUCKETS};
+pub use metrics::ServeCounters;
 pub use server::{ServeConfig, Server};

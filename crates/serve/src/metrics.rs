@@ -1,19 +1,15 @@
-//! Serving-layer metrics: per-server counters and a log₂ latency
-//! histogram, kept as atomics on the hot path and snapshotted into plain
-//! structs for the wire and for reports.
+//! Serving-layer counters, kept as atomics on the hot path and
+//! snapshotted into a plain struct for reports.
 //!
-//! The histogram itself lives in `chameleon-obs` (one bucketing rule for
-//! request latencies and span aggregates alike) and is re-exported here
-//! for wire and client code.
+//! Request latency is not counted here: the connection writer records
+//! each request's end-to-end time as the `request` span of the server's
+//! [`chameleon_obs::Observer`], so it crosses the wire in the same
+//! `Observation` as every other span.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
-use std::time::Duration;
 
-pub use chameleon_obs::{LatencyHistogram, LATENCY_BUCKETS};
-
-/// Plain-struct snapshot of a server's counters, shipped inside
-/// [`crate::wire::StatsSnapshot`] and printed by the CLI.
+/// Plain-struct snapshot of a server's counters, flattened into the
+/// `serve.*` counters of an `Observation` and printed by the CLI.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct ServeCounters {
     /// Connections the acceptor admitted.
@@ -39,8 +35,6 @@ pub struct ServeCounters {
     pub requests_ok: u64,
     /// Requests answered with a typed error.
     pub requests_failed: u64,
-    /// End-to-end request latency (decode → response written).
-    pub latency: LatencyHistogram,
 }
 
 /// Shared, thread-safe counter block the acceptor, connection workers, and
@@ -57,18 +51,11 @@ pub(crate) struct ServeMetrics {
     pub backpressure_replies: AtomicU64,
     pub requests_ok: AtomicU64,
     pub requests_failed: AtomicU64,
-    pub latency: Mutex<LatencyHistogram>,
 }
 
 impl ServeMetrics {
     pub(crate) fn add(counter: &AtomicU64, v: u64) {
         counter.fetch_add(v, Ordering::Relaxed);
-    }
-
-    pub(crate) fn record_latency(&self, elapsed: Duration) {
-        if let Ok(mut histogram) = self.latency.lock() {
-            histogram.record(elapsed);
-        }
     }
 
     pub(crate) fn snapshot(&self) -> ServeCounters {
@@ -83,28 +70,6 @@ impl ServeMetrics {
             backpressure_replies: self.backpressure_replies.load(Ordering::Relaxed),
             requests_ok: self.requests_ok.load(Ordering::Relaxed),
             requests_failed: self.requests_failed.load(Ordering::Relaxed),
-            latency: self.latency.lock().map(|h| h.clone()).unwrap_or_default(),
         }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    // The histogram's own boundary/quantile/merge tests live with its
-    // implementation in `chameleon-obs`; here we only pin that the
-    // serving layer records end-to-end latencies through the shared
-    // (fixed) bucketing rule.
-    #[test]
-    fn record_latency_uses_the_shared_log2_mapping() {
-        let metrics = ServeMetrics::default();
-        metrics.record_latency(Duration::from_micros(1)); // bucket 0: < 2 µs
-        metrics.record_latency(Duration::from_micros(2)); // bucket 1: [2, 4) µs
-        let snapshot = metrics.snapshot();
-        assert_eq!(snapshot.latency.buckets[0], 1);
-        assert_eq!(snapshot.latency.buckets[1], 1);
-        assert_eq!(snapshot.latency.count(), 2);
-        const { assert!(LATENCY_BUCKETS >= 2) };
     }
 }

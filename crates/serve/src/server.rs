@@ -57,7 +57,7 @@ use chameleon_stream::{ConfigError, DomainIlScenario};
 use crate::metrics::{ServeCounters, ServeMetrics};
 use crate::wire::{
     correlation_of, encode_frame, ErrorCode, PredictSummary, ProbeSummary, Request, Response,
-    StatsSnapshot, WireError, FRAME_OVERHEAD, MAX_PAYLOAD_BYTES, WIRE_MAGIC,
+    WireError, FRAME_OVERHEAD, MAX_PAYLOAD_BYTES, WIRE_MAGIC,
 };
 
 /// Tunables of the serving layer (the fleet itself is shaped separately
@@ -499,21 +499,6 @@ fn handle_op(
             answer(&reply, wire, started, Response::Pong);
             return;
         }
-        Request::Stats => {
-            let fm = fleet.metrics();
-            let snapshot = StatsSnapshot {
-                sessions_resident: fm.sessions_resident() as u64,
-                sessions_cold: fm.sessions_cold() as u64,
-                sessions_created: fm.sessions_created(),
-                batches: fm.batches(),
-                evictions: fm.evictions(),
-                restores: fm.restores(),
-                trace: fm.merged_trace(),
-                serve: metrics.snapshot(),
-            };
-            answer(&reply, wire, started, Response::Stats(Box::new(snapshot)));
-            return;
-        }
         Request::Observe => {
             let observation = build_observation(fleet, metrics, balancer);
             answer(
@@ -527,7 +512,7 @@ fn handle_op(
         Request::Probe => {
             // Answered engine-side so the summary reflects the fleet the
             // router would actually route to, yet without the cost of a
-            // full stats snapshot.
+            // full observation.
             let fm = fleet.metrics();
             let summary = ProbeSummary {
                 sessions_resident: fm.sessions_resident() as u64,
@@ -960,7 +945,8 @@ fn serve_one(ctx: &WorkerCtx, out: &mpsc::Sender<Outbound>, payload: &[u8]) {
 }
 
 /// Owns the write half of one connection: prices each response, writes it,
-/// and on a write failure faults the reader by shutting the socket down.
+/// records its `request` span, and on a write failure faults the reader by
+/// shutting the socket down.
 fn writer_loop(
     ctx: &WorkerCtx,
     mut stream: TcpStream,
@@ -978,7 +964,7 @@ fn writer_loop(
         });
         ctx.obs.record(Stage::Encode, encode_nanos);
         let elapsed = ctx.clock.now_nanos().saturating_sub(out.started);
-        ctx.metrics.record_latency(Duration::from_nanos(elapsed));
+        ctx.obs.record(Stage::Request, elapsed);
         if !wrote {
             // The peer stopped reading (or is gone): poison the connection
             // so the reader stops feeding it and unblock its pending read.
@@ -1039,7 +1025,7 @@ mod tests {
 
     #[test]
     fn split_frame_survivable_corruption_reports_boundary() {
-        let mut frame = encode_frame(&Request::Stats.encode_payload(77));
+        let mut frame = encode_frame(&Request::Observe.encode_payload(77));
         let i = frame.len() - 5; // the opcode byte — past the correlation
         frame[i] ^= 0x40;
         match split_frame(&frame, MAX_PAYLOAD_BYTES) {

@@ -2,9 +2,13 @@
 //! frame protocol `chameleon-serve` speaks over TCP.
 //!
 //! ```text
-//! frame   := magic "CHAMWIR1" (8) | len:u32le | payload[len] | crc32(payload):u32le
+//! frame   := magic "CHAMWIR2" (8) | len:u32le | payload[len] | crc32(payload):u32le
 //! payload := correlation:u64le | opcode:u8 | body
 //! ```
+//!
+//! Opcodes 0x06 and 0x86 are unassigned (version 1's `Stats` pair;
+//! [`Request::Observe`] is the one metrics snapshot). Like every byte
+//! outside the opcode tables they decode to [`WireError::UnknownOpcode`].
 //!
 //! Every request carries a client-chosen correlation id; the matching
 //! response echoes it, so a client may pipeline requests on one
@@ -20,15 +24,12 @@
 
 use std::io::Read;
 
-use chameleon_core::StepTrace;
 use chameleon_fleet::{SessionId, SessionSpec};
-use chameleon_obs::{EventRecord, Observation, Stage, StageStats};
+use chameleon_obs::{EventRecord, Observation, Stage, StageStats, LATENCY_BUCKETS};
 use chameleon_replay::crc32;
 
-use crate::metrics::{LatencyHistogram, ServeCounters, LATENCY_BUCKETS};
-
-/// Magic bytes identifying a CHAMWIRE frame (protocol version 1).
-pub const WIRE_MAGIC: &[u8; 8] = b"CHAMWIR1";
+/// Magic bytes identifying a CHAMWIRE frame (protocol version 2).
+pub const WIRE_MAGIC: &[u8; 8] = b"CHAMWIR2";
 
 /// Hard cap on a frame's payload length. A length prefix above this is
 /// rejected *before* any allocation happens.
@@ -219,11 +220,9 @@ pub enum Request {
         /// Target session.
         session: SessionId,
     },
-    /// Snapshot fleet + serving-layer metrics.
-    Stats,
     /// Snapshot the unified observability view: per-stage span
-    /// aggregates, the event-log tail, and flattened counters
-    /// ([`chameleon_obs::Observation`]).
+    /// aggregates, the event-log tail, and flattened fleet / trace /
+    /// serve counters ([`chameleon_obs::Observation`]).
     Observe,
     /// Router health probe; answered with [`Response::ProbeAck`] carrying
     /// a cheap load summary so routers can rank backends.
@@ -250,7 +249,6 @@ const REQ_STEP: u8 = 0x02;
 const REQ_PREDICT: u8 = 0x03;
 const REQ_CHECKPOINT: u8 = 0x04;
 const REQ_EVICT: u8 = 0x05;
-const REQ_STATS: u8 = 0x06;
 const REQ_OBSERVE: u8 = 0x07;
 const REQ_PROBE: u8 = 0x08;
 const REQ_HANDOFF_EXPORT: u8 = 0x09;
@@ -287,7 +285,6 @@ impl Request {
                 p.push(REQ_EVICT);
                 p.extend_from_slice(&session.to_le_bytes());
             }
-            Self::Stats => p.push(REQ_STATS),
             Self::Observe => p.push(REQ_OBSERVE),
             Self::Probe => p.push(REQ_PROBE),
             Self::HandoffExport { session } => {
@@ -333,7 +330,6 @@ impl Request {
             REQ_PREDICT => Self::Predict { session: r.u64()? },
             REQ_CHECKPOINT => Self::Checkpoint { session: r.u64()? },
             REQ_EVICT => Self::Evict { session: r.u64()? },
-            REQ_STATS => Self::Stats,
             REQ_OBSERVE => Self::Observe,
             REQ_PROBE => Self::Probe,
             REQ_HANDOFF_EXPORT => Self::HandoffExport { session: r.u64()? },
@@ -430,33 +426,8 @@ pub struct PredictSummary {
     pub memory_overhead_mb: f64,
 }
 
-/// A combined fleet + serving-layer metrics snapshot, as shipped by
-/// [`Response::Stats`]. The merged [`StepTrace`] feeds straight into the
-/// `chameleon-hw` pricing path, so a served fleet can be priced exactly
-/// like an in-process one.
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct StatsSnapshot {
-    /// Sessions resident across all shards.
-    pub sessions_resident: u64,
-    /// Sessions evicted to checkpoint form across all shards.
-    pub sessions_cold: u64,
-    /// Sessions ever created.
-    pub sessions_created: u64,
-    /// Stream batches delivered fleet-wide.
-    pub batches: u64,
-    /// Evictions performed fleet-wide.
-    pub evictions: u64,
-    /// Restores performed fleet-wide.
-    pub restores: u64,
-    /// Every session's operation trace merged into one (the
-    /// `chameleon-hw` pricing input).
-    pub trace: StepTrace,
-    /// Serving-layer counters (frames, bytes, rejects, latency).
-    pub serve: ServeCounters,
-}
-
 /// The load summary a [`Request::Probe`] returns: enough for a router to
-/// rank backends without the cost of a full [`StatsSnapshot`] pull.
+/// rank backends without building a full [`Observation`].
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ProbeSummary {
     /// Sessions resident across all shards.
@@ -487,8 +458,6 @@ pub enum Response {
     Checkpointed(Vec<u8>),
     /// The session was evicted to checkpoint form (idempotent).
     Evicted,
-    /// Metrics snapshot.
-    Stats(Box<StatsSnapshot>),
     /// Unified observability snapshot (spans + events + counters).
     Observed(Box<Observation>),
     /// The request failed; typed code plus human-readable detail.
@@ -507,7 +476,7 @@ pub enum Response {
         millis: u32,
     },
     /// Answer to [`Request::Probe`]: a cheap load summary routers use to
-    /// rank backends and detect degradation without a full `Stats` pull.
+    /// rank backends and detect degradation without a full `Observe` pull.
     ProbeAck(ProbeSummary),
     /// Answer to [`Request::HandoffExport`]: the session's `CHAMFLT1`
     /// blob; the exporting node no longer owns the session.
@@ -523,7 +492,6 @@ const RSP_STEPPED: u8 = 0x82;
 const RSP_PREDICTED: u8 = 0x83;
 const RSP_CHECKPOINTED: u8 = 0x84;
 const RSP_EVICTED: u8 = 0x85;
-const RSP_STATS: u8 = 0x86;
 const RSP_ERROR: u8 = 0x87;
 const RSP_RETRY_AFTER: u8 = 0x88;
 const RSP_OBSERVED: u8 = 0x89;
@@ -557,10 +525,6 @@ impl Response {
                 p.extend_from_slice(blob);
             }
             Self::Evicted => p.push(RSP_EVICTED),
-            Self::Stats(stats) => {
-                p.push(RSP_STATS);
-                encode_stats(&mut p, stats);
-            }
             Self::Observed(observation) => {
                 p.push(RSP_OBSERVED);
                 encode_observation(&mut p, observation);
@@ -619,7 +583,6 @@ impl Response {
                 Self::Checkpointed(r.bytes(len)?.to_vec())
             }
             RSP_EVICTED => Self::Evicted,
-            RSP_STATS => Self::Stats(Box::new(decode_stats(&mut r)?)),
             RSP_OBSERVED => Self::Observed(Box::new(decode_observation(&mut r)?)),
             RSP_ERROR => {
                 let code = ErrorCode::from_u8(r.u8()?)?;
@@ -653,104 +616,6 @@ fn put_f32_list(p: &mut Vec<u8>, list: &[f32]) {
     for v in list {
         p.extend_from_slice(&v.to_le_bytes());
     }
-}
-
-fn encode_stats(p: &mut Vec<u8>, s: &StatsSnapshot) {
-    for v in [
-        s.sessions_resident,
-        s.sessions_cold,
-        s.sessions_created,
-        s.batches,
-        s.evictions,
-        s.restores,
-    ] {
-        p.extend_from_slice(&v.to_le_bytes());
-    }
-    let t = &s.trace;
-    for v in [
-        t.inputs,
-        t.trunk_passes,
-        t.head_fwd_passes,
-        t.head_bwd_passes,
-        t.onchip_sample_reads,
-        t.onchip_sample_writes,
-        t.offchip_latent_reads,
-        t.offchip_latent_writes,
-        t.offchip_raw_reads,
-        t.offchip_raw_writes,
-        t.covariance_updates,
-        t.matrix_inversions,
-        t.inversion_dim as u64,
-    ] {
-        p.extend_from_slice(&v.to_le_bytes());
-    }
-    let c = &s.serve;
-    for v in [
-        c.connections_accepted,
-        c.connections_closed,
-        c.frames_in,
-        c.frames_out,
-        c.bytes_in,
-        c.bytes_out,
-        c.decode_rejects,
-        c.backpressure_replies,
-        c.requests_ok,
-        c.requests_failed,
-    ] {
-        p.extend_from_slice(&v.to_le_bytes());
-    }
-    p.extend_from_slice(&(LATENCY_BUCKETS as u32).to_le_bytes());
-    for bucket in c.latency.buckets {
-        p.extend_from_slice(&bucket.to_le_bytes());
-    }
-}
-
-fn decode_stats(r: &mut Reader<'_>) -> Result<StatsSnapshot, WireError> {
-    let mut s = StatsSnapshot {
-        sessions_resident: r.u64()?,
-        sessions_cold: r.u64()?,
-        sessions_created: r.u64()?,
-        batches: r.u64()?,
-        evictions: r.u64()?,
-        restores: r.u64()?,
-        ..StatsSnapshot::default()
-    };
-    s.trace = StepTrace {
-        inputs: r.u64()?,
-        trunk_passes: r.u64()?,
-        head_fwd_passes: r.u64()?,
-        head_bwd_passes: r.u64()?,
-        onchip_sample_reads: r.u64()?,
-        onchip_sample_writes: r.u64()?,
-        offchip_latent_reads: r.u64()?,
-        offchip_latent_writes: r.u64()?,
-        offchip_raw_reads: r.u64()?,
-        offchip_raw_writes: r.u64()?,
-        covariance_updates: r.u64()?,
-        matrix_inversions: r.u64()?,
-        inversion_dim: r.u64()? as usize,
-    };
-    s.serve = ServeCounters {
-        connections_accepted: r.u64()?,
-        connections_closed: r.u64()?,
-        frames_in: r.u64()?,
-        frames_out: r.u64()?,
-        bytes_in: r.u64()?,
-        bytes_out: r.u64()?,
-        decode_rejects: r.u64()?,
-        backpressure_replies: r.u64()?,
-        requests_ok: r.u64()?,
-        requests_failed: r.u64()?,
-        latency: LatencyHistogram::default(),
-    };
-    let buckets = r.u32()? as usize;
-    if buckets != LATENCY_BUCKETS {
-        return Err(WireError::Malformed("latency bucket count"));
-    }
-    for bucket in &mut s.serve.latency.buckets {
-        *bucket = r.u64()?;
-    }
-    Ok(s)
 }
 
 fn put_str(p: &mut Vec<u8>, text: &str) {
@@ -928,9 +793,9 @@ mod tests {
         }
     }
 
-    #[test]
-    fn requests_roundtrip_through_frames() {
-        let requests = [
+    /// One value of every request variant.
+    fn requests() -> Vec<Request> {
+        vec![
             Request::Ping,
             Request::CreateSession {
                 session: 7,
@@ -943,7 +808,6 @@ mod tests {
             Request::Predict { session: 7 },
             Request::Checkpoint { session: 7 },
             Request::Evict { session: 7 },
-            Request::Stats,
             Request::Observe,
             Request::Probe,
             Request::HandoffExport { session: 7 },
@@ -951,8 +815,12 @@ mod tests {
                 session: 7,
                 blob: vec![0xCA, 0xFE, 0x00, 0x42],
             },
-        ];
-        for (i, request) in requests.iter().enumerate() {
+        ]
+    }
+
+    #[test]
+    fn requests_roundtrip_through_frames() {
+        for (i, request) in requests().iter().enumerate() {
             let corr = 1000 + i as u64;
             let frame = encode_frame(&request.encode_payload(corr));
             let (payload, used) = decode_frame(&frame, MAX_PAYLOAD_BYTES).expect("frame");
@@ -1012,17 +880,9 @@ mod tests {
         );
     }
 
-    #[test]
-    fn responses_roundtrip_through_frames() {
-        let mut stats = StatsSnapshot {
-            sessions_resident: 3,
-            batches: 99,
-            ..StatsSnapshot::default()
-        };
-        stats.trace.inputs = 990;
-        stats.serve.frames_in = 120;
-        stats.serve.latency.record_nanos(1_500_000);
-        let responses = [
+    /// One value of every response variant.
+    fn responses() -> Vec<Response> {
+        vec![
             Response::Pong,
             Response::Created,
             Response::Stepped {
@@ -1037,7 +897,6 @@ mod tests {
             }),
             Response::Checkpointed(vec![1, 2, 3, 255]),
             Response::Evicted,
-            Response::Stats(Box::new(stats)),
             Response::Error {
                 code: ErrorCode::UnknownSession,
                 message: "session 9 was never created".into(),
@@ -1051,14 +910,53 @@ mod tests {
             }),
             Response::HandoffExported(vec![9, 8, 7]),
             Response::HandoffAck,
-        ];
-        for (i, response) in responses.iter().enumerate() {
+        ]
+    }
+
+    #[test]
+    fn responses_roundtrip_through_frames() {
+        for (i, response) in responses().iter().enumerate() {
             let corr = 42 + i as u64;
             let frame = encode_frame(&response.encode_payload(corr));
             let (payload, _) = decode_frame(&frame, MAX_PAYLOAD_BYTES).expect("frame");
             let (back_corr, back) = Response::decode_payload(&payload).expect("payload");
             assert_eq!(back_corr, corr);
             assert_eq!(&back, response);
+        }
+    }
+
+    #[test]
+    fn bytes_outside_the_opcode_tables_are_unknown_opcodes() {
+        let payload = |opcode: u8| {
+            let mut p = 3u64.to_le_bytes().to_vec();
+            p.push(opcode);
+            p
+        };
+        // The retired version-1 `Stats` opcodes.
+        assert_eq!(
+            Request::decode_payload(&payload(0x06)),
+            Err(WireError::UnknownOpcode(0x06))
+        );
+        assert_eq!(
+            Response::decode_payload(&payload(0x86)),
+            Err(WireError::UnknownOpcode(0x86))
+        );
+        // The tables are the opcodes the encoders emit.
+        let request_ops: Vec<u8> = requests().iter().map(|r| r.encode_payload(0)[8]).collect();
+        let response_ops: Vec<u8> = responses().iter().map(|r| r.encode_payload(0)[8]).collect();
+        for opcode in 0..=u8::MAX {
+            if !request_ops.contains(&opcode) {
+                assert_eq!(
+                    Request::decode_payload(&payload(opcode)),
+                    Err(WireError::UnknownOpcode(opcode))
+                );
+            }
+            if !response_ops.contains(&opcode) {
+                assert_eq!(
+                    Response::decode_payload(&payload(opcode)),
+                    Err(WireError::UnknownOpcode(opcode))
+                );
+            }
         }
     }
 
@@ -1079,7 +977,7 @@ mod tests {
 
     #[test]
     fn flipped_payload_bits_fail_the_crc() {
-        let frame = encode_frame(&Request::Stats.encode_payload(5));
+        let frame = encode_frame(&Request::Observe.encode_payload(5));
         for bit in 0..8 {
             let mut bad = frame.clone();
             let i = WIRE_MAGIC.len() + 4 + 2; // a payload byte

@@ -17,10 +17,8 @@ use chameleon_fleet::{SessionCheckpoint, SessionEvent, SessionEventKind, UserSes
 use chameleon_obs::{EventLogStats, EventRecord, Observation, Stage, StageStats};
 use chameleon_replay::crc32;
 use chameleon_serve::wire::{
-    encode_frame, ErrorCode, PredictSummary, ProbeSummary, Request, Response, StatsSnapshot,
-    WIRE_MAGIC,
+    encode_frame, ErrorCode, PredictSummary, ProbeSummary, Request, Response, WIRE_MAGIC,
 };
-use chameleon_serve::ServeCounters;
 use chameleon_stream::{DatasetSpec, DomainIlScenario};
 
 use crate::digest::{digest_events, ShardScope};
@@ -35,7 +33,7 @@ pub const GOLDEN_SPEC_SEED: u64 = 0x60_1D;
 pub const GOLDEN_SIM_SEEDS: [u64; 4] = [0, 1, 2, 3];
 /// Version line of the metric-digest family (bump on digest semantics
 /// changes).
-pub const METRIC_DIGEST_VERSION: &str = "SIMDIG02";
+pub const METRIC_DIGEST_VERSION: &str = "SIMDIG03";
 
 /// One corpus file: a family of named golden values plus the version
 /// line that makes format changes deliberate.
@@ -99,38 +97,6 @@ fn trace_crc(trace: &StepTrace) -> u32 {
 /// response variant, with fixed field values.
 fn derive_wire_frames() -> GoldenFile {
     let spec = script::session_spec(GOLDEN_SPEC_SEED, 1);
-    let stats = StatsSnapshot {
-        sessions_resident: 3,
-        sessions_cold: 2,
-        sessions_created: 5,
-        batches: 120,
-        evictions: 4,
-        restores: 2,
-        trace: StepTrace {
-            inputs: 1200,
-            trunk_passes: 1200,
-            head_fwd_passes: 9600,
-            head_bwd_passes: 9600,
-            onchip_sample_reads: 4800,
-            onchip_sample_writes: 1200,
-            offchip_latent_reads: 3600,
-            offchip_latent_writes: 300,
-            ..StepTrace::default()
-        },
-        serve: ServeCounters {
-            connections_accepted: 7,
-            connections_closed: 6,
-            frames_in: 140,
-            frames_out: 140,
-            bytes_in: 4096,
-            bytes_out: 8192,
-            decode_rejects: 1,
-            backpressure_replies: 3,
-            requests_ok: 130,
-            requests_failed: 2,
-            ..ServeCounters::default()
-        },
-    };
     let cases: Vec<(&str, Vec<u8>)> = vec![
         ("req_ping", Request::Ping.encode_payload(1)),
         (
@@ -158,7 +124,6 @@ fn derive_wire_frames() -> GoldenFile {
             Request::Checkpoint { session: 7 }.encode_payload(5),
         ),
         ("req_evict", Request::Evict { session: 7 }.encode_payload(6)),
-        ("req_stats", Request::Stats.encode_payload(7)),
         ("rsp_pong", Response::Pong.encode_payload(1)),
         ("rsp_created", Response::Created.encode_payload(2)),
         (
@@ -184,10 +149,6 @@ fn derive_wire_frames() -> GoldenFile {
             Response::Checkpointed(vec![0xDE, 0xAD, 0xBE, 0xEF]).encode_payload(5),
         ),
         ("rsp_evicted", Response::Evicted.encode_payload(6)),
-        (
-            "rsp_stats",
-            Response::Stats(Box::new(stats)).encode_payload(7),
-        ),
         (
             "rsp_error",
             Response::Error {

@@ -290,21 +290,22 @@ fn external_handoff_frames_are_refused_and_stats_aggregate() {
     let err = conn.step(777, 1).expect_err("unknown session");
     assert!(matches!(err, ClientError::Refused { .. }), "{err:?}");
 
-    // Stats and probe answers are fleet-wide sums over the backends.
-    let stats = conn.stats().expect("stats");
-    assert_eq!(stats.sessions_created, users.len() as u64);
+    // Observe and probe answers are fleet-wide sums over the backends,
+    // and the observation merges the router's own counters in.
+    let observation = conn.observe().expect("observe");
+    assert_eq!(
+        observation.counter("fleet.sessions_created"),
+        Some(users.len() as u64)
+    );
+    assert!(observation.counter("fleet.batches").unwrap_or(0) > 0);
+    assert!(observation.counter("route.requests_in").unwrap_or(0) > 0);
+    assert_eq!(observation.counter("route.decode_rejects"), Some(0));
+    assert_eq!(observation.counter("route.backends_healthy"), Some(2));
     let summary = conn.probe().expect("probe");
     assert_eq!(
         summary.sessions_resident + summary.sessions_cold,
         users.len() as u64
     );
-
-    // The unified observation merges router counters with backend views.
-    let observation = conn.observe().expect("observe");
-    assert!(observation.counter("route.requests_in").unwrap_or(0) > 0);
-    assert_eq!(observation.counter("route.decode_rejects"), Some(0));
-    assert_eq!(observation.counter("route.backends_healthy"), Some(2));
-    assert!(observation.counter("fleet.batches").unwrap_or(0) > 0);
 
     for backend in &mut cluster.backends {
         backend.shutdown();

@@ -112,9 +112,12 @@ fn assert_wire_matches_solo(faults: Option<FaultPlan>) {
         assert_eq!(blob, solo_blob, "user {user} checkpoint diverged");
     }
 
-    let stats = conn.stats().expect("stats");
-    assert_eq!(stats.sessions_created, users.len() as u64);
-    assert_eq!(stats.serve.decode_rejects, 0);
+    let observation = conn.observe().expect("observe");
+    assert_eq!(
+        observation.counter("fleet.sessions_created"),
+        Some(users.len() as u64)
+    );
+    assert_eq!(observation.counter("serve.decode_rejects"), Some(0));
     server.shutdown();
 }
 
@@ -147,20 +150,21 @@ fn evict_over_the_wire_is_reproducible() {
         // before delivering batches.
         conn.run_to_completion(user, 7).expect("finish");
         let blob = conn.checkpoint(user).expect("checkpoint");
-        let stats = conn.stats().expect("stats");
+        let observation = conn.observe().expect("observe");
         server.shutdown();
-        (blob, stats)
+        (blob, observation)
     };
 
-    let (blob_a, stats) = run();
+    let (blob_a, observation) = run();
     let (blob_b, _) = run();
     assert_eq!(&blob_a[..8], &FLEET_MAGIC[..]);
     assert_eq!(
         blob_a, blob_b,
         "evict/restore over the wire not reproducible"
     );
-    assert!(stats.evictions >= 1, "eviction not recorded");
-    assert!(stats.restores >= 1, "restore not recorded");
+    let counter = |name| observation.counter(name).unwrap_or(0);
+    assert!(counter("fleet.evictions") >= 1, "eviction not recorded");
+    assert!(counter("fleet.restores") >= 1, "restore not recorded");
 }
 
 #[test]
@@ -454,8 +458,8 @@ fn run_to_completion_stalls_out_instead_of_spinning_forever() {
 }
 
 /// The `Observe` round-trip: span aggregates over the wire reconcile with
-/// `Stats` nanos counters, encode/decode spans are counted, and the event
-/// log narrates evictions.
+/// the fleet's nanos counters, encode/decode/request spans are counted,
+/// and the event log narrates evictions.
 #[test]
 fn observe_round_trip_reconciles_spans_with_stats() {
     use chameleon_obs::Stage;
@@ -505,9 +509,13 @@ fn observe_round_trip_reconciles_spans_with_stats() {
     assert!(observation.stage(Stage::Decode).expect("decode").count > 0);
     assert!(observation.stage(Stage::Encode).expect("encode").count > 0);
 
-    // Flattened counters agree with the Stats snapshot's fleet view.
-    let stats = client.stats().expect("stats");
-    assert_eq!(observation.counter("fleet.batches"), Some(stats.batches));
+    // Every request answered before this one is a `request` span, and
+    // its latency histogram holds exactly those spans.
+    let request = observation.stage(Stage::Request).expect("request stage");
+    assert!(request.count > 0, "no request spans");
+    assert_eq!(request.histogram.count(), request.count);
+    // The flattened fleet view counts every batch the client saw.
+    assert_eq!(observation.counter("fleet.batches"), Some(delivered));
     assert_eq!(observation.counter("serve.decode_rejects"), Some(0));
 
     // The explicit evict above must be narrated in the event log.

@@ -71,10 +71,10 @@ fn non_lifecycle_explorer_seeds_reproduce_their_pinned_outcomes() {
 
     // (seed, ops, shards, faulted, events, event digest, checkpoint crc, span digest)
     for (seed, ops, shards, faulted, events, event_digest, checkpoint_crc, span_digest) in [
-        (0, 26, 3, false, 156, 0x2af06782, 0xa65e7378, 0xedfed680),
-        (1, 28, 2, true, 162, 0xf8590042, 0x69599055, 0x8d8e5d71),
-        (2, 23, 4, false, 123, 0xde9f574a, 0x60ec473a, 0x9dc356fe),
-        (3, 23, 3, true, 135, 0x0e3380e2, 0x0c4d87f2, 0xd409e508),
+        (0, 26, 3, false, 156, 0x2af06782, 0xa65e7378, 0xeebf3a27),
+        (1, 28, 2, true, 162, 0xf8590042, 0x69599055, 0x43431b25),
+        (2, 23, 4, false, 123, 0xde9f574a, 0x60ec473a, 0x91b59712),
+        (3, 23, 3, true, 135, 0x0e3380e2, 0x0c4d87f2, 0x902c8c26),
     ] {
         let pinned = SeedOutcome {
             seed,
