@@ -901,7 +901,6 @@ fn serve_configs(options: &Options) -> Result<(DatasetSpec, FleetConfig, ServeCo
         workers,
         store_dir: options.get("store-dir").map(std::path::PathBuf::from),
         balance,
-        ..ServeConfig::default()
     };
     serve_config
         .validate()
@@ -2130,6 +2129,21 @@ mod tests {
         assert!(dispatch(&toks(&["serve", "--queue", "0"])).is_err());
         assert!(dispatch(&toks(&["serve", "--duration", "nope"])).is_err());
         assert!(dispatch(&toks(&["serve", "--addr", "not-an-address"])).is_err());
+    }
+
+    #[test]
+    fn route_command_validates_options() {
+        // A zero probe interval would sweep every backend back to back.
+        assert!(dispatch(&toks(&[
+            "route",
+            "--backends",
+            "127.0.0.1:1",
+            "--probe-interval-ms",
+            "0",
+            "--duration",
+            "0",
+        ]))
+        .is_err());
     }
 
     #[test]

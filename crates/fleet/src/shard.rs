@@ -227,6 +227,27 @@ impl ShardWorker {
         }
     }
 
+    /// The `CHAMFLT1` blob of `id`, from whichever residency state it is
+    /// in and without changing it: a resident session is captured (timed
+    /// as a `checkpoint` span), a RAM-cold one re-serialized, and a
+    /// disk-cold one served verbatim — the stored record *is* the
+    /// `CHAMFLT1` envelope.
+    fn session_blob(&mut self, id: SessionId) -> Result<Vec<u8>, String> {
+        if let Some(resident) = self.resident.get(&id) {
+            let start = self.time.now_nanos();
+            let blob = SessionCheckpoint::capture(&resident.session).to_bytes();
+            let elapsed = self.time.now_nanos().saturating_sub(start);
+            self.metrics.checkpoint_nanos += elapsed;
+            self.obs.record(Stage::Checkpoint, elapsed);
+            return Ok(blob);
+        }
+        match self.cold.get(&id) {
+            Some(Cold::Ram(checkpoint)) => Ok(checkpoint.to_bytes()),
+            Some(Cold::Disk { .. }) => self.fetch_cold_blob(id),
+            None => Err("session unknown to this shard".into()),
+        }
+    }
+
     /// Blocking request loop; returns when `Shutdown` arrives or every
     /// engine handle hung up. `wake`, when set, runs after every event
     /// this worker sends.
@@ -352,37 +373,10 @@ impl ShardWorker {
                     );
                 }
             },
-            SessionCommand::Checkpoint => {
-                // Served from either residency state without changing it —
-                // a cold session's blob is re-serialized directly.
-                let blob = if let Some(resident) = self.resident.get(&id) {
-                    let start = self.time.now_nanos();
-                    let blob = SessionCheckpoint::capture(&resident.session).to_bytes();
-                    let elapsed = self.time.now_nanos().saturating_sub(start);
-                    self.metrics.checkpoint_nanos += elapsed;
-                    self.obs.record(Stage::Checkpoint, elapsed);
-                    Ok(Some(blob))
-                } else {
-                    match self.cold.get(&id) {
-                        Some(Cold::Ram(checkpoint)) => Ok(Some(checkpoint.to_bytes())),
-                        // A disk-cold blob is served verbatim: the stored
-                        // record *is* the CHAMFLT1 envelope.
-                        Some(Cold::Disk { .. }) => self.fetch_cold_blob(id).map(Some),
-                        None => Ok(None),
-                    }
-                };
-                match blob {
-                    Ok(Some(blob)) => {
-                        self.emit(id, correlation, SessionEventKind::Checkpointed(blob));
-                    }
-                    Ok(None) => self.emit(
-                        id,
-                        correlation,
-                        SessionEventKind::Failed("session unknown to this shard".into()),
-                    ),
-                    Err(reason) => self.emit(id, correlation, SessionEventKind::Failed(reason)),
-                }
-            }
+            SessionCommand::Checkpoint => match self.session_blob(id) {
+                Ok(blob) => self.emit(id, correlation, SessionEventKind::Checkpointed(blob)),
+                Err(reason) => self.emit(id, correlation, SessionEventKind::Failed(reason)),
+            },
             SessionCommand::Evict => {
                 if self.resident.contains_key(&id) {
                     self.evict(id);
@@ -397,45 +391,22 @@ impl ShardWorker {
                     );
                 }
             }
-            SessionCommand::Export => {
-                // Capture from whichever residency state the session is
-                // in, then forget it entirely: after a successful export
-                // the blob is the only copy, so exactly one node can own
-                // the session. A stale record may remain in the durable
-                // store; re-import (or router ownership) supersedes it.
-                let blob = if let Some(resident) = self.resident.get(&id) {
-                    let start = self.time.now_nanos();
-                    let blob = SessionCheckpoint::capture(&resident.session).to_bytes();
-                    let elapsed = self.time.now_nanos().saturating_sub(start);
-                    self.metrics.checkpoint_nanos += elapsed;
-                    self.obs.record(Stage::Checkpoint, elapsed);
-                    Ok(Some(blob))
-                } else {
-                    match self.cold.get(&id) {
-                        Some(Cold::Ram(checkpoint)) => Ok(Some(checkpoint.to_bytes())),
-                        Some(Cold::Disk { .. }) => self.fetch_cold_blob(id).map(Some),
-                        None => Ok(None),
+            // Capture, then forget the session entirely: after a
+            // successful export the blob is the only copy, so exactly one
+            // node can own the session. A stale record may remain in the
+            // durable store; re-import (or router ownership) supersedes it.
+            SessionCommand::Export => match self.session_blob(id) {
+                Ok(blob) => {
+                    if let Some(resident) = self.resident.remove(&id) {
+                        self.resident_bytes = self.resident_bytes.saturating_sub(resident.bytes);
                     }
-                };
-                match blob {
-                    Ok(Some(blob)) => {
-                        if let Some(resident) = self.resident.remove(&id) {
-                            self.resident_bytes =
-                                self.resident_bytes.saturating_sub(resident.bytes);
-                        }
-                        self.cold.remove(&id);
-                        self.obs
-                            .event(format!("shard {}: session {id} exported", self.shard));
-                        self.emit(id, correlation, SessionEventKind::Exported(blob));
-                    }
-                    Ok(None) => self.emit(
-                        id,
-                        correlation,
-                        SessionEventKind::Failed("session unknown to this shard".into()),
-                    ),
-                    Err(reason) => self.emit(id, correlation, SessionEventKind::Failed(reason)),
+                    self.cold.remove(&id);
+                    self.obs
+                        .event(format!("shard {}: session {id} exported", self.shard));
+                    self.emit(id, correlation, SessionEventKind::Exported(blob));
                 }
-            }
+                Err(reason) => self.emit(id, correlation, SessionEventKind::Failed(reason)),
+            },
         }
     }
 

@@ -2,10 +2,12 @@
 //!
 //! A [`Router`] is a CHAMWIRE proxy in front of N `chameleon-serve`
 //! backends. Clients speak the exact same protocol to the router as to a
-//! single server; the router assigns each session to a backend by
-//! rendezvous hashing, forwards its operations there, and keeps a
-//! *shadow checkpoint* (the session's latest `CHAMFLT1` blob) refreshed
-//! after every mutating operation.
+//! single server, and meet the same socket: the router serves them
+//! through the server's own front end ([`chameleon_serve::front`]), whose
+//! dispatch callback here routes each request. The router assigns each
+//! session to a backend by rendezvous hashing, forwards its operations
+//! there, and keeps a *shadow checkpoint* (the session's latest
+//! `CHAMFLT1` blob) refreshed after every mutating operation.
 //!
 //! Backends move through lifecycle states
 //! ([`BackendState::Healthy`] → `Degraded` → `Dead`, plus administrative

@@ -1,12 +1,15 @@
 //! The routing proxy: CHAMWIRE in front, N CHAMWIRE backends behind.
 //!
-//! Threading model: an acceptor admits client sockets into a bounded
-//! worker queue; each worker speaks CHAMWIRE to its clients and forwards
-//! session ops over the **shared multiplexed backend connections** (one
-//! [`MuxConnection`] per backend — see `mux.rs`); a probe thread walks
-//! the backend set on the injected clock and advances lifecycle states.
-//! There is no engine thread — the router holds no sessions, only the
-//! registry, the pin table, and shadow checkpoints.
+//! Threading model: clients are served by the same CHAMWIRE front end as
+//! a server's ([`chameleon_serve::front`]: acceptor, bounded worker pool,
+//! one writer thread per connection). Its dispatch callback routes each
+//! request on the connection's worker thread and answers through the
+//! reply handle, forwarding session ops over the **shared multiplexed
+//! backend connections** (one [`MuxConnection`] per backend — see
+//! `mux.rs`); a probe thread walks the backend set on the injected clock
+//! and advances lifecycle states. There is no engine thread — the router
+//! holds no sessions, only the registry, the pin table, and shadow
+//! checkpoints.
 //!
 //! **Shadow checkpoints** are the failover mechanism: after every
 //! mutating operation (create, step) the router pulls a `CHAMFLT1`
@@ -27,28 +30,34 @@
 //! resumes routing, pinning, and failover without re-learning placement.
 
 use std::collections::HashMap;
-use std::io::{ErrorKind, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::io::ErrorKind;
+use std::net::SocketAddr;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{Receiver, SyncSender, TrySendError};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
 use chameleon_fleet::SessionId;
-use chameleon_obs::{Observation, Observer, Stage};
-use chameleon_runtime::{timed, Clock, WallClock};
-use chameleon_serve::wire::{
-    correlation_of, decode_frame, encode_frame, ErrorCode, ProbeSummary, Request, Response,
-    WireError, MAX_PAYLOAD_BYTES,
-};
+use chameleon_obs::{Observation, Observer};
+use chameleon_runtime::{Clock, WallClock};
+use chameleon_serve::front::{Dispatch, Front, WRITE_TIMEOUT};
+use chameleon_serve::wire::{ErrorCode, ProbeSummary, Request, Response, MAX_PAYLOAD_BYTES};
+use chameleon_serve::ServeMetrics;
 use chameleon_stream::ConfigError;
 
 use crate::mux::{MuxConnection, MuxOptions};
 use crate::plock;
 use crate::registry::{BackendState, Registry};
 use crate::state::{self, StateLog};
+
+/// How long one forwarded request may wait for its backend response
+/// before it becomes a typed failure (feeding the normal bury and
+/// failover path) instead of a silent stall.
+const REQUEST_TIMEOUT: Duration = Duration::from_secs(30);
+/// How many `RetryAfter` rounds a forward rides out before it counts as
+/// a failure.
+const BACKEND_RETRIES: u32 = 10_000;
 
 /// Tunables of the routing tier.
 #[derive(Clone, Debug, PartialEq)]
@@ -71,21 +80,6 @@ pub struct RouterConfig {
     /// Consecutive probe failures before a backend is declared
     /// [`BackendState::Dead`] and its sessions re-homed.
     pub dead_after: u32,
-    /// Client-socket read timeout (also the stop-flag poll granularity).
-    pub read_timeout: Duration,
-    /// Client-socket write timeout.
-    pub write_timeout: Duration,
-    /// A client connection silent for this long is reaped.
-    pub idle_timeout: Duration,
-    /// How long one forwarded request may wait for its backend response
-    /// before it becomes a typed failure (feeding the normal bury and
-    /// failover path) instead of a silent stall.
-    pub request_timeout: Duration,
-    /// Per-frame payload cap enforced on the client side.
-    pub max_payload: usize,
-    /// Retry budget for backend-side requests (how many `RetryAfter`
-    /// rounds a forward rides out before counting as a failure).
-    pub backend_retries: u32,
     /// When set, pins and shadow checkpoints are persisted to a CHAMRTE1
     /// log in this directory and recovered on start.
     pub state_dir: Option<PathBuf>,
@@ -106,12 +100,6 @@ impl Default for RouterConfig {
             probe_interval: Duration::from_millis(50),
             degraded_after: 2,
             dead_after: 5,
-            read_timeout: Duration::from_millis(25),
-            write_timeout: Duration::from_secs(5),
-            idle_timeout: Duration::from_secs(30),
-            request_timeout: Duration::from_secs(30),
-            max_payload: MAX_PAYLOAD_BYTES,
-            backend_retries: 10_000,
             state_dir: None,
             fault_panic_session: None,
         }
@@ -137,22 +125,10 @@ impl RouterConfig {
                 requirement: "must be positive",
             });
         }
-        if self.read_timeout.is_zero() {
+        if self.probe_interval.is_zero() {
             return Err(ConfigError {
-                field: "read timeout",
+                field: "probe interval",
                 requirement: "must be positive",
-            });
-        }
-        if self.request_timeout.is_zero() {
-            return Err(ConfigError {
-                field: "request timeout",
-                requirement: "must be positive",
-            });
-        }
-        if self.max_payload == 0 || self.max_payload > MAX_PAYLOAD_BYTES {
-            return Err(ConfigError {
-                field: "payload cap",
-                requirement: "must be within (0, MAX_PAYLOAD_BYTES]",
             });
         }
         if self.dead_after < self.degraded_after {
@@ -181,7 +157,7 @@ pub struct RouteCounters {
     /// In-flight ops *not* re-sent after failover because the recovered
     /// shadow's sequence stamp showed it already captured them.
     pub failover_replays_skipped: u64,
-    /// Client frames or payloads rejected by the decoder.
+    /// Client frames or payloads rejected by the front's decoder.
     pub decode_rejects: u64,
     /// Successful health probes.
     pub probes_ok: u64,
@@ -208,7 +184,6 @@ struct RouteMetrics {
     sessions_handed_off: AtomicU64,
     failovers: AtomicU64,
     failover_replays_skipped: AtomicU64,
-    decode_rejects: AtomicU64,
     probes_ok: AtomicU64,
     probes_failed: AtomicU64,
     shadow_refreshes: AtomicU64,
@@ -223,7 +198,7 @@ impl RouteMetrics {
         counter.fetch_add(v, Ordering::Relaxed);
     }
 
-    fn snapshot(&self) -> RouteCounters {
+    fn snapshot(&self, decode_rejects: u64) -> RouteCounters {
         RouteCounters {
             requests_in: self.requests_in.load(Ordering::Relaxed),
             requests_forwarded: self.requests_forwarded.load(Ordering::Relaxed),
@@ -231,7 +206,7 @@ impl RouteMetrics {
             sessions_handed_off: self.sessions_handed_off.load(Ordering::Relaxed),
             failovers: self.failovers.load(Ordering::Relaxed),
             failover_replays_skipped: self.failover_replays_skipped.load(Ordering::Relaxed),
-            decode_rejects: self.decode_rejects.load(Ordering::Relaxed),
+            decode_rejects,
             probes_ok: self.probes_ok.load(Ordering::Relaxed),
             probes_failed: self.probes_failed.load(Ordering::Relaxed),
             shadow_refreshes: self.shadow_refreshes.load(Ordering::Relaxed),
@@ -284,6 +259,8 @@ struct Shared {
     /// and the prober.
     mux: Vec<MuxConnection>,
     metrics: RouteMetrics,
+    /// The client-facing front's counters, set once it has started.
+    front: OnceLock<Arc<ServeMetrics>>,
     stop: AtomicBool,
     /// See [`RouterConfig::fault_panic_session`].
     panic_session: Option<SessionId>,
@@ -291,6 +268,13 @@ struct Shared {
 }
 
 impl Shared {
+    /// Snapshot of the `route.*` counters; `decode_rejects` is the
+    /// front's.
+    fn counters(&self) -> RouteCounters {
+        let decode_rejects = self.front.get().map_or(0, |f| f.snapshot().decode_rejects);
+        self.metrics.snapshot(decode_rejects)
+    }
+
     /// Pins `session` to `index` in memory and in the durable log.
     fn pin_session(&self, session: SessionId, index: usize) {
         let addr = {
@@ -485,15 +469,9 @@ fn bury_backend(shared: &Shared, obs: &Observer, index: usize) -> usize {
 // Request handling
 // ---------------------------------------------------------------------------
 
-#[derive(Clone)]
 struct Ctx {
     shared: Arc<Shared>,
     obs: Arc<Observer>,
-    clock: Arc<dyn Clock>,
-    read_timeout: Duration,
-    write_timeout: Duration,
-    idle_timeout: Duration,
-    max_payload: usize,
 }
 
 fn no_backend() -> Response {
@@ -655,8 +633,10 @@ fn aggregate_probe(ctx: &Ctx) -> Response {
 }
 
 /// The cluster view: the router's own observation merged with every live
-/// backend's, so `fleet.*` and `serve.*` are fleet-wide sums. The router
-/// records no `request` span, so that histogram is the backends' latency.
+/// backend's, so `fleet.*` and `serve.*` are fleet-wide sums. The router's
+/// front records `decode`, `encode` and `request` spans like a backend's,
+/// so until nodes are labelled those three spans sum router and backend
+/// time.
 fn aggregate_observation(ctx: &Ctx) -> Response {
     let mut merged = build_route_observation(&ctx.shared, &ctx.obs);
     for index in live_backends(&ctx.shared) {
@@ -674,7 +654,7 @@ fn aggregate_observation(ctx: &Ctx) -> Response {
 /// the state log's self-counters.
 fn build_route_observation(shared: &Shared, obs: &Observer) -> Observation {
     let mut o = obs.observe();
-    let c = shared.metrics.snapshot();
+    let c = shared.counters();
     o.push_counter("route.requests_in", c.requests_in);
     o.push_counter("route.requests_forwarded", c.requests_forwarded);
     o.push_counter("route.forward_failures", c.forward_failures);
@@ -789,7 +769,7 @@ fn probe_once(shared: &Shared, index: usize) -> bool {
 }
 
 // ---------------------------------------------------------------------------
-// Client-facing front (acceptor + workers)
+// The router
 // ---------------------------------------------------------------------------
 
 /// A running routing proxy.
@@ -797,11 +777,9 @@ fn probe_once(shared: &Shared, index: usize) -> bool {
 /// Dropping the router shuts it down gracefully; [`Router::shutdown`]
 /// does the same explicitly and is idempotent.
 pub struct Router {
-    local_addr: SocketAddr,
+    front: Front,
     shared: Arc<Shared>,
     observer: Arc<Observer>,
-    acceptor: Option<JoinHandle<()>>,
-    workers: Vec<JoinHandle<()>>,
     prober: Option<JoinHandle<()>>,
 }
 
@@ -830,8 +808,6 @@ impl Router {
         config
             .validate()
             .map_err(|e| std::io::Error::new(ErrorKind::InvalidInput, e.to_string()))?;
-        let listener = TcpListener::bind(&config.addr)?;
-        let local_addr = listener.local_addr()?;
 
         // Recover durable state before anything routes: pins come back
         // keyed by address (mapped onto the current backend list; pins to
@@ -870,10 +846,10 @@ impl Router {
                 MuxConnection::new(
                     addr.clone(),
                     MuxOptions {
-                        max_payload: config.max_payload,
-                        write_timeout: config.write_timeout,
-                        request_timeout: config.request_timeout,
-                        retry_budget: config.backend_retries,
+                        max_payload: MAX_PAYLOAD_BYTES,
+                        write_timeout: WRITE_TIMEOUT,
+                        request_timeout: REQUEST_TIMEOUT,
+                        retry_budget: BACKEND_RETRIES,
                         clock: Arc::clone(&clock),
                         backoff_seed: config.salt ^ (index as u64 + 1),
                     },
@@ -889,6 +865,7 @@ impl Router {
             state,
             mux,
             metrics: RouteMetrics::default(),
+            front: OnceLock::new(),
             stop: AtomicBool::new(false),
             panic_session: config.fault_panic_session,
             panic_fired: AtomicBool::new(false),
@@ -906,30 +883,16 @@ impl Router {
         let ctx = Ctx {
             shared: Arc::clone(&shared),
             obs: Arc::clone(&observer),
-            clock: Arc::clone(&clock),
-            read_timeout: config.read_timeout,
-            write_timeout: config.write_timeout,
-            idle_timeout: config.idle_timeout,
-            max_payload: config.max_payload,
         };
-        let (conn_tx, conn_rx) = std::sync::mpsc::sync_channel::<TcpStream>(config.workers);
-        let conn_rx = Arc::new(Mutex::new(conn_rx));
-        let workers = (0..config.workers)
-            .map(|index| {
-                let ctx = ctx.clone();
-                let conn_rx = Arc::clone(&conn_rx);
-                std::thread::Builder::new()
-                    .name(format!("route-worker-{index}"))
-                    .spawn(move || worker_loop(&ctx, &conn_rx))
-                    .expect("spawn route worker")
-            })
-            .collect();
-
-        let acceptor_shared = Arc::clone(&shared);
-        let acceptor = std::thread::Builder::new()
-            .name("route-acceptor".to_string())
-            .spawn(move || acceptor_loop(&listener, &conn_tx, &acceptor_shared))
-            .expect("spawn route acceptor");
+        let dispatch: Dispatch =
+            Arc::new(move |request, reply| reply.send(handle_request(&ctx, &request)));
+        let front = Front::start(
+            &config.addr,
+            config.workers,
+            Arc::clone(&observer),
+            dispatch,
+        )?;
+        let _ = shared.front.set(front.metrics());
 
         let probe_shared = Arc::clone(&shared);
         let probe_obs = Arc::clone(&observer);
@@ -940,23 +903,21 @@ impl Router {
             .expect("spawn route prober");
 
         Ok(Self {
-            local_addr,
+            front,
             shared,
             observer,
-            acceptor: Some(acceptor),
-            workers,
             prober: Some(prober),
         })
     }
 
     /// The bound address (resolves port 0).
     pub fn local_addr(&self) -> SocketAddr {
-        self.local_addr
+        self.front.local_addr()
     }
 
     /// Snapshot of the router's counters.
     pub fn metrics(&self) -> RouteCounters {
-        self.shared.metrics.snapshot()
+        self.shared.counters()
     }
 
     /// The router's span recorder + event log (merged into `Observe`
@@ -1078,18 +1039,12 @@ impl Router {
         Ok(bury_backend(&self.shared, &self.observer, index))
     }
 
-    /// Graceful shutdown: stop accepting, join workers and the prober.
-    /// Idempotent. Backends are left running — they are not the
-    /// router's to stop.
+    /// Graceful shutdown: stop accepting, join the front's workers and
+    /// the prober. Idempotent. Backends are left running — they are not
+    /// the router's to stop.
     pub fn shutdown(&mut self) {
         self.shared.stop.store(true, Ordering::Relaxed);
-        let _ = TcpStream::connect(self.local_addr);
-        if let Some(join) = self.acceptor.take() {
-            let _ = join.join();
-        }
-        for join in self.workers.drain(..) {
-            let _ = join.join();
-        }
+        self.front.shutdown();
         if let Some(join) = self.prober.take() {
             let _ = join.join();
         }
@@ -1100,123 +1055,6 @@ impl Drop for Router {
     fn drop(&mut self) {
         self.shutdown();
     }
-}
-
-fn acceptor_loop(listener: &TcpListener, conn_tx: &SyncSender<TcpStream>, shared: &Shared) {
-    for incoming in listener.incoming() {
-        if shared.stop.load(Ordering::Relaxed) {
-            break;
-        }
-        let stream = match incoming {
-            Ok(stream) => stream,
-            Err(_) => continue,
-        };
-        match conn_tx.try_send(stream) {
-            Ok(()) => {}
-            Err(TrySendError::Full(mut stream)) => {
-                // Saturated: turn the connection away with a RetryAfter
-                // frame (correlation 0 — no request was read).
-                let frame = encode_frame(&Response::RetryAfter { millis: 2 }.encode_payload(0));
-                let _ = stream.set_write_timeout(Some(Duration::from_millis(250)));
-                let _ = stream.write_all(&frame);
-            }
-            Err(TrySendError::Disconnected(_)) => break,
-        }
-    }
-}
-
-fn worker_loop(ctx: &Ctx, conn_rx: &Mutex<Receiver<TcpStream>>) {
-    loop {
-        let stream = {
-            // Poison-tolerant: a worker that panicked mid-request must
-            // not take the connection queue (and thus every other
-            // worker) down with it.
-            let guard = plock(conn_rx);
-            match guard.recv() {
-                Ok(stream) => stream,
-                Err(_) => return,
-            }
-        };
-        handle_connection(ctx, stream);
-    }
-}
-
-fn handle_connection(ctx: &Ctx, mut stream: TcpStream) {
-    let _ = stream.set_nodelay(true);
-    let _ = stream.set_read_timeout(Some(ctx.read_timeout));
-    let _ = stream.set_write_timeout(Some(ctx.write_timeout));
-    let mut buf: Vec<u8> = Vec::new();
-    let mut scratch = [0u8; 16 * 1024];
-    let mut last_activity = ctx.clock.now_nanos();
-    let idle_timeout_nanos = ctx.idle_timeout.as_nanos() as u64;
-    loop {
-        loop {
-            match decode_frame(&buf, ctx.max_payload) {
-                Ok((payload, used)) => {
-                    buf.drain(..used);
-                    if !serve_one(ctx, &mut stream, &payload) {
-                        return;
-                    }
-                }
-                Err(WireError::Truncated) => break,
-                Err(error) => {
-                    // Bad magic, hostile length, or CRC damage: the
-                    // stream cannot be resynchronized. Answer with a
-                    // typed error (correlation 0) and close.
-                    RouteMetrics::add(&ctx.shared.metrics.decode_rejects, 1);
-                    let reply = Response::Error {
-                        code: ErrorCode::BadRequest,
-                        message: error.to_string(),
-                    };
-                    let _ = write_response(&mut stream, 0, &reply);
-                    return;
-                }
-            }
-        }
-        if ctx.shared.stop.load(Ordering::Relaxed) {
-            return;
-        }
-        match stream.read(&mut scratch) {
-            Ok(0) => return,
-            Ok(n) => {
-                last_activity = ctx.clock.now_nanos();
-                buf.extend_from_slice(&scratch[..n]);
-            }
-            Err(e) if e.kind() == ErrorKind::WouldBlock || e.kind() == ErrorKind::TimedOut => {
-                if ctx.clock.now_nanos().saturating_sub(last_activity) >= idle_timeout_nanos {
-                    return;
-                }
-            }
-            Err(_) => return,
-        }
-    }
-}
-
-fn serve_one(ctx: &Ctx, stream: &mut TcpStream, payload: &[u8]) -> bool {
-    let (decoded, decode_nanos) = timed(ctx.clock.as_ref(), || Request::decode_payload(payload));
-    ctx.obs.record(Stage::Decode, decode_nanos);
-    let (correlation, request) = match decoded {
-        Ok(decoded) => decoded,
-        Err(error) => {
-            RouteMetrics::add(&ctx.shared.metrics.decode_rejects, 1);
-            let reply = Response::Error {
-                code: ErrorCode::BadRequest,
-                message: error.to_string(),
-            };
-            return write_response(stream, correlation_of(payload), &reply);
-        }
-    };
-    let response = handle_request(ctx, &request);
-    let (wrote, encode_nanos) = timed(ctx.clock.as_ref(), || {
-        write_response(stream, correlation, &response)
-    });
-    ctx.obs.record(Stage::Encode, encode_nanos);
-    wrote
-}
-
-fn write_response(stream: &mut TcpStream, correlation: u64, response: &Response) -> bool {
-    let frame = encode_frame(&response.encode_payload(correlation));
-    stream.write_all(&frame).is_ok()
 }
 
 #[cfg(test)]

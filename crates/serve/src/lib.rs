@@ -15,13 +15,20 @@
 //!   [`wire::WireError`]s. Decoding is total (fuzzed in
 //!   `tests/wire_fuzz.rs`): corrupt bytes yield errors, never panics or
 //!   unbounded allocations.
-//! * [`Server`] — acceptor + bounded connection-worker pool + one engine
-//!   thread owning the [`chameleon_fleet::FleetEngine`]; graceful
-//!   drain-then-join shutdown; per-server [`ServeCounters`], and each
-//!   request's end-to-end latency as the `request` span of the server's
-//!   observer, both answered by one [`wire::Request::Observe`]. Fleet
-//!   backpressure surfaces as wire-level [`wire::Response::RetryAfter`] —
-//!   the connection stays open.
+//! * [`front`] — the one CHAMWIRE front end: acceptor, bounded
+//!   connection-worker pool and a writer thread per connection, with
+//!   fixed socket timeouts and the 64 MiB payload cap. It answers `Ping`
+//!   itself and hands every other request, with a reply handle, to a
+//!   dispatch callback. The server and `chameleon-route`'s router are
+//!   its two callers; its [`ServeCounters`] and its `decode`, `encode`
+//!   and `request` spans are theirs.
+//! * [`Server`] — the front in front of one engine thread owning the
+//!   [`chameleon_fleet::FleetEngine`]; graceful drain-then-join shutdown;
+//!   per-server [`ServeCounters`], and each request's end-to-end latency
+//!   as the `request` span of the server's observer, both answered by one
+//!   [`wire::Request::Observe`]. Fleet backpressure surfaces as
+//!   wire-level [`wire::Response::RetryAfter`] — the connection stays
+//!   open.
 //! * [`Connection`] — the client: typed helpers, retry/backoff honoring
 //!   the server's `RetryAfter` hint.
 //!
@@ -63,10 +70,11 @@
 #![warn(missing_docs)]
 
 mod client;
+pub mod front;
 mod metrics;
 mod server;
 pub mod wire;
 
 pub use client::{jittered_backoff_millis, ClientError, Connection, DEFAULT_STALL_BUDGET};
-pub use metrics::ServeCounters;
+pub use metrics::{ServeCounters, ServeMetrics};
 pub use server::{ServeConfig, Server};

@@ -8,8 +8,9 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Plain-struct snapshot of a server's counters, flattened into the
-/// `serve.*` counters of an `Observation` and printed by the CLI.
+/// Plain-struct snapshot of a front end's counters. A server flattens
+/// them into the `serve.*` counters of its `Observation`, and the CLI
+/// prints them.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct ServeCounters {
     /// Connections the acceptor admitted.
@@ -37,20 +38,20 @@ pub struct ServeCounters {
     pub requests_failed: u64,
 }
 
-/// Shared, thread-safe counter block the acceptor, connection workers, and
-/// engine thread all update.
+/// Shared, thread-safe counter block of one CHAMWIRE front end, updated
+/// by its acceptor, connection workers and writers.
 #[derive(Debug, Default)]
-pub(crate) struct ServeMetrics {
-    pub connections_accepted: AtomicU64,
-    pub connections_closed: AtomicU64,
-    pub frames_in: AtomicU64,
-    pub frames_out: AtomicU64,
-    pub bytes_in: AtomicU64,
-    pub bytes_out: AtomicU64,
-    pub decode_rejects: AtomicU64,
-    pub backpressure_replies: AtomicU64,
-    pub requests_ok: AtomicU64,
-    pub requests_failed: AtomicU64,
+pub struct ServeMetrics {
+    pub(crate) connections_accepted: AtomicU64,
+    pub(crate) connections_closed: AtomicU64,
+    pub(crate) frames_in: AtomicU64,
+    pub(crate) frames_out: AtomicU64,
+    pub(crate) bytes_in: AtomicU64,
+    pub(crate) bytes_out: AtomicU64,
+    pub(crate) decode_rejects: AtomicU64,
+    pub(crate) backpressure_replies: AtomicU64,
+    pub(crate) requests_ok: AtomicU64,
+    pub(crate) requests_failed: AtomicU64,
 }
 
 impl ServeMetrics {
@@ -58,7 +59,8 @@ impl ServeMetrics {
         counter.fetch_add(v, Ordering::Relaxed);
     }
 
-    pub(crate) fn snapshot(&self) -> ServeCounters {
+    /// The counters as they stand now.
+    pub fn snapshot(&self) -> ServeCounters {
         ServeCounters {
             connections_accepted: self.connections_accepted.load(Ordering::Relaxed),
             connections_closed: self.connections_closed.load(Ordering::Relaxed),

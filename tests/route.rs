@@ -301,6 +301,15 @@ fn external_handoff_frames_are_refused_and_stats_aggregate() {
     assert!(observation.counter("route.requests_in").unwrap_or(0) > 0);
     assert_eq!(observation.counter("route.decode_rejects"), Some(0));
     assert_eq!(observation.counter("route.backends_healthy"), Some(2));
+    // The front answers pings itself, so between two observations only
+    // the second `Observe` is a request the router counts.
+    let requests_in = |conn: &mut Connection| {
+        let observation = conn.observe().expect("observe");
+        observation.counter("route.requests_in").unwrap_or(0)
+    };
+    let before = requests_in(&mut conn);
+    conn.ping().expect("ping");
+    assert_eq!(requests_in(&mut conn), before + 1);
     let summary = conn.probe().expect("probe");
     assert_eq!(
         summary.sessions_resident + summary.sessions_cold,

@@ -5,7 +5,7 @@
 //! shutdown joins every thread.
 
 use std::io::{Read, Write};
-use std::net::TcpStream;
+use std::net::{SocketAddr, TcpStream};
 use std::sync::Arc;
 
 use chameleon_core::{ChameleonConfig, EvalReport};
@@ -13,6 +13,7 @@ use chameleon_faults::FaultPlan;
 use chameleon_fleet::{
     FleetConfig, SessionCheckpoint, SessionId, SessionSpec, UserSession, FLEET_MAGIC,
 };
+use chameleon_route::{Router, RouterConfig};
 use chameleon_runtime::{Clock, VirtualClock};
 use chameleon_serve::wire::{
     decode_frame, encode_frame, ErrorCode, Request, Response, MAX_PAYLOAD_BYTES,
@@ -295,50 +296,62 @@ fn read_raw_frame(stream: &mut TcpStream) -> Vec<u8> {
     payload
 }
 
+/// Runs against both CHAMWIRE front ends: a server's, and a router's
+/// over that server.
 #[test]
 fn corrupt_frames_are_counted_and_survivable() {
     let scenario = scenario();
     let mut server = Server::start(scenario, FleetConfig::default(), ServeConfig::default())
         .expect("start server");
-    let addr = server.local_addr();
+    let mut router = Router::start(RouterConfig {
+        backends: vec![server.local_addr().to_string()],
+        ..RouterConfig::default()
+    })
+    .expect("start router");
+    let fronts: [(SocketAddr, &dyn Fn() -> u64); 2] = [
+        (server.local_addr(), &|| server.metrics().decode_rejects),
+        (router.local_addr(), &|| router.metrics().decode_rejects),
+    ];
+    for (addr, decode_rejects) in fronts {
+        // Garbage that can never resync (bad magic): the front replies with
+        // a typed error, then closes the connection.
+        let mut stream = TcpStream::connect(addr).expect("connect raw");
+        stream.write_all(b"NOTAWIREFRAMEATALL").expect("write");
+        let payload = read_raw_frame(&mut stream);
+        let (_, response) = Response::decode_payload(&payload).expect("decode error reply");
+        match response {
+            Response::Error { code, .. } => assert_eq!(code, ErrorCode::BadRequest),
+            other => panic!("expected Error, got {other:?}"),
+        }
+        let mut rest = Vec::new();
+        stream.read_to_end(&mut rest).expect("read to close");
+        assert!(rest.is_empty(), "connection must close after bad magic");
 
-    // Garbage that can never resync (bad magic): the server replies with a
-    // typed error, then closes the connection.
-    let mut stream = TcpStream::connect(addr).expect("connect raw");
-    stream.write_all(b"NOTAWIREFRAMEATALL").expect("write");
-    let payload = read_raw_frame(&mut stream);
-    let (_, response) = Response::decode_payload(&payload).expect("decode error reply");
-    match response {
-        Response::Error { code, .. } => assert_eq!(code, ErrorCode::BadRequest),
-        other => panic!("expected Error, got {other:?}"),
+        // A checksum failure has a known frame boundary: the front replies
+        // with an error, skips the frame, and the connection survives.
+        let mut stream = TcpStream::connect(addr).expect("connect raw");
+        let mut frame = encode_frame(&Request::Ping.encode_payload(99));
+        let last = frame.len() - 5; // opcode byte; stale CRC now mismatches
+        frame[last] ^= 0x40;
+        stream.write_all(&frame).expect("write corrupt");
+        let payload = read_raw_frame(&mut stream);
+        let (correlation, response) =
+            Response::decode_payload(&payload).expect("decode error reply");
+        assert_eq!(correlation, 99, "error reply must carry the correlation id");
+        assert!(matches!(response, Response::Error { .. }), "{response:?}");
+
+        // Same socket, now a healthy ping: the front must still answer.
+        let frame = encode_frame(&Request::Ping.encode_payload(100));
+        stream.write_all(&frame).expect("write ping");
+        let payload = read_raw_frame(&mut stream);
+        let (correlation, response) = Response::decode_payload(&payload).expect("decode pong");
+        assert_eq!(correlation, 100);
+        assert_eq!(response, Response::Pong);
+        drop(stream);
+
+        assert_eq!(decode_rejects(), 2, "both corruptions counted");
     }
-    let mut rest = Vec::new();
-    stream.read_to_end(&mut rest).expect("read to close");
-    assert!(rest.is_empty(), "connection must close after bad magic");
-
-    // A checksum failure has a known frame boundary: the server replies
-    // with an error, skips the frame, and the connection survives.
-    let mut stream = TcpStream::connect(addr).expect("connect raw");
-    let mut frame = encode_frame(&Request::Ping.encode_payload(99));
-    let last = frame.len() - 5; // opcode byte; stale CRC now mismatches
-    frame[last] ^= 0x40;
-    stream.write_all(&frame).expect("write corrupt");
-    let payload = read_raw_frame(&mut stream);
-    let (correlation, response) = Response::decode_payload(&payload).expect("decode error reply");
-    assert_eq!(correlation, 99, "error reply must carry the correlation id");
-    assert!(matches!(response, Response::Error { .. }), "{response:?}");
-
-    // Same socket, now a healthy ping: the server must still answer.
-    let frame = encode_frame(&Request::Ping.encode_payload(100));
-    stream.write_all(&frame).expect("write ping");
-    let payload = read_raw_frame(&mut stream);
-    let (correlation, response) = Response::decode_payload(&payload).expect("decode pong");
-    assert_eq!(correlation, 100);
-    assert_eq!(response, Response::Pong);
-    drop(stream);
-
-    let counters = server.metrics();
-    assert_eq!(counters.decode_rejects, 2, "both corruptions counted");
+    router.shutdown();
     server.shutdown();
 }
 
