@@ -80,8 +80,7 @@ COMMANDS:
     [--state-dir <path>]        persist pins + shadow checkpoints to a
                                 CHAMRTE1 log; a restarted router recovers
                                 placement and failover state from it
-    [--workers <n>] [--probe-interval-ms <n>] [--degraded-after <n>]
-    [--dead-after <n>] [--salt <n>] [--json]
+    [--workers <n>] [--probe-interval-ms <n>] [--json]
   loadgen                       drive a CHAMWIRE server with client traffic
     --addr <a:p[,a:p,...]>      target server(s); connections round-robin
                                 over the list; omitted: a server is started
@@ -412,54 +411,18 @@ fn fleet(options: &Options) -> Result<(), String> {
         "json",
         "precision",
     ])?;
-    let spec = dataset(options.get_or("dataset", "core50-tiny"))?;
     let sessions: u64 = options.get_parsed_or("sessions", 8)?;
-    let shards: usize = options.get_parsed_or("shards", 2)?;
     let buffer: usize = options.get_parsed_or("buffer", 30)?;
-    let seed: u64 = options.get_parsed_or("seed", 1)?;
-    let queue: usize = options.get_parsed_or("queue", 32)?;
     let step_batches: usize = options.get_parsed_or("step-batches", 4)?;
-    let rate: f64 = options.get_parsed_or("rate", 0.0)?;
-    let fault_seed: u64 = options.get_parsed_or("fault-seed", 7)?;
     if sessions == 0 {
         return Err("--sessions must be at least 1".to_string());
     }
     if step_batches == 0 {
         return Err("--step-batches must be at least 1".to_string());
     }
-    if !(rate >= 0.0 && rate.is_finite()) {
-        return Err("--rate must be a finite non-negative number".to_string());
-    }
-    let budget_bytes = match options.get("budget-mb") {
-        None => u64::MAX,
-        Some(v) => {
-            let mb: f64 = v
-                .parse()
-                .map_err(|_| format!("invalid --budget-mb `{v}`"))?;
-            if !(mb > 0.0 && mb.is_finite()) {
-                return Err("--budget-mb must be a positive number".to_string());
-            }
-            (mb * 1024.0 * 1024.0) as u64
-        }
-    };
-
-    let balance = options
-        .get("balance")
-        .map(|spec| BalanceConfig::parse(spec).map_err(|e| format!("invalid --balance: {e}")))
-        .transpose()?;
-
-    let precision = precision_option(options)?;
-    let learner = chameleon_config_at(buffer, precision)?;
-    let config = FleetConfig {
-        num_shards: shards,
-        queue_depth: queue,
-        budget_bytes,
-        assignment_seed: seed,
-        faults: (rate > 0.0).then(|| FaultPlan::bit_flips(fault_seed, rate)),
-    };
-    config
-        .validate()
-        .map_err(|e| format!("invalid fleet config: {e}"))?;
+    let (spec, config, ServeConfig { balance, .. }) = serve_configs(options)?;
+    let (shards, seed) = (config.num_shards, config.assignment_seed);
+    let learner = chameleon_config_at(buffer, precision_option(options)?)?;
 
     let scenario = std::sync::Arc::new(DomainIlScenario::generate(&spec, 0xDA7A));
     let (mut engine, recovery) = match options.get("store-dir") {
@@ -796,69 +759,63 @@ fn fleet_json(
     out
 }
 
-/// JSON object body (no braces) of the serving-layer counters and request
-/// latency, shared by `serve --json` and `loadgen --json` so CI can grep
-/// one shape.
-fn counters_json(c: &ServeCounters, latency: &LatencyHistogram, indent: &str) -> String {
-    use std::fmt::Write as _;
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "{indent}\"connections_accepted\": {},",
-        c.connections_accepted
-    );
-    let _ = writeln!(
-        out,
-        "{indent}\"connections_closed\": {},",
-        c.connections_closed
-    );
-    let _ = writeln!(out, "{indent}\"frames_in\": {},", c.frames_in);
-    let _ = writeln!(out, "{indent}\"frames_out\": {},", c.frames_out);
-    let _ = writeln!(out, "{indent}\"bytes_in\": {},", c.bytes_in);
-    let _ = writeln!(out, "{indent}\"bytes_out\": {},", c.bytes_out);
-    let _ = writeln!(out, "{indent}\"decode_rejects\": {},", c.decode_rejects);
-    let _ = writeln!(
-        out,
-        "{indent}\"backpressure_replies\": {},",
-        c.backpressure_replies
-    );
-    let _ = writeln!(out, "{indent}\"requests_ok\": {},", c.requests_ok);
-    let _ = writeln!(out, "{indent}\"requests_failed\": {},", c.requests_failed);
-    let _ = writeln!(
-        out,
-        "{indent}\"latency_p50_us\": {},",
-        latency.quantile_upper_us(0.5)
-    );
-    let _ = write!(
-        out,
-        "{indent}\"latency_p99_us\": {}",
-        latency.quantile_upper_us(0.99)
-    );
-    out
-}
-
-fn print_serve_counters(c: &ServeCounters, latency: &LatencyHistogram) {
-    println!(
-        "serve: {} frames in / {} out, {} KiB in / {} KiB out",
-        c.frames_in,
-        c.frames_out,
-        c.bytes_in / 1024,
-        c.bytes_out / 1024
-    );
-    println!(
-        "  {} ok, {} failed, {} decode rejects, {} backpressure replies",
-        c.requests_ok, c.requests_failed, c.decode_rejects, c.backpressure_replies
-    );
-    println!(
-        "  latency p50 ≤ {} µs, p99 ≤ {} µs over {} requests",
-        latency.quantile_upper_us(0.5),
+/// A front's `serve.*` counters ([`ServeCounters::named`]) without their
+/// prefix, then its `request` span's p50 and p99: the per-server block
+/// `serve` and `loadgen` report, so CI can grep one shape.
+fn serve_report(named: Vec<(String, u64)>, latency: &LatencyHistogram) -> Vec<(String, u64)> {
+    let mut report: Vec<(String, u64)> = named
+        .into_iter()
+        .map(|(name, value)| (name.trim_start_matches("serve.").to_string(), value))
+        .collect();
+    report.push(("latency_p50_us".to_string(), latency.quantile_upper_us(0.5)));
+    report.push((
+        "latency_p99_us".to_string(),
         latency.quantile_upper_us(0.99),
-        latency.count()
-    );
+    ));
+    report
 }
 
-/// Builds the fleet + serve configs the `serve` and `loadgen` (self-serve)
-/// commands share.
+/// Renders counter pairs one per line at `indent`: as the members of a
+/// JSON object (no braces), or as `name: value` text.
+fn render_counters(pairs: &[(String, u64)], json: bool, indent: &str) -> String {
+    let lines: Vec<String> = pairs
+        .iter()
+        .map(|(name, value)| {
+            if json {
+                format!("{indent}\"{name}\": {value}")
+            } else {
+                format!("{indent}{name}: {value}")
+            }
+        })
+        .collect();
+    lines.join(if json { ",\n" } else { "\n" })
+}
+
+/// Parses `--duration <secs>`; `None` when omitted.
+fn duration_option(options: &Options) -> Result<Option<std::time::Duration>, String> {
+    let Some(v) = options.get("duration") else {
+        return Ok(None);
+    };
+    let secs: f64 = v.parse().map_err(|_| format!("invalid --duration `{v}`"))?;
+    if !(secs >= 0.0 && secs.is_finite()) {
+        return Err("--duration must be a finite non-negative number".to_string());
+    }
+    Ok(Some(std::time::Duration::from_secs_f64(secs)))
+}
+
+/// Blocks for `duration`, or until stdin reaches EOF when it is `None`.
+fn run_for(duration: Option<std::time::Duration>) {
+    match duration {
+        Some(d) => std::thread::sleep(d),
+        None => {
+            eprintln!("running until stdin reaches EOF (Ctrl-D to stop)");
+            let _ = std::io::copy(&mut std::io::stdin().lock(), &mut std::io::sink());
+        }
+    }
+}
+
+/// Builds the fleet + serve configs the `fleet`, `serve` and `loadgen`
+/// (self-serve) commands share.
 fn serve_configs(options: &Options) -> Result<(DatasetSpec, FleetConfig, ServeConfig), String> {
     let spec = dataset(options.get_or("dataset", "core50-tiny"))?;
     let shards: usize = options.get_parsed_or("shards", 2)?;
@@ -927,16 +884,7 @@ fn serve(options: &Options) -> Result<(), String> {
         "json",
     ])?;
     let (spec, fleet_config, serve_config) = serve_configs(options)?;
-    let duration = match options.get("duration") {
-        None => None,
-        Some(v) => {
-            let secs: f64 = v.parse().map_err(|_| format!("invalid --duration `{v}`"))?;
-            if !(secs >= 0.0 && secs.is_finite()) {
-                return Err("--duration must be a finite non-negative number".to_string());
-            }
-            Some(std::time::Duration::from_secs_f64(secs))
-        }
-    };
+    let duration = duration_option(options)?;
 
     let scenario = std::sync::Arc::new(DomainIlScenario::generate(&spec, 0xDA7A));
     let mut server = Server::start(scenario, fleet_config, serve_config)
@@ -947,84 +895,16 @@ fn serve(options: &Options) -> Result<(), String> {
         server.local_addr(),
         options.get_or("shards", "2"),
     );
-    match duration {
-        Some(d) => std::thread::sleep(d),
-        None => {
-            eprintln!("running until stdin reaches EOF (Ctrl-D to stop)");
-            let _ = std::io::copy(&mut std::io::stdin().lock(), &mut std::io::sink());
-        }
-    }
+    run_for(duration);
     server.shutdown();
-    let counters = server.metrics();
     let latency = server.observer().stage_stats(Stage::Request).histogram;
+    let report = serve_report(server.metrics().named(), &latency);
     if options.has_flag("json") {
-        println!("{{\n{}\n}}", counters_json(&counters, &latency, "  "));
+        println!("{{\n{}\n}}", render_counters(&report, true, "  "));
     } else {
-        print_serve_counters(&counters, &latency);
+        println!("serve:\n{}", render_counters(&report, false, "  "));
     }
     Ok(())
-}
-
-/// JSON object body (no braces) of the routing-tier counters, so CI can
-/// grep `"route.sessions_handed_off"` and `"route.decode_rejects"`.
-fn route_counters_json(c: &chameleon_route::RouteCounters, indent: &str) -> String {
-    use std::fmt::Write as _;
-    let mut out = String::new();
-    let _ = writeln!(out, "{indent}\"route.requests_in\": {},", c.requests_in);
-    let _ = writeln!(
-        out,
-        "{indent}\"route.requests_forwarded\": {},",
-        c.requests_forwarded
-    );
-    let _ = writeln!(
-        out,
-        "{indent}\"route.forward_failures\": {},",
-        c.forward_failures
-    );
-    let _ = writeln!(
-        out,
-        "{indent}\"route.sessions_handed_off\": {},",
-        c.sessions_handed_off
-    );
-    let _ = writeln!(out, "{indent}\"route.failovers\": {},", c.failovers);
-    let _ = writeln!(
-        out,
-        "{indent}\"route.failover_replays_skipped\": {},",
-        c.failover_replays_skipped
-    );
-    let _ = writeln!(
-        out,
-        "{indent}\"route.decode_rejects\": {},",
-        c.decode_rejects
-    );
-    let _ = writeln!(out, "{indent}\"route.probes_ok\": {},", c.probes_ok);
-    let _ = writeln!(out, "{indent}\"route.probes_failed\": {},", c.probes_failed);
-    let _ = writeln!(
-        out,
-        "{indent}\"route.shadow_refreshes\": {},",
-        c.shadow_refreshes
-    );
-    let _ = writeln!(
-        out,
-        "{indent}\"route.shadow_refresh_failures\": {},",
-        c.shadow_refresh_failures
-    );
-    let _ = writeln!(
-        out,
-        "{indent}\"route.pins_recovered\": {},",
-        c.pins_recovered
-    );
-    let _ = writeln!(
-        out,
-        "{indent}\"route.shadows_recovered\": {},",
-        c.shadows_recovered
-    );
-    let _ = write!(
-        out,
-        "{indent}\"route.state_append_failures\": {}",
-        c.state_append_failures
-    );
-    out
 }
 
 /// Fronts N CHAMWIRE backends with a routing proxy until `--duration`
@@ -1037,9 +917,6 @@ fn route(options: &Options) -> Result<(), String> {
         "workers",
         "duration",
         "probe-interval-ms",
-        "degraded-after",
-        "dead-after",
-        "salt",
         "state-dir",
         "json",
     ])?;
@@ -1053,28 +930,16 @@ fn route(options: &Options) -> Result<(), String> {
     if backends.is_empty() {
         return Err("--backends must list at least one address".to_string());
     }
-    let duration = match options.get("duration") {
-        None => None,
-        Some(v) => {
-            let secs: f64 = v.parse().map_err(|_| format!("invalid --duration `{v}`"))?;
-            if !(secs >= 0.0 && secs.is_finite()) {
-                return Err("--duration must be a finite non-negative number".to_string());
-            }
-            Some(std::time::Duration::from_secs_f64(secs))
-        }
-    };
+    let duration = duration_option(options)?;
     let defaults = RouterConfig::default();
     let config = RouterConfig {
         addr: options.get_or("addr", "127.0.0.1:0").to_string(),
         backends,
         workers: options.get_parsed_or("workers", defaults.workers)?,
-        salt: options.get_parsed_or("salt", defaults.salt)?,
         probe_interval: std::time::Duration::from_millis(options.get_parsed_or(
             "probe-interval-ms",
             defaults.probe_interval.as_millis() as u64,
         )?),
-        degraded_after: options.get_parsed_or("degraded-after", defaults.degraded_after)?,
-        dead_after: options.get_parsed_or("dead-after", defaults.dead_after)?,
         state_dir: options.get("state-dir").map(std::path::PathBuf::from),
         ..defaults
     };
@@ -1085,15 +950,9 @@ fn route(options: &Options) -> Result<(), String> {
         router.local_addr(),
         router.backend_states().len()
     );
-    match duration {
-        Some(d) => std::thread::sleep(d),
-        None => {
-            eprintln!("running until stdin reaches EOF (Ctrl-D to stop)");
-            let _ = std::io::copy(&mut std::io::stdin().lock(), &mut std::io::sink());
-        }
-    }
+    run_for(duration);
     let states = router.backend_states();
-    let counters = router.metrics();
+    let counters = router.metrics().named();
     router.shutdown();
 
     if options.has_flag("json") {
@@ -1109,35 +968,11 @@ fn route(options: &Options) -> Result<(), String> {
             );
         }
         let _ = writeln!(out, "  ],");
-        let _ = writeln!(out, "{}", route_counters_json(&counters, "  "));
+        let _ = writeln!(out, "{}", render_counters(&counters, true, "  "));
         let _ = write!(out, "}}");
         println!("{out}");
     } else {
-        println!(
-            "route: {} requests in, {} forwarded, {} forward failures, {} decode rejects",
-            counters.requests_in,
-            counters.requests_forwarded,
-            counters.forward_failures,
-            counters.decode_rejects
-        );
-        println!(
-            "  {} sessions handed off ({} shadow failovers), {} / {} probes ok, \
-             {} shadow refreshes ({} failed)",
-            counters.sessions_handed_off,
-            counters.failovers,
-            counters.probes_ok,
-            counters.probes_ok + counters.probes_failed,
-            counters.shadow_refreshes,
-            counters.shadow_refresh_failures
-        );
-        println!(
-            "  {} pins + {} shadows recovered from state log, {} replays skipped, \
-             {} state-append failures",
-            counters.pins_recovered,
-            counters.shadows_recovered,
-            counters.failover_replays_skipped,
-            counters.state_append_failures
-        );
+        println!("route:\n{}", render_counters(&counters, false, "  "));
         for (addr, state) in &states {
             println!("  backend {addr}: {state:?}");
         }
@@ -1172,7 +1007,6 @@ fn loadgen(options: &Options) -> Result<(), String> {
     let sessions: u64 = options.get_parsed_or("sessions", 4)?;
     let slice: u32 = options.get_parsed_or("slice", 8)?;
     let buffer: usize = options.get_parsed_or("buffer", 20)?;
-    let seed: u64 = options.get_parsed_or("seed", 1)?;
     if connections == 0 {
         return Err("--connections must be at least 1".to_string());
     }
@@ -1197,6 +1031,7 @@ fn loadgen(options: &Options) -> Result<(), String> {
         .transpose()?;
     let shape_spec = options.get("shape").map(String::from);
     let (spec, fleet_config, serve_config) = serve_configs(options)?;
+    let seed = fleet_config.assignment_seed;
     let learner = chameleon_config_at(buffer, precision_option(options)?)?;
 
     // No --addr: self-serve a loopback server so one process exercises
@@ -1357,8 +1192,20 @@ fn loadgen(options: &Options) -> Result<(), String> {
         let target_batches = observation.counter("fleet.batches").unwrap_or(0);
         batches += target_batches;
         evictions += observation.counter("fleet.evictions").unwrap_or(0);
-        let (counters, latency) = serve_view(&observation);
-        target_stats.push((target_batches, counters, latency));
+        // Through a router both are sums over its backends.
+        let serve: Vec<(String, u64)> = ServeCounters::default()
+            .named()
+            .into_iter()
+            .map(|(name, _)| {
+                let value = observation.counter(&name).unwrap_or(0);
+                (name, value)
+            })
+            .collect();
+        let latency = observation
+            .stage(Stage::Request)
+            .map(|s| s.histogram.clone())
+            .unwrap_or_default();
+        target_stats.push((target_batches, serve_report(serve, &latency)));
     }
     if let Some(mut server) = server {
         server.shutdown();
@@ -1396,7 +1243,7 @@ fn loadgen(options: &Options) -> Result<(), String> {
         let _ = writeln!(out, "  \"balance.rebalance_ticks\": {rebalance_ticks},");
         let _ = writeln!(out, "  \"shard_step_ratio\": {shard_step_ratio:.2},");
         let _ = writeln!(out, "  \"targets\": [");
-        for (i, ((addr, (target_batches, counters, latency)), reqs)) in targets
+        for (i, ((addr, (target_batches, serve)), reqs)) in targets
             .iter()
             .zip(&target_stats)
             .zip(&target_requests)
@@ -1409,7 +1256,7 @@ fn loadgen(options: &Options) -> Result<(), String> {
             let _ = writeln!(
                 out,
                 "      \"serve\": {{\n{}\n      }}",
-                counters_json(counters, latency, "        ")
+                render_counters(serve, true, "        ")
             );
             let _ = writeln!(
                 out,
@@ -1434,37 +1281,14 @@ fn loadgen(options: &Options) -> Result<(), String> {
             "  shard step ratio {shard_step_ratio:.2} (max/min batches across shards), \
              {migrations} migration(s) over {rebalance_ticks} balance tick(s)"
         );
-        for ((addr, (target_batches, counters, latency)), reqs) in
+        for ((addr, (target_batches, serve)), reqs) in
             targets.iter().zip(&target_stats).zip(&target_requests)
         {
             println!("  target {addr}: {reqs} requests, {target_batches} batches");
-            print_serve_counters(counters, latency);
+            println!("{}", render_counters(serve, false, "    "));
         }
     }
     Ok(())
-}
-
-/// The `serve.*` counters and `request` span histogram of an observation
-/// (through a router, both are sums over its backends).
-fn serve_view(o: &Observation) -> (ServeCounters, LatencyHistogram) {
-    let c = |name: &str| o.counter(&format!("serve.{name}")).unwrap_or(0);
-    let counters = ServeCounters {
-        connections_accepted: c("connections_accepted"),
-        connections_closed: c("connections_closed"),
-        frames_in: c("frames_in"),
-        frames_out: c("frames_out"),
-        bytes_in: c("bytes_in"),
-        bytes_out: c("bytes_out"),
-        decode_rejects: c("decode_rejects"),
-        backpressure_replies: c("backpressure_replies"),
-        requests_ok: c("requests_ok"),
-        requests_failed: c("requests_failed"),
-    };
-    let latency = o
-        .stage(Stage::Request)
-        .map(|s| s.histogram.clone())
-        .unwrap_or_default();
-    (counters, latency)
 }
 
 /// JSON document for one `Observation` — one object per span stage on

@@ -9,13 +9,13 @@ use std::thread::JoinHandle;
 
 use chameleon_faults::FaultPlan;
 use chameleon_obs::Observer;
-use chameleon_runtime::{Runtime, WallClock};
+use chameleon_runtime::{splitmix64, Runtime, WallClock};
 use chameleon_store::{SharedStore, StoreCounters, StoreError};
 use chameleon_stream::{ConfigError, DomainIlScenario};
 
 use crate::checkpoint::SessionCheckpoint;
 use crate::metrics::FleetMetrics;
-use crate::session::{splitmix64, SessionId, SessionSpec};
+use crate::session::{SessionId, SessionSpec};
 use crate::shard::{
     RecoveredSession, Request, SessionCommand, SessionEvent, SessionEventKind, ShardWorker,
     WakeHook,
@@ -80,6 +80,11 @@ impl FleetConfig {
             });
         }
         Ok(())
+    }
+
+    /// The seeded-hash home shard of `id` (see [`FleetEngine::home_shard`]).
+    fn home_shard(&self, id: SessionId) -> usize {
+        (splitmix64(id ^ self.assignment_seed) % self.num_shards as u64) as usize
     }
 }
 
@@ -189,7 +194,8 @@ impl FleetEngine {
     ///
     /// Panics if `config` fails [`FleetConfig::validate`].
     pub fn new(scenario: Arc<DomainIlScenario>, config: FleetConfig) -> Self {
-        Self::with_runtime(scenario, config, Runtime::Threads)
+        let observer = Self::default_observer(&Runtime::Threads);
+        Self::with_observer(scenario, config, Runtime::Threads, observer, None)
     }
 
     /// An engine under deterministic simulation: no threads, a seeded
@@ -202,25 +208,8 @@ impl FleetEngine {
     ///
     /// Panics if `config` fails [`FleetConfig::validate`].
     pub fn new_sim(scenario: Arc<DomainIlScenario>, config: FleetConfig, seed: u64) -> Self {
-        Self::with_runtime(scenario, config, Runtime::sim(seed))
-    }
-
-    /// Builds an engine on an explicit [`Runtime`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `config` fails [`FleetConfig::validate`].
-    pub fn with_runtime(
-        scenario: Arc<DomainIlScenario>,
-        config: FleetConfig,
-        runtime: Runtime,
-    ) -> Self {
-        // A default observer on the runtime-matching clock: wall time for
-        // threads, the scheduler's shared virtual clock for simulation.
-        let observer = match &runtime {
-            Runtime::Threads => Arc::new(Observer::new(WallClock::shared())),
-            Runtime::Sim(scheduler) => Arc::new(Observer::new(scheduler.clock())),
-        };
+        let runtime = Runtime::sim(seed);
+        let observer = Self::default_observer(&runtime);
         Self::with_observer(scenario, config, runtime, observer, None)
     }
 
@@ -267,21 +256,6 @@ impl FleetEngine {
         store: SharedStore,
     ) -> Self {
         let observer = Self::default_observer(&runtime);
-        Self::with_observer_and_store(scenario, config, runtime, observer, store)
-    }
-
-    /// [`Self::with_store`] with a caller-supplied [`Observer`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `config` fails [`FleetConfig::validate`].
-    pub fn with_observer_and_store(
-        scenario: Arc<DomainIlScenario>,
-        config: FleetConfig,
-        runtime: Runtime,
-        observer: Arc<Observer>,
-        store: SharedStore,
-    ) -> Self {
         Self::build(
             scenario,
             config,
@@ -346,10 +320,7 @@ impl FleetEngine {
                 Ok(Some(blob)) => match SessionCheckpoint::from_bytes(&blob) {
                     Ok(checkpoint) if checkpoint.session == id => {
                         let seq = store.latest_seq(id).unwrap_or(0);
-                        let shard = (splitmix64(id ^ config.assignment_seed)
-                            % config.num_shards as u64)
-                            as usize;
-                        per_shard[shard].push((id, seq, checkpoint.counters));
+                        per_shard[config.home_shard(id)].push((id, seq, checkpoint.counters));
                     }
                     _ => rejects += 1,
                 },
@@ -385,7 +356,8 @@ impl FleetEngine {
         ))
     }
 
-    /// A default observer on the runtime-matching clock.
+    /// A default observer on the runtime-matching clock: wall time for
+    /// threads, the scheduler's shared virtual clock for simulation.
     fn default_observer(runtime: &Runtime) -> Arc<Observer> {
         match runtime {
             Runtime::Threads => Arc::new(Observer::new(WallClock::shared())),
@@ -504,7 +476,7 @@ impl FleetEngine {
     /// a pure function of the id and the assignment seed, independent of
     /// creation order and of every other session.
     pub fn home_shard(&self, id: SessionId) -> usize {
-        (splitmix64(id ^ self.config.assignment_seed) % self.config.num_shards as u64) as usize
+        self.config.home_shard(id)
     }
 
     /// Known sessions currently placed on `shard`, in ascending id order

@@ -5,6 +5,7 @@ use std::sync::Arc;
 
 use chameleon_core::{Chameleon, ChameleonConfig, EvalReport, ModelConfig, StepTrace, Strategy};
 use chameleon_faults::{FaultInjector, FaultPlan};
+use chameleon_runtime::splitmix64;
 use chameleon_stream::{DomainIlScenario, StreamConfig, StreamCursor};
 
 /// Identifier of a user session, unique within a fleet.
@@ -36,15 +37,6 @@ pub fn session_fault_plan(base: &FaultPlan, session: SessionId) -> FaultPlan {
         seed: base.seed ^ splitmix64(session),
         ..*base
     }
-}
-
-/// SplitMix64 — the standard 64-bit finalizer, used for seed mixing and
-/// shard assignment hashing.
-pub(crate) fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
 }
 
 /// One resident user session: a `(Strategy, dual-memory state, stream

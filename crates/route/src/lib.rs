@@ -11,7 +11,7 @@
 //!
 //! Backends move through lifecycle states
 //! ([`BackendState::Healthy`] → `Degraded` → `Dead`, plus administrative
-//! `Draining`) driven by periodic CHAMWIRE `Probe` frames. When a
+//! `Draining`) driven by periodic CHAMWIRE `Observe` probes. When a
 //! backend drains, its sessions are handed off live: `HandoffExport` on
 //! the old owner captures-and-forgets the session, `Handoff` delivers
 //! the blob to the rendezvous successor. When a backend dies without

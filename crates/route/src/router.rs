@@ -6,10 +6,10 @@
 //! request on the connection's worker thread and answers through the
 //! reply handle, forwarding session ops over the **shared multiplexed
 //! backend connections** (one [`MuxConnection`] per backend — see
-//! `mux.rs`); a probe thread walks the backend set on the injected clock
-//! and advances lifecycle states. There is no engine thread — the router
-//! holds no sessions, only the registry, the pin table, and shadow
-//! checkpoints.
+//! `mux.rs`); a probe thread sends each backend an `Observe` on the
+//! injected clock and advances lifecycle states. There is no engine
+//! thread — the router holds no sessions, only the registry, the pin
+//! table, and shadow checkpoints.
 //!
 //! **Shadow checkpoints** are the failover mechanism: after every
 //! mutating operation (create, step) the router pulls a `CHAMFLT1`
@@ -42,7 +42,7 @@ use chameleon_fleet::SessionId;
 use chameleon_obs::{Observation, Observer};
 use chameleon_runtime::{Clock, WallClock};
 use chameleon_serve::front::{Dispatch, Front, WRITE_TIMEOUT};
-use chameleon_serve::wire::{ErrorCode, ProbeSummary, Request, Response, MAX_PAYLOAD_BYTES};
+use chameleon_serve::wire::{ErrorCode, Request, Response, MAX_PAYLOAD_BYTES};
 use chameleon_serve::ServeMetrics;
 use chameleon_stream::ConfigError;
 
@@ -58,6 +58,17 @@ const REQUEST_TIMEOUT: Duration = Duration::from_secs(30);
 /// How many `RetryAfter` rounds a forward rides out before it counts as
 /// a failure.
 const BACKEND_RETRIES: u32 = 10_000;
+/// How many `RetryAfter` rounds a probe rides out: small, so a saturated
+/// backend is detected in bounded time.
+const PROBE_RETRIES: u32 = 64;
+/// Salt for the rendezvous hash (same salt ⇒ same placement).
+const SALT: u64 = 0xC4A7;
+/// Consecutive probe failures before a backend turns
+/// [`BackendState::Degraded`].
+const DEGRADED_AFTER: u32 = 2;
+/// Consecutive probe failures before a backend is declared
+/// [`BackendState::Dead`] and its sessions re-homed.
+const DEAD_AFTER: u32 = 5;
 
 /// Tunables of the routing tier.
 #[derive(Clone, Debug, PartialEq)]
@@ -70,16 +81,8 @@ pub struct RouterConfig {
     /// need to be sized against this — all workers share one multiplexed
     /// connection per backend.
     pub workers: usize,
-    /// Salt for the rendezvous hash (same salt ⇒ same placement).
-    pub salt: u64,
     /// Interval between probe sweeps over the backend set.
     pub probe_interval: Duration,
-    /// Consecutive probe failures before a backend turns
-    /// [`BackendState::Degraded`].
-    pub degraded_after: u32,
-    /// Consecutive probe failures before a backend is declared
-    /// [`BackendState::Dead`] and its sessions re-homed.
-    pub dead_after: u32,
     /// When set, pins and shadow checkpoints are persisted to a CHAMRTE1
     /// log in this directory and recovered on start.
     pub state_dir: Option<PathBuf>,
@@ -96,10 +99,7 @@ impl Default for RouterConfig {
             addr: "127.0.0.1:0".to_string(),
             backends: Vec::new(),
             workers: 4,
-            salt: 0xC4A7,
             probe_interval: Duration::from_millis(50),
-            degraded_after: 2,
-            dead_after: 5,
             state_dir: None,
             fault_panic_session: None,
         }
@@ -129,12 +129,6 @@ impl RouterConfig {
             return Err(ConfigError {
                 field: "probe interval",
                 requirement: "must be positive",
-            });
-        }
-        if self.dead_after < self.degraded_after {
-            return Err(ConfigError {
-                field: "dead threshold",
-                requirement: "must be >= the degraded threshold",
             });
         }
         Ok(())
@@ -174,6 +168,39 @@ pub struct RouteCounters {
     /// State-log appends (or compactions) that failed; the in-memory
     /// state stays authoritative, durability of that update is lost.
     pub state_append_failures: u64,
+}
+
+impl RouteCounters {
+    /// The counters as `route.*` name/value pairs, in the order the
+    /// router's `Observation` carries them. Every report of this block
+    /// iterates this list.
+    #[must_use]
+    pub fn named(&self) -> Vec<(String, u64)> {
+        [
+            ("route.requests_in", self.requests_in),
+            ("route.requests_forwarded", self.requests_forwarded),
+            ("route.forward_failures", self.forward_failures),
+            ("route.sessions_handed_off", self.sessions_handed_off),
+            ("route.failovers", self.failovers),
+            (
+                "route.failover_replays_skipped",
+                self.failover_replays_skipped,
+            ),
+            ("route.decode_rejects", self.decode_rejects),
+            ("route.probes_ok", self.probes_ok),
+            ("route.probes_failed", self.probes_failed),
+            ("route.shadow_refreshes", self.shadow_refreshes),
+            (
+                "route.shadow_refresh_failures",
+                self.shadow_refresh_failures,
+            ),
+            ("route.pins_recovered", self.pins_recovered),
+            ("route.shadows_recovered", self.shadows_recovered),
+            ("route.state_append_failures", self.state_append_failures),
+        ]
+        .map(|(name, value)| (name.to_string(), value))
+        .into()
+    }
 }
 
 #[derive(Debug, Default)]
@@ -238,10 +265,10 @@ struct ShadowTable {
 /// Lock order where multiple are held: per-session op lock (strictly
 /// outermost; the `op_locks` table mutex is only held to clone the Arc
 /// out, never across another acquisition) → `handoff` → `registry` →
-/// `shadows` → `state`. `Shared::persist` is only called with none of
-/// handoff/registry/shadows held (its compaction path re-acquires
-/// registry and shadows while holding the state lock, which is safe
-/// because no thread holds registry/shadows and then waits on state).
+/// `shadows` → `state`. `Shared::persist` is only called with neither
+/// registry nor shadows held (its compaction path re-acquires registry
+/// and shadows while holding the state lock, which is safe because no
+/// thread holds registry/shadows and then waits on state).
 struct Shared {
     registry: Mutex<Registry>,
     shadows: Mutex<ShadowTable>,
@@ -329,20 +356,21 @@ impl Shared {
 
     /// Appends one framed record to the state log (no-op without a state
     /// dir), compacting when the log has grown well past its live size.
-    /// Must be called with no registry/shadow/handoff lock held.
+    /// Must be called with neither registry nor shadows held.
+    ///
+    /// The image is taken and the log replaced under the same hold as the
+    /// append. Every record already in the log was appended after its
+    /// in-memory update, so the image reflects it; a record appended
+    /// between a released image and the replace would be erased by it.
     fn persist(&self, framed: Vec<u8>) {
         let Some(state) = &self.state else { return };
-        let past_floor = {
-            let mut log = plock(state);
-            if log.append(&framed).is_err() {
-                RouteMetrics::add(&self.metrics.state_append_failures, 1);
-                return;
-            }
-            log.wants_compaction(0)
-        };
-        if past_floor {
+        let mut log = plock(state);
+        if log.append(&framed).is_err() {
+            RouteMetrics::add(&self.metrics.state_append_failures, 1);
+            return;
+        }
+        if log.wants_compaction(0) {
             let image = self.image();
-            let mut log = plock(state);
             if log.wants_compaction(image.encoded_len()) && log.compact(&image).is_err() {
                 RouteMetrics::add(&self.metrics.state_append_failures, 1);
             }
@@ -612,26 +640,6 @@ fn route_session_op(ctx: &Ctx, session: SessionId, request: &Request) -> Respons
     no_backend()
 }
 
-fn aggregate_probe(ctx: &Ctx) -> Response {
-    let indices = live_backends(&ctx.shared);
-    let mut total = ProbeSummary::default();
-    let mut reached = 0usize;
-    for index in indices {
-        if let Ok(Response::ProbeAck(summary)) =
-            send_to_backend(&ctx.shared, index, &Request::Probe)
-        {
-            total.sessions_resident += summary.sessions_resident;
-            total.sessions_cold += summary.sessions_cold;
-            total.in_flight += summary.in_flight;
-            reached += 1;
-        }
-    }
-    if reached == 0 {
-        return no_backend();
-    }
-    Response::ProbeAck(total)
-}
-
 /// The cluster view: the router's own observation merged with every live
 /// backend's, so `fleet.*` and `serve.*` are fleet-wide sums. The router's
 /// front records `decode`, `encode` and `request` spans like a backend's,
@@ -654,21 +662,9 @@ fn aggregate_observation(ctx: &Ctx) -> Response {
 /// the state log's self-counters.
 fn build_route_observation(shared: &Shared, obs: &Observer) -> Observation {
     let mut o = obs.observe();
-    let c = shared.counters();
-    o.push_counter("route.requests_in", c.requests_in);
-    o.push_counter("route.requests_forwarded", c.requests_forwarded);
-    o.push_counter("route.forward_failures", c.forward_failures);
-    o.push_counter("route.sessions_handed_off", c.sessions_handed_off);
-    o.push_counter("route.failovers", c.failovers);
-    o.push_counter("route.failover_replays_skipped", c.failover_replays_skipped);
-    o.push_counter("route.decode_rejects", c.decode_rejects);
-    o.push_counter("route.probes_ok", c.probes_ok);
-    o.push_counter("route.probes_failed", c.probes_failed);
-    o.push_counter("route.shadow_refreshes", c.shadow_refreshes);
-    o.push_counter("route.shadow_refresh_failures", c.shadow_refresh_failures);
-    o.push_counter("route.pins_recovered", c.pins_recovered);
-    o.push_counter("route.shadows_recovered", c.shadows_recovered);
-    o.push_counter("route.state_append_failures", c.state_append_failures);
+    for (name, value) in shared.counters().named() {
+        o.push_counter(name, value);
+    }
     if let Some(state) = &shared.state {
         let s = plock(state).counters();
         o.push_counter("route.state_appends", s.appends);
@@ -704,7 +700,6 @@ fn handle_request(ctx: &Ctx, request: &Request) -> Response {
     RouteMetrics::add(&ctx.shared.metrics.requests_in, 1);
     match request {
         Request::Ping => Response::Pong,
-        Request::Probe => aggregate_probe(ctx),
         Request::Observe => aggregate_observation(ctx),
         Request::HandoffExport { .. } | Request::Handoff { .. } => Response::Error {
             code: ErrorCode::BadRequest,
@@ -722,7 +717,7 @@ fn handle_request(ctx: &Ctx, request: &Request) -> Response {
 // Probe loop
 // ---------------------------------------------------------------------------
 
-fn probe_loop(shared: &Arc<Shared>, obs: &Observer, clock: &dyn Clock, config: &RouterConfig) {
+fn probe_loop(shared: &Arc<Shared>, obs: &Observer, clock: &dyn Clock, interval: Duration) {
     while !shared.stop.load(Ordering::Relaxed) {
         let n = plock(&shared.registry).len();
         for index in 0..n {
@@ -741,10 +736,10 @@ fn probe_loop(shared: &Arc<Shared>, obs: &Observer, clock: &dyn Clock, config: &
                 }
             } else {
                 RouteMetrics::add(&shared.metrics.probes_failed, 1);
-                if streak >= config.dead_after {
+                if streak >= DEAD_AFTER {
                     drop(registry);
                     bury_backend(shared, obs, index);
-                } else if streak >= config.degraded_after
+                } else if streak >= DEGRADED_AFTER
                     && registry.backend(index).state == BackendState::Healthy
                 {
                     registry.set_state(index, BackendState::Degraded);
@@ -754,17 +749,17 @@ fn probe_loop(shared: &Arc<Shared>, obs: &Observer, clock: &dyn Clock, config: &
                 }
             }
         }
-        clock.sleep(config.probe_interval);
+        clock.sleep(interval);
     }
 }
 
-/// One probe over the backend's shared mux connection. Probes ride a
-/// deliberately small `RetryAfter` budget so a saturated backend is
-/// detected in bounded time; they do not touch the forward counters.
+/// One probe: an `Observe` over the backend's shared mux connection,
+/// answered by its engine thread. Probes ride the small
+/// [`PROBE_RETRIES`] budget and do not touch the forward counters.
 fn probe_once(shared: &Shared, index: usize) -> bool {
     matches!(
-        shared.mux[index].request_with_budget(&Request::Probe, 64),
-        Ok(Response::ProbeAck(_))
+        shared.mux[index].request_with_budget(&Request::Observe, PROBE_RETRIES),
+        Ok(Response::Observed(_))
     )
 }
 
@@ -813,7 +808,7 @@ impl Router {
         // keyed by address (mapped onto the current backend list; pins to
         // addresses no longer listed are dropped), shadows come back with
         // their sequence stamps seeding the acked-op counters.
-        let mut registry = Registry::new(config.backends.clone(), config.salt);
+        let mut registry = Registry::new(config.backends.clone(), SALT);
         let mut shadow_table = ShadowTable::default();
         let mut recovered = (0u64, 0u64, 0u64); // pins, shadows, dropped
         let state = match &config.state_dir {
@@ -851,7 +846,7 @@ impl Router {
                         request_timeout: REQUEST_TIMEOUT,
                         retry_budget: BACKEND_RETRIES,
                         clock: Arc::clone(&clock),
-                        backoff_seed: config.salt ^ (index as u64 + 1),
+                        backoff_seed: SALT ^ (index as u64 + 1),
                     },
                 )
             })
@@ -896,10 +891,10 @@ impl Router {
 
         let probe_shared = Arc::clone(&shared);
         let probe_obs = Arc::clone(&observer);
-        let probe_config = config.clone();
+        let interval = config.probe_interval;
         let prober = std::thread::Builder::new()
             .name("route-prober".to_string())
-            .spawn(move || probe_loop(&probe_shared, &probe_obs, clock.as_ref(), &probe_config))
+            .spawn(move || probe_loop(&probe_shared, &probe_obs, clock.as_ref(), interval))
             .expect("spawn route prober");
 
         Ok(Self {
@@ -1094,5 +1089,68 @@ mod tests {
         ));
         // Non-mutating ops never skip — they are safe to re-send.
         assert!(skip_failover_replay(&Request::Predict { session: 1 }, 9, 5).is_none());
+    }
+
+    #[test]
+    fn compaction_keeps_a_pin_appended_while_its_image_is_taken() {
+        let dir = std::env::temp_dir().join(format!("chamrte1-persist-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let (mut log, _) = StateLog::open(&dir).expect("fresh log");
+        // Superseded shadows put the log past the compaction floor while
+        // the live image stays a few bytes.
+        for seq in 0..17 {
+            log.append(&state::encode_shadow(9, seq, &[0u8; 64 << 10]))
+                .expect("append");
+        }
+        let mut registry = Registry::new(vec!["a:1".to_string()], SALT);
+        registry.pin(1, 0);
+        let shared = Arc::new(Shared {
+            registry: Mutex::new(registry),
+            shadows: Mutex::new(ShadowTable::default()),
+            handoff: Mutex::new(()),
+            op_locks: Mutex::new(HashMap::new()),
+            state: Some(Mutex::new(log)),
+            mux: Vec::new(),
+            metrics: RouteMetrics::default(),
+            front: OnceLock::new(),
+            stop: AtomicBool::new(false),
+            panic_session: None,
+            panic_fired: AtomicBool::new(false),
+        });
+        // Holding the shadow table parks the compaction this append
+        // triggers inside `image()`, after it has read the pin table. No
+        // hook marks the park, so the test waits for it; the fixed code
+        // keeps pin 2 under any interleaving, and the wait only lets a
+        // compaction outside the state lock show its loss.
+        let shadows = plock(&shared.shadows);
+        let compactor = {
+            let shared = Arc::clone(&shared);
+            std::thread::spawn(move || shared.persist(state::encode_pin(1, "a:1")))
+        };
+        std::thread::sleep(Duration::from_millis(100));
+        // Meanwhile another worker pins session 2 and appends its record.
+        plock(&shared.registry).pin(2, 0);
+        let (appended, on_append) = std::sync::mpsc::channel();
+        let appender = {
+            let shared = Arc::clone(&shared);
+            std::thread::spawn(move || {
+                let state = shared.state.as_ref().expect("durable");
+                plock(state)
+                    .append(&state::encode_pin(2, "a:1"))
+                    .expect("append");
+                let _ = appended.send(());
+            })
+        };
+        let _ = on_append.recv_timeout(Duration::from_millis(250));
+        drop(shadows);
+        compactor.join().expect("compactor");
+        appender.join().expect("appender");
+        let state = shared.state.as_ref().expect("durable");
+        assert_eq!(plock(state).counters().compactions, 1);
+        drop(shared);
+        let (_, image) = StateLog::open(&dir).expect("reopen");
+        assert_eq!(image.pins.get(&1).map(String::as_str), Some("a:1"));
+        assert_eq!(image.pins.get(&2).map(String::as_str), Some("a:1"));
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -12,8 +12,8 @@ use chameleon_runtime::{splitmix64, Clock, SimRng, WallClock};
 use chameleon_obs::Observation;
 
 use crate::wire::{
-    encode_frame, read_frame, ErrorCode, PredictSummary, ProbeSummary, Request, Response,
-    WireError, MAX_PAYLOAD_BYTES,
+    encode_frame, read_frame, ErrorCode, PredictSummary, Request, Response, WireError,
+    MAX_PAYLOAD_BYTES,
 };
 
 /// Why a client call failed.
@@ -102,12 +102,14 @@ impl From<WireError> for ClientError {
 pub struct Connection {
     stream: TcpStream,
     next_correlation: u64,
-    max_payload: usize,
-    max_retries: u32,
     stall_budget: u32,
     clock: Arc<dyn Clock>,
     backoff: SimRng,
 }
+
+/// How many `RetryAfter` rounds [`Connection::request`] rides out before
+/// giving up with [`ClientError::Saturated`].
+const MAX_RETRIES: u32 = 10_000;
 
 /// Default bound on consecutive zero-progress step rounds
 /// [`Connection::run_to_completion`] tolerates before returning
@@ -125,8 +127,7 @@ impl Connection {
         let _ = stream.set_nodelay(true);
         // Each connection gets its own jitter stream, seeded from the
         // ephemeral local port so two clients started at the same instant
-        // still back off on different schedules. Deterministic tests
-        // override it with `set_backoff_seed`.
+        // still back off on different schedules.
         let seed = stream
             .local_addr()
             .map(|a| u64::from(a.port()))
@@ -134,18 +135,10 @@ impl Connection {
         Ok(Self {
             stream,
             next_correlation: 1,
-            max_payload: MAX_PAYLOAD_BYTES,
-            max_retries: 10_000,
             stall_budget: DEFAULT_STALL_BUDGET,
             clock: WallClock::shared(),
             backoff: SimRng::new(splitmix64(seed ^ 0xB0FF)),
         })
-    }
-
-    /// Caps how many `RetryAfter` rounds [`Connection::request`] rides
-    /// out before giving up with [`ClientError::Saturated`].
-    pub fn set_max_retries(&mut self, max_retries: u32) {
-        self.max_retries = max_retries;
     }
 
     /// Caps how many *consecutive* zero-progress step rounds
@@ -153,13 +146,6 @@ impl Connection {
     /// [`ClientError::Stalled`] (default [`DEFAULT_STALL_BUDGET`]).
     pub fn set_stall_budget(&mut self, stall_budget: u32) {
         self.stall_budget = stall_budget.max(1);
-    }
-
-    /// Reseeds the deterministic backoff-jitter stream. Under a
-    /// [`chameleon_runtime::VirtualClock`] this pins the whole retry
-    /// schedule: same seed, same `RetryAfter` answers, same sleeps.
-    pub fn set_backoff_seed(&mut self, seed: u64) {
-        self.backoff = SimRng::new(splitmix64(seed ^ 0xB0FF));
     }
 
     /// Injects the [`Clock`] backoff sleeps run on. Tests pass a
@@ -181,7 +167,7 @@ impl Connection {
         self.next_correlation += 1;
         let frame = encode_frame(&request.encode_payload(correlation));
         self.stream.write_all(&frame)?;
-        let payload = read_frame(&mut self.stream, self.max_payload)??;
+        let payload = read_frame(&mut self.stream, MAX_PAYLOAD_BYTES)??;
         let (received, response) = Response::decode_payload(&payload)?;
         // A turn-away from a saturated acceptor is sent before any request
         // is read and carries correlation 0; it can pair with any request.
@@ -206,7 +192,7 @@ impl Connection {
     /// [`ClientError::Saturated`] past the retry budget.
     pub fn request(&mut self, request: &Request) -> Result<Response, ClientError> {
         let mut boost: u64 = 0;
-        for _ in 0..=self.max_retries {
+        for _ in 0..=MAX_RETRIES {
             match self.request_once(request)? {
                 Response::RetryAfter { millis } => {
                     let sleep = jittered_backoff_millis(&mut self.backoff, millis, boost);
@@ -217,7 +203,7 @@ impl Connection {
             }
         }
         Err(ClientError::Saturated {
-            attempts: self.max_retries.saturating_add(1),
+            attempts: MAX_RETRIES + 1,
         })
     }
 
@@ -336,20 +322,6 @@ impl Connection {
         match self.settle(&Request::Evict { session })? {
             Response::Evicted => Ok(()),
             _ => Err(ClientError::UnexpectedResponse("Evicted")),
-        }
-    }
-
-    /// Cheap health probe: residency counts and in-flight depth, without
-    /// the cost of a full observation. The routing tier's health
-    /// checks ride on this.
-    ///
-    /// # Errors
-    ///
-    /// See [`Connection::request`].
-    pub fn probe(&mut self) -> Result<ProbeSummary, ClientError> {
-        match self.settle(&Request::Probe)? {
-            Response::ProbeAck(summary) => Ok(summary),
-            _ => Err(ClientError::UnexpectedResponse("ProbeAck")),
         }
     }
 

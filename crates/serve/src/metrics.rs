@@ -9,8 +9,8 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Plain-struct snapshot of a front end's counters. A server flattens
-/// them into the `serve.*` counters of its `Observation`, and the CLI
-/// prints them.
+/// them ([`ServeCounters::named`]) into the `serve.*` counters of its
+/// `Observation`, and the CLI prints that same list.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct ServeCounters {
     /// Connections the acceptor admitted.
@@ -36,6 +36,29 @@ pub struct ServeCounters {
     pub requests_ok: u64,
     /// Requests answered with a typed error.
     pub requests_failed: u64,
+}
+
+impl ServeCounters {
+    /// The counters as `serve.*` name/value pairs, in the order a
+    /// server's `Observation` carries them. Every report of this block
+    /// iterates this list.
+    #[must_use]
+    pub fn named(&self) -> Vec<(String, u64)> {
+        [
+            ("serve.connections_accepted", self.connections_accepted),
+            ("serve.connections_closed", self.connections_closed),
+            ("serve.frames_in", self.frames_in),
+            ("serve.frames_out", self.frames_out),
+            ("serve.bytes_in", self.bytes_in),
+            ("serve.bytes_out", self.bytes_out),
+            ("serve.decode_rejects", self.decode_rejects),
+            ("serve.backpressure_replies", self.backpressure_replies),
+            ("serve.requests_ok", self.requests_ok),
+            ("serve.requests_failed", self.requests_failed),
+        ]
+        .map(|(name, value)| (name.to_string(), value))
+        .into()
+    }
 }
 
 /// Shared, thread-safe counter block of one CHAMWIRE front end, updated

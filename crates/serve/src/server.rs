@@ -34,7 +34,7 @@ use chameleon_stream::{ConfigError, DomainIlScenario};
 
 use crate::front::{Dispatch, Front, Reply, RETRY_AFTER_MILLIS};
 use crate::metrics::{ServeCounters, ServeMetrics};
-use crate::wire::{ErrorCode, PredictSummary, ProbeSummary, Request, Response};
+use crate::wire::{ErrorCode, PredictSummary, Request, Response};
 
 /// Tunables of the serving layer (the fleet itself is shaped separately
 /// by [`FleetConfig`]).
@@ -339,19 +339,6 @@ fn handle_op(
             reply.send(Response::Observed(Box::new(observation)));
             return;
         }
-        Request::Probe => {
-            // Answered engine-side so the summary reflects the fleet the
-            // router would actually route to, yet without the cost of a
-            // full observation.
-            let fm = fleet.metrics();
-            let summary = ProbeSummary {
-                sessions_resident: fm.sessions_resident() as u64,
-                sessions_cold: fm.sessions_cold() as u64,
-                in_flight: fleet.pending() as u64,
-            };
-            reply.send(Response::ProbeAck(summary));
-            return;
-        }
         Request::CreateSession { session, spec } => {
             fleet.create_correlated(session, spec, correlation)
         }
@@ -440,17 +427,9 @@ fn build_observation(
     o.push_counter("trace.covariance_updates", t.covariance_updates);
     o.push_counter("trace.matrix_inversions", t.matrix_inversions);
     o.push_counter("trace.inversion_dim", t.inversion_dim as u64);
-    let c = metrics.snapshot();
-    o.push_counter("serve.connections_accepted", c.connections_accepted);
-    o.push_counter("serve.connections_closed", c.connections_closed);
-    o.push_counter("serve.frames_in", c.frames_in);
-    o.push_counter("serve.frames_out", c.frames_out);
-    o.push_counter("serve.bytes_in", c.bytes_in);
-    o.push_counter("serve.bytes_out", c.bytes_out);
-    o.push_counter("serve.decode_rejects", c.decode_rejects);
-    o.push_counter("serve.backpressure_replies", c.backpressure_replies);
-    o.push_counter("serve.requests_ok", c.requests_ok);
-    o.push_counter("serve.requests_failed", c.requests_failed);
+    for (name, value) in metrics.snapshot().named() {
+        o.push_counter(name, value);
+    }
     if let Some(s) = fleet.store_counters() {
         o.push_counter("store.appends", s.appends);
         o.push_counter("store.append_bytes", s.append_bytes);

@@ -2,13 +2,14 @@
 //! frame protocol `chameleon-serve` speaks over TCP.
 //!
 //! ```text
-//! frame   := magic "CHAMWIR2" (8) | len:u32le | payload[len] | crc32(payload):u32le
+//! frame   := magic "CHAMWIR3" (8) | len:u32le | payload[len] | crc32(payload):u32le
 //! payload := correlation:u64le | opcode:u8 | body
 //! ```
 //!
-//! Opcodes 0x06 and 0x86 are unassigned (version 1's `Stats` pair;
-//! [`Request::Observe`] is the one metrics snapshot). Like every byte
-//! outside the opcode tables they decode to [`WireError::UnknownOpcode`].
+//! Opcodes 0x06/0x86 (version 1's `Stats` pair) and 0x08/0x8A (version
+//! 2's `Probe` pair) are unassigned: [`Request::Observe`] is the one
+//! metrics snapshot. Like every byte outside the opcode tables they
+//! decode to [`WireError::UnknownOpcode`].
 //!
 //! Every request carries a client-chosen correlation id; the matching
 //! response echoes it, so a client may pipeline requests on one
@@ -28,8 +29,8 @@ use chameleon_fleet::{SessionId, SessionSpec};
 use chameleon_obs::{EventRecord, Observation, Stage, StageStats, LATENCY_BUCKETS};
 use chameleon_replay::crc32;
 
-/// Magic bytes identifying a CHAMWIRE frame (protocol version 2).
-pub const WIRE_MAGIC: &[u8; 8] = b"CHAMWIR2";
+/// Magic bytes identifying a CHAMWIRE frame (protocol version 3).
+pub const WIRE_MAGIC: &[u8; 8] = b"CHAMWIR3";
 
 /// Hard cap on a frame's payload length. A length prefix above this is
 /// rejected *before* any allocation happens.
@@ -224,9 +225,6 @@ pub enum Request {
     /// aggregates, the event-log tail, and flattened fleet / trace /
     /// serve counters ([`chameleon_obs::Observation`]).
     Observe,
-    /// Router health probe; answered with [`Response::ProbeAck`] carrying
-    /// a cheap load summary so routers can rank backends.
-    Probe,
     /// Export the session for handoff: serialize its `CHAMFLT1` blob and
     /// forget it, so exactly one node owns the session at a time.
     HandoffExport {
@@ -250,7 +248,6 @@ const REQ_PREDICT: u8 = 0x03;
 const REQ_CHECKPOINT: u8 = 0x04;
 const REQ_EVICT: u8 = 0x05;
 const REQ_OBSERVE: u8 = 0x07;
-const REQ_PROBE: u8 = 0x08;
 const REQ_HANDOFF_EXPORT: u8 = 0x09;
 const REQ_HANDOFF: u8 = 0x0A;
 
@@ -286,7 +283,6 @@ impl Request {
                 p.extend_from_slice(&session.to_le_bytes());
             }
             Self::Observe => p.push(REQ_OBSERVE),
-            Self::Probe => p.push(REQ_PROBE),
             Self::HandoffExport { session } => {
                 p.push(REQ_HANDOFF_EXPORT);
                 p.extend_from_slice(&session.to_le_bytes());
@@ -331,7 +327,6 @@ impl Request {
             REQ_CHECKPOINT => Self::Checkpoint { session: r.u64()? },
             REQ_EVICT => Self::Evict { session: r.u64()? },
             REQ_OBSERVE => Self::Observe,
-            REQ_PROBE => Self::Probe,
             REQ_HANDOFF_EXPORT => Self::HandoffExport { session: r.u64()? },
             REQ_HANDOFF => {
                 let session = r.u64()?;
@@ -426,18 +421,6 @@ pub struct PredictSummary {
     pub memory_overhead_mb: f64,
 }
 
-/// The load summary a [`Request::Probe`] returns: enough for a router to
-/// rank backends without building a full [`Observation`].
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct ProbeSummary {
-    /// Sessions resident across all shards.
-    pub sessions_resident: u64,
-    /// Sessions evicted to checkpoint form across all shards.
-    pub sessions_cold: u64,
-    /// Requests currently in flight inside the fleet engine.
-    pub in_flight: u64,
-}
-
 /// A server response; carries the request's correlation id on the wire.
 #[derive(Clone, Debug, PartialEq)]
 pub enum Response {
@@ -475,9 +458,6 @@ pub enum Response {
         /// Suggested minimum backoff before retrying, in milliseconds.
         millis: u32,
     },
-    /// Answer to [`Request::Probe`]: a cheap load summary routers use to
-    /// rank backends and detect degradation without a full `Observe` pull.
-    ProbeAck(ProbeSummary),
     /// Answer to [`Request::HandoffExport`]: the session's `CHAMFLT1`
     /// blob; the exporting node no longer owns the session.
     HandoffExported(Vec<u8>),
@@ -495,7 +475,6 @@ const RSP_EVICTED: u8 = 0x85;
 const RSP_ERROR: u8 = 0x87;
 const RSP_RETRY_AFTER: u8 = 0x88;
 const RSP_OBSERVED: u8 = 0x89;
-const RSP_PROBE_ACK: u8 = 0x8A;
 const RSP_HANDOFF_EXPORTED: u8 = 0x8B;
 const RSP_HANDOFF_ACK: u8 = 0x8C;
 
@@ -539,12 +518,6 @@ impl Response {
             Self::RetryAfter { millis } => {
                 p.push(RSP_RETRY_AFTER);
                 p.extend_from_slice(&millis.to_le_bytes());
-            }
-            Self::ProbeAck(summary) => {
-                p.push(RSP_PROBE_ACK);
-                p.extend_from_slice(&summary.sessions_resident.to_le_bytes());
-                p.extend_from_slice(&summary.sessions_cold.to_le_bytes());
-                p.extend_from_slice(&summary.in_flight.to_le_bytes());
             }
             Self::HandoffExported(blob) => {
                 p.push(RSP_HANDOFF_EXPORTED);
@@ -594,11 +567,6 @@ impl Response {
                 Self::Error { code, message }
             }
             RSP_RETRY_AFTER => Self::RetryAfter { millis: r.u32()? },
-            RSP_PROBE_ACK => Self::ProbeAck(ProbeSummary {
-                sessions_resident: r.u64()?,
-                sessions_cold: r.u64()?,
-                in_flight: r.u64()?,
-            }),
             RSP_HANDOFF_EXPORTED => {
                 let len = r.u32()? as usize;
                 Self::HandoffExported(r.bytes(len)?.to_vec())
@@ -809,7 +777,6 @@ mod tests {
             Request::Checkpoint { session: 7 },
             Request::Evict { session: 7 },
             Request::Observe,
-            Request::Probe,
             Request::HandoffExport { session: 7 },
             Request::Handoff {
                 session: 7,
@@ -903,11 +870,6 @@ mod tests {
             },
             Response::RetryAfter { millis: 2 },
             Response::Observed(Box::new(observation())),
-            Response::ProbeAck(ProbeSummary {
-                sessions_resident: 4,
-                sessions_cold: 2,
-                in_flight: 1,
-            }),
             Response::HandoffExported(vec![9, 8, 7]),
             Response::HandoffAck,
         ]
@@ -932,15 +894,17 @@ mod tests {
             p.push(opcode);
             p
         };
-        // The retired version-1 `Stats` opcodes.
-        assert_eq!(
-            Request::decode_payload(&payload(0x06)),
-            Err(WireError::UnknownOpcode(0x06))
-        );
-        assert_eq!(
-            Response::decode_payload(&payload(0x86)),
-            Err(WireError::UnknownOpcode(0x86))
-        );
+        // The retired version-1 `Stats` and version-2 `Probe` opcodes.
+        for (request, response) in [(0x06, 0x86), (0x08, 0x8A)] {
+            assert_eq!(
+                Request::decode_payload(&payload(request)),
+                Err(WireError::UnknownOpcode(request))
+            );
+            assert_eq!(
+                Response::decode_payload(&payload(response)),
+                Err(WireError::UnknownOpcode(response))
+            );
+        }
         // The tables are the opcodes the encoders emit.
         let request_ops: Vec<u8> = requests().iter().map(|r| r.encode_payload(0)[8]).collect();
         let response_ops: Vec<u8> = responses().iter().map(|r| r.encode_payload(0)[8]).collect();

@@ -17,7 +17,7 @@ use chameleon_fleet::{SessionCheckpoint, SessionEvent, SessionEventKind, UserSes
 use chameleon_obs::{EventLogStats, EventRecord, Observation, Stage, StageStats};
 use chameleon_replay::crc32;
 use chameleon_serve::wire::{
-    encode_frame, ErrorCode, PredictSummary, ProbeSummary, Request, Response, WIRE_MAGIC,
+    encode_frame, ErrorCode, PredictSummary, Request, Response, WIRE_MAGIC,
 };
 use chameleon_stream::{DatasetSpec, DomainIlScenario};
 
@@ -166,7 +166,6 @@ fn derive_wire_frames() -> GoldenFile {
             "rsp_observed",
             Response::Observed(Box::new(golden_observation())).encode_payload(9),
         ),
-        ("req_probe", Request::Probe.encode_payload(10)),
         (
             "req_handoff_export",
             Request::HandoffExport { session: 7 }.encode_payload(11),
@@ -178,15 +177,6 @@ fn derive_wire_frames() -> GoldenFile {
                 blob: vec![0xCA, 0xFE, 0xF0, 0x0D],
             }
             .encode_payload(12),
-        ),
-        (
-            "rsp_probe_ack",
-            Response::ProbeAck(ProbeSummary {
-                sessions_resident: 3,
-                sessions_cold: 2,
-                in_flight: 1,
-            })
-            .encode_payload(10),
         ),
         (
             "rsp_handoff_exported",

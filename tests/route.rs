@@ -290,8 +290,8 @@ fn external_handoff_frames_are_refused_and_stats_aggregate() {
     let err = conn.step(777, 1).expect_err("unknown session");
     assert!(matches!(err, ClientError::Refused { .. }), "{err:?}");
 
-    // Observe and probe answers are fleet-wide sums over the backends,
-    // and the observation merges the router's own counters in.
+    // Observe answers are fleet-wide sums over the backends, and the
+    // observation merges the router's own counters in.
     let observation = conn.observe().expect("observe");
     assert_eq!(
         observation.counter("fleet.sessions_created"),
@@ -310,11 +310,16 @@ fn external_handoff_frames_are_refused_and_stats_aggregate() {
     let before = requests_in(&mut conn);
     conn.ping().expect("ping");
     assert_eq!(requests_in(&mut conn), before + 1);
-    let summary = conn.probe().expect("probe");
+    // The cluster's load is the merged observation's residency gauges,
+    // and the prober's `Observe` round-trips keep both backends healthy.
+    let observation = conn.observe().expect("observe");
+    let counter = |name: &str| observation.counter(name).unwrap_or(0);
     assert_eq!(
-        summary.sessions_resident + summary.sessions_cold,
+        counter("fleet.sessions_resident") + counter("fleet.sessions_cold"),
         users.len() as u64
     );
+    assert!(counter("route.probes_ok") > 0);
+    assert_eq!(observation.counter("route.probes_failed"), Some(0));
 
     for backend in &mut cluster.backends {
         backend.shutdown();

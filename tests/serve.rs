@@ -13,12 +13,12 @@ use chameleon_faults::FaultPlan;
 use chameleon_fleet::{
     FleetConfig, SessionCheckpoint, SessionId, SessionSpec, UserSession, FLEET_MAGIC,
 };
-use chameleon_route::{Router, RouterConfig};
+use chameleon_route::{RouteCounters, Router, RouterConfig};
 use chameleon_runtime::{Clock, VirtualClock};
 use chameleon_serve::wire::{
     decode_frame, encode_frame, ErrorCode, Request, Response, MAX_PAYLOAD_BYTES,
 };
-use chameleon_serve::{Connection, ServeConfig, Server};
+use chameleon_serve::{Connection, ServeConfig, ServeCounters, Server};
 use chameleon_stream::{DatasetSpec, DomainIlScenario, PreferenceProfile, StreamConfig};
 
 fn scenario() -> Arc<DomainIlScenario> {
@@ -472,7 +472,8 @@ fn run_to_completion_stalls_out_instead_of_spinning_forever() {
 
 /// The `Observe` round-trip: span aggregates over the wire reconcile with
 /// the fleet's nanos counters, encode/decode/request spans are counted,
-/// and the event log narrates evictions.
+/// the event log narrates evictions, and the `serve.*` and `route.*`
+/// counter blocks are each their one `named()` list.
 #[test]
 fn observe_round_trip_reconciles_spans_with_stats() {
     use chameleon_obs::Stage;
@@ -545,6 +546,43 @@ fn observe_round_trip_reconciles_spans_with_stats() {
         observation.events.next_seq as usize,
         observation.events.recent.len()
     );
+
+    // Each counter block crosses the wire as exactly its `named()` list,
+    // in order.
+    let names = |o: &chameleon_obs::Observation, prefix: &str| -> Vec<String> {
+        o.counters
+            .iter()
+            .filter(|(name, _)| name.starts_with(prefix))
+            .map(|(name, _)| name.clone())
+            .collect()
+    };
+    let named = |pairs: Vec<(String, u64)>| -> Vec<String> {
+        pairs.into_iter().map(|(name, _)| name).collect()
+    };
+    assert_eq!(
+        names(&observation, "serve."),
+        named(ServeCounters::default().named())
+    );
+    // A router's block is followed only by its per-state backend gauges.
+    let mut router = Router::start(RouterConfig {
+        backends: vec![server.local_addr().to_string()],
+        ..RouterConfig::default()
+    })
+    .expect("start router");
+    let routed = Connection::connect(router.local_addr())
+        .expect("connect router")
+        .observe()
+        .expect("observe through the router");
+    let mut expected = named(RouteCounters::default().named());
+    expected.extend(
+        ["healthy", "degraded", "draining", "dead"].map(|state| format!("route.backends_{state}")),
+    );
+    assert_eq!(names(&routed, "route."), expected);
+    assert_eq!(
+        names(&routed, "serve."),
+        named(ServeCounters::default().named())
+    );
+    router.shutdown();
 
     server.shutdown();
 }

@@ -161,7 +161,7 @@ proptest! {
             1 => Request::Step { session, batches },
             2 => Request::Predict { session },
             3 => Request::Checkpoint { session },
-            4 => Request::Probe,
+            4 => Request::Observe,
             5 => Request::HandoffExport { session },
             6 => Request::Handoff { session, blob: blob.clone() },
             _ => Request::Evict { session },
@@ -191,11 +191,11 @@ proptest! {
                 code: ErrorCode::BadRequest,
                 message: format!("detail {delivered}"),
             },
-            5 => Response::ProbeAck(chameleon_serve::wire::ProbeSummary {
-                sessions_resident: u64::from(delivered),
-                sessions_cold: u64::from(millis),
-                in_flight: correlation % 97,
-            }),
+            5 => {
+                let mut observation = chameleon_obs::Observation::default();
+                observation.push_counter(format!("serve.c{delivered}"), u64::from(millis));
+                Response::Observed(Box::new(observation))
+            }
             6 => Response::HandoffExported(blob.clone()),
             7 => Response::HandoffAck,
             _ => Response::Predicted(chameleon_serve::wire::PredictSummary {
