@@ -1,5 +1,7 @@
 //! The Chameleon dual-memory replay strategy (paper §III, Algorithm 1).
 
+use std::sync::Arc;
+
 use chameleon_nn::{loss, FrozenExtractor, Kernel, MlpHead, Sgd};
 use chameleon_replay::{
     AccessStats, ClassBalancedBuffer, Precision, RingBuffer, StorePlacement, StoredSample,
@@ -188,7 +190,7 @@ pub enum LongTermPolicy {
 ///    prototype-KL score (Eqs. 5–6) into the class-balanced `M_l`.
 #[derive(Debug)]
 pub struct Chameleon {
-    extractor: FrozenExtractor,
+    extractor: Arc<FrozenExtractor>,
     head: MlpHead,
     sgd: Sgd,
     short_term: RingBuffer,
@@ -271,6 +273,26 @@ impl Chameleon {
         lt_policy: LongTermPolicy,
         seed: u64,
     ) -> Self {
+        Self::assemble(
+            Arc::new(model.build_extractor()),
+            model,
+            config,
+            st_policy,
+            lt_policy,
+            seed,
+        )
+    }
+
+    /// Builds a fresh learner around `extractor`: every constructor and
+    /// loader ends here.
+    fn assemble(
+        extractor: Arc<FrozenExtractor>,
+        model: &ModelConfig,
+        config: ChameleonConfig,
+        st_policy: ShortTermPolicy,
+        lt_policy: LongTermPolicy,
+        seed: u64,
+    ) -> Self {
         config.assert_valid();
         let mut head = model.build_head(seed);
         if config.precision != Precision::F32 {
@@ -280,7 +302,7 @@ impl Chameleon {
             head.set_kernel(Kernel::Chunked);
         }
         Self {
-            extractor: model.build_extractor(),
+            extractor,
             head,
             sgd: model.build_sgd(),
             short_term: RingBuffer::new(config.short_term_capacity),
@@ -370,6 +392,17 @@ impl Chameleon {
     /// Configuration in use.
     pub fn config(&self) -> &ChameleonConfig {
         &self.config
+    }
+
+    /// The frozen extractor `f_θ` this learner extracts latents with.
+    pub fn extractor(&self) -> &Arc<FrozenExtractor> {
+        &self.extractor
+    }
+
+    /// The head's logits over already-extracted latents: the second half
+    /// of [`Strategy::logits`].
+    pub(crate) fn head_logits(&self, latents: &Matrix) -> Matrix {
+        self.head.logits(latents)
     }
 
     /// Class prototype `P_c` (Eq. 5): the mean latent of class `c` currently
@@ -609,34 +642,52 @@ impl Chameleon {
         w.write_all(&blob)
     }
 
-    /// Restores a learner from a checkpoint written by
-    /// [`Self::save_checkpoint`]. The `model`, `config`, and `seed` must
-    /// describe the same architecture; RNG/optimizer state restarts from
-    /// `seed`.
+    /// The one way in for a learner around a shared frozen extractor:
+    /// fresh when `checkpoint` is `None`, else reloaded from that blob
+    /// exactly as [`Self::load_checkpoint`] reloads it. `extractor` must
+    /// be `model.build_extractor()`'s output (a [`FrozenModel`]'s, say);
+    /// the learner then behaves bit for bit like one from [`Self::new`]
+    /// or [`Self::load_checkpoint`], which each build a private copy.
+    ///
+    /// [`FrozenModel`]: crate::FrozenModel
     ///
     /// # Errors
     ///
-    /// Returns [`LoadCheckpointError`](crate::checkpoint::LoadCheckpointError)
-    /// on I/O failure, bad magic, truncation, a CRC32 footer mismatch, or a
-    /// shape mismatch with `model`/`config`. Decoding never panics on
-    /// arbitrary input.
-    pub fn load_checkpoint<R: std::io::Read>(
+    /// The [`Self::load_checkpoint`] errors, only when `checkpoint` is
+    /// `Some`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `config` fails [`ChameleonConfig::validate`] (see [`ChameleonConfig::assert_valid`]).
+    pub fn with_extractor(
+        extractor: Arc<FrozenExtractor>,
         model: &ModelConfig,
         config: ChameleonConfig,
         seed: u64,
-        mut r: R,
+        checkpoint: Option<&[u8]>,
     ) -> Result<Self, crate::checkpoint::LoadCheckpointError> {
         use crate::checkpoint as ck;
         use crate::checkpoint::LoadCheckpointError as E;
 
-        let mut blob = Vec::new();
-        r.read_to_end(&mut blob)?;
+        let fresh = |config| {
+            Self::assemble(
+                extractor,
+                model,
+                config,
+                ShortTermPolicy::UserAwareUncertainty,
+                LongTermPolicy::PrototypeKl,
+                seed,
+            )
+        };
+        let Some(blob) = checkpoint else {
+            return Ok(fresh(config));
+        };
         // Verify the envelope (magic + CRC32 footer) before touching any
         // section; decode then proceeds over the validated payload slice.
-        let (payload, version) = ck::open(&blob)?;
+        let (payload, version) = ck::open(blob)?;
         let mut r = payload;
         let precision = config.precision;
-        let mut learner = Self::new(model, config, seed);
+        let mut learner = fresh(config);
 
         let packed = match version {
             ck::Version::V2 => false,
@@ -724,6 +775,34 @@ impl Chameleon {
         Ok(learner)
     }
 
+    /// Restores a learner from a checkpoint written by
+    /// [`Self::save_checkpoint`]. The `model`, `config`, and `seed` must
+    /// describe the same architecture; RNG/optimizer state restarts from
+    /// `seed`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`LoadCheckpointError`](crate::checkpoint::LoadCheckpointError)
+    /// on I/O failure, bad magic, truncation, a CRC32 footer mismatch, or a
+    /// shape mismatch with `model`/`config`. Decoding never panics on
+    /// arbitrary input.
+    pub fn load_checkpoint<R: std::io::Read>(
+        model: &ModelConfig,
+        config: ChameleonConfig,
+        seed: u64,
+        mut r: R,
+    ) -> Result<Self, crate::checkpoint::LoadCheckpointError> {
+        let mut blob = Vec::new();
+        r.read_to_end(&mut blob)?;
+        Self::with_extractor(
+            Arc::new(model.build_extractor()),
+            model,
+            config,
+            seed,
+            Some(&blob),
+        )
+    }
+
     /// Restores a learner from a checkpoint, falling back to a freshly
     /// initialized one when the blob is missing, truncated, or corrupted.
     /// This is the recovery path an edge deployment takes after power loss
@@ -790,7 +869,7 @@ impl Strategy for Chameleon {
     }
 
     fn logits(&self, raw: &Matrix) -> Matrix {
-        self.head.logits(&self.extractor.extract_batch(raw))
+        self.head_logits(&self.extractor.extract_batch(raw))
     }
 
     fn memory_overhead_mb(&self) -> f64 {
@@ -880,6 +959,49 @@ mod tests {
                 );
             }
             assert!(crossed, "stream never reached the h-boundary");
+        }
+    }
+
+    #[test]
+    fn a_shared_extractor_learns_and_reloads_like_a_private_one() {
+        let (scenario, model) = setup();
+        let extractor = Arc::new(model.build_extractor());
+        for precision in [Precision::F32, Precision::Int8] {
+            let config = ChameleonConfig {
+                precision,
+                ..ChameleonConfig::default()
+            };
+            let mut shared =
+                Chameleon::with_extractor(Arc::clone(&extractor), &model, config.clone(), 21, None)
+                    .expect("fresh learner");
+            let mut private = Chameleon::new(&model, config.clone(), 21);
+            assert!(Arc::ptr_eq(shared.extractor(), &extractor));
+            run_domains(&mut shared, &scenario, 2);
+            run_domains(&mut private, &scenario, 2);
+            let (mut a, mut b) = (Vec::new(), Vec::new());
+            shared.save_checkpoint(&mut a).expect("save");
+            private.save_checkpoint(&mut b).expect("save");
+            assert_eq!(a, b, "{precision}: fresh learners diverged");
+
+            // Reloading around the shared extractor matches a private
+            // reload, and both keep learning in step.
+            let mut shared = Chameleon::with_extractor(
+                Arc::clone(&extractor),
+                &model,
+                config.clone(),
+                21,
+                Some(&a),
+            )
+            .expect("reload");
+            let mut private =
+                Chameleon::load_checkpoint(&model, config, 21, b.as_slice()).expect("reload");
+            assert!(Arc::ptr_eq(shared.extractor(), &extractor));
+            run_domains(&mut shared, &scenario, 1);
+            run_domains(&mut private, &scenario, 1);
+            let (mut a, mut b) = (Vec::new(), Vec::new());
+            shared.save_checkpoint(&mut a).expect("save");
+            private.save_checkpoint(&mut b).expect("save");
+            assert_eq!(a, b, "{precision}: reloaded learners diverged");
         }
     }
 

@@ -41,6 +41,7 @@
 mod baselines;
 mod chameleon;
 pub mod checkpoint;
+mod frozen;
 mod metrics;
 mod model;
 mod prefs;
@@ -57,6 +58,7 @@ pub use chameleon::{
     ShortTermPolicy,
 };
 pub use chameleon_replay::Precision;
+pub use frozen::FrozenModel;
 pub use metrics::{backward_transfer, confusion_matrix, EvalReport};
 pub use model::ModelConfig;
 pub use prefs::PreferenceTracker;

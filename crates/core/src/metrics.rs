@@ -2,7 +2,7 @@
 
 use chameleon_nn::loss;
 use chameleon_stream::DomainIlScenario;
-use chameleon_tensor::ops;
+use chameleon_tensor::{ops, Matrix};
 
 use crate::Strategy;
 
@@ -27,9 +27,23 @@ pub struct EvalReport {
 impl EvalReport {
     /// Evaluates `strategy` on the scenario's test set.
     pub fn evaluate<S: Strategy + ?Sized>(scenario: &DomainIlScenario, strategy: &S) -> Self {
-        let (x, y) = scenario.test_set();
-        let logits = strategy.logits(x);
-        let acc_all = 100.0 * loss::accuracy(&logits, y);
+        let logits = strategy.logits(scenario.test_set().0);
+        Self::from_logits(scenario, &logits, strategy.memory_overhead_mb())
+    }
+
+    /// Scores one logit row per test-set row of `scenario`, in test-set
+    /// order, against its labels and domains.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `logits` has exactly one row per test-set row.
+    pub(crate) fn from_logits(
+        scenario: &DomainIlScenario,
+        logits: &Matrix,
+        memory_overhead_mb: f64,
+    ) -> Self {
+        let y = scenario.test_set().1;
+        let acc_all = 100.0 * loss::accuracy(logits, y);
 
         let num_domains = scenario.spec().num_domains;
         let num_classes = scenario.spec().num_classes;
@@ -67,7 +81,7 @@ impl EvalReport {
                 .zip(&class_total)
                 .map(|(&c, &t)| pct(c, t))
                 .collect(),
-            memory_overhead_mb: strategy.memory_overhead_mb(),
+            memory_overhead_mb,
         }
     }
 
@@ -151,7 +165,6 @@ pub fn backward_transfer(snapshots: &[EvalReport]) -> f32 {
 mod tests {
     use super::*;
     use chameleon_stream::{Batch, DatasetSpec};
-    use chameleon_tensor::Matrix;
 
     /// A fake strategy that always predicts a fixed class.
     struct ConstantPredictor {

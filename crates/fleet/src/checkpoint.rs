@@ -24,7 +24,7 @@ use std::sync::Arc;
 
 use chameleon_core::checkpoint::LoadCheckpointError;
 use chameleon_core::{
-    Chameleon, ChameleonConfig, LearnerCounters, ModelConfig, Precision, StepTrace,
+    Chameleon, ChameleonConfig, FrozenModel, LearnerCounters, Precision, StepTrace,
 };
 use chameleon_faults::FaultPlan;
 use chameleon_replay::{crc32, AccessStats};
@@ -87,7 +87,8 @@ impl SessionCheckpoint {
 
     /// Rebuilds a resident session: reloads the learner from its blob,
     /// re-applies the lifetime counters, and fast-forwards a fresh stream
-    /// cursor to the captured position.
+    /// cursor to the captured position. The session gets a
+    /// [`FrozenModel`] of its own; a fleet engine's sessions share one.
     ///
     /// # Errors
     ///
@@ -98,18 +99,28 @@ impl SessionCheckpoint {
         scenario: Arc<DomainIlScenario>,
         fleet_faults: Option<&FaultPlan>,
     ) -> Result<UserSession, LoadCheckpointError> {
-        let model = ModelConfig::for_spec(scenario.spec());
-        let mut learner = Chameleon::load_checkpoint(
-            &model,
+        self.restore_with(Arc::new(FrozenModel::new(scenario)), fleet_faults)
+    }
+
+    /// [`Self::restore`] around a given [`FrozenModel`]: the path every
+    /// restore takes, and the one a shard calls with its engine's.
+    pub(crate) fn restore_with(
+        &self,
+        frozen: Arc<FrozenModel>,
+        fleet_faults: Option<&FaultPlan>,
+    ) -> Result<UserSession, LoadCheckpointError> {
+        let mut learner = Chameleon::with_extractor(
+            Arc::clone(frozen.extractor()),
+            frozen.model(),
             self.spec.learner.clone(),
             self.spec.learner_seed,
-            self.learner_blob.as_slice(),
+            Some(&self.learner_blob),
         )?;
         learner.restore_counters(&self.counters);
         Ok(UserSession::from_restored_parts(
             self.session,
             self.spec.clone(),
-            scenario,
+            frozen,
             learner,
             fleet_faults,
             crate::session::StreamProgress {

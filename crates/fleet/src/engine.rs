@@ -7,6 +7,7 @@ use std::sync::mpsc::{self, Receiver, SyncSender, TrySendError};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
+use chameleon_core::FrozenModel;
 use chameleon_faults::FaultPlan;
 use chameleon_obs::Observer;
 use chameleon_runtime::{splitmix64, Runtime, WallClock};
@@ -382,6 +383,9 @@ impl FleetEngine {
             .flat_map(|seeds| seeds.iter().map(|(id, _, _)| *id))
             .collect();
         let (event_tx, event_rx) = mpsc::channel();
+        // f_θ is built here, once; its test-set latents wait for the
+        // first evaluation, so starting an engine pays no test-set pass.
+        let frozen = Arc::new(FrozenModel::new(scenario));
         let backend = match runtime {
             Runtime::Threads => {
                 let clock = WallClock::shared();
@@ -390,7 +394,7 @@ impl FleetEngine {
                         let (tx, rx) = mpsc::sync_channel(config.queue_depth);
                         let mut worker = ShardWorker::new(
                             shard,
-                            Arc::clone(&scenario),
+                            Arc::clone(&frozen),
                             config.faults,
                             config.budget_bytes,
                             Arc::clone(&clock),
@@ -416,7 +420,7 @@ impl FleetEngine {
                 Backend::Threads(shards)
             }
             Runtime::Sim(scheduler) => Backend::Sim(SimExecutor::new(
-                scenario,
+                &frozen,
                 &config,
                 scheduler,
                 event_tx,
@@ -890,6 +894,27 @@ impl FleetEngine {
                 }
             }
         }
+    }
+
+    /// Runs `visit` on each threaded shard worker, on its own thread
+    /// after the requests already queued there, and returns the results
+    /// in shard order.
+    #[cfg(test)]
+    pub(crate) fn inspect<T: Send + 'static>(&self, visit: fn(&ShardWorker) -> T) -> Vec<T> {
+        let Backend::Threads(shards) = &self.backend else {
+            panic!("inspect reads threaded workers");
+        };
+        shards
+            .iter()
+            .map(|shard| {
+                let (tx, rx) = mpsc::channel();
+                let request = Request::Inspect(Box::new(move |worker| {
+                    let _ = tx.send(visit(worker));
+                }));
+                shard.sender.send(request).expect("shard worker is up");
+                rx.recv().expect("shard worker replied")
+            })
+            .collect()
     }
 
     fn dispatch(&mut self, id: SessionId, request: Request) -> Result<(), FleetError> {

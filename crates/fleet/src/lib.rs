@@ -10,7 +10,8 @@
 //! * [`FleetEngine`] — multiplexes sessions across N shard worker threads
 //!   (`std::thread` + bounded `std::sync::mpsc` queues, no external deps),
 //! * [`UserSession`] — one user's resident session, bit-identical to a
-//!   solo `Trainer` run over the same spec,
+//!   solo `Trainer` run over the same spec; an engine's sessions share
+//!   one frozen `f_θ` and evaluate only their heads,
 //! * [`SessionCheckpoint`] — the eviction format: learner blob +
 //!   replay-buffer integrity metadata + exact stream position,
 //! * [`ShardMetrics`]/[`FleetMetrics`] — per-shard and fleet-wide
@@ -21,8 +22,10 @@
 //!
 //! Session→shard assignment is a seeded hash of the session id
 //! ([`FleetEngine::shard_of`]) — independent of arrival order and shard
-//! load. Sessions never share mutable state, and fault plans are mixed
-//! per session ([`session_fault_plan`]), so every session's outcome is a
+//! load. Sessions never share mutable state (an engine's sessions share
+//! one immutable [`chameleon_core::FrozenModel`]: `f_θ` and its
+//! write-once test-set latents), and fault plans are mixed per session
+//! ([`session_fault_plan`]), so every session's outcome is a
 //! pure function of `(scenario, spec, fault plan, command sequence)`:
 //! the same fleet run with 1 shard, 4 shards, or as solo sessions yields
 //! bit-identical evaluation reports and checkpoints, as long as the

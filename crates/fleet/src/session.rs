@@ -3,7 +3,7 @@
 
 use std::sync::Arc;
 
-use chameleon_core::{Chameleon, ChameleonConfig, EvalReport, ModelConfig, StepTrace, Strategy};
+use chameleon_core::{Chameleon, ChameleonConfig, EvalReport, FrozenModel, StepTrace, Strategy};
 use chameleon_faults::{FaultInjector, FaultPlan};
 use chameleon_runtime::splitmix64;
 use chameleon_stream::{DomainIlScenario, StreamConfig, StreamCursor};
@@ -39,6 +39,14 @@ pub fn session_fault_plan(base: &FaultPlan, session: SessionId) -> FaultPlan {
     }
 }
 
+/// The session's private injector for a fleet-wide plan; a no-op plan
+/// wires none (bit-identical to `None`).
+fn session_injector(fleet_faults: Option<&FaultPlan>, id: SessionId) -> Option<FaultInjector> {
+    fleet_faults
+        .filter(|plan| !plan.is_noop())
+        .map(|plan| FaultInjector::new(session_fault_plan(plan, id)))
+}
+
 /// One resident user session: a `(Strategy, dual-memory state, stream
 /// cursor)` triple that can be advanced one batch at a time, suspended,
 /// checkpointed, and resumed.
@@ -52,7 +60,9 @@ pub fn session_fault_plan(base: &FaultPlan, session: SessionId) -> FaultPlan {
 pub struct UserSession {
     id: SessionId,
     spec: SessionSpec,
-    scenario: Arc<DomainIlScenario>,
+    /// The scenario, its `f_θ` and its test-set latents: shared by every
+    /// session of one engine, private to a session built by [`Self::new`].
+    frozen: Arc<FrozenModel>,
     learner: Chameleon,
     injector: Option<FaultInjector>,
     cursor: Option<StreamCursor>,
@@ -66,7 +76,8 @@ impl UserSession {
     ///
     /// `fleet_faults` is the fleet-wide plan; the session derives its
     /// private plan via [`session_fault_plan`]. A no-op plan wires no
-    /// injector (bit-identical to `None`).
+    /// injector (bit-identical to `None`). The session gets a
+    /// [`FrozenModel`] of its own; a fleet engine's sessions share one.
     ///
     /// # Panics
     ///
@@ -78,17 +89,31 @@ impl UserSession {
         scenario: Arc<DomainIlScenario>,
         fleet_faults: Option<&FaultPlan>,
     ) -> Self {
-        let model = ModelConfig::for_spec(scenario.spec());
-        let learner = Chameleon::new(&model, spec.learner.clone(), spec.learner_seed);
-        let injector = fleet_faults
-            .filter(|plan| !plan.is_noop())
-            .map(|plan| FaultInjector::new(session_fault_plan(plan, id)));
+        Self::create(id, spec, Arc::new(FrozenModel::new(scenario)), fleet_faults)
+    }
+
+    /// [`Self::new`] around a given [`FrozenModel`]: the path every
+    /// session takes, and the one a shard calls with its engine's.
+    pub(crate) fn create(
+        id: SessionId,
+        spec: SessionSpec,
+        frozen: Arc<FrozenModel>,
+        fleet_faults: Option<&FaultPlan>,
+    ) -> Self {
+        let learner = Chameleon::with_extractor(
+            Arc::clone(frozen.extractor()),
+            frozen.model(),
+            spec.learner.clone(),
+            spec.learner_seed,
+            None,
+        )
+        .expect("a fresh learner reads no checkpoint");
         Self {
             id,
             spec,
-            scenario,
+            frozen,
             learner,
-            injector,
+            injector: session_injector(fleet_faults, id),
             cursor: None,
             next_domain: 0,
             batches_into_domain: 0,
@@ -120,6 +145,12 @@ impl UserSession {
     /// Batches already delivered within the current domain.
     pub fn batches_into_domain(&self) -> u64 {
         self.batches_into_domain
+    }
+
+    /// The frozen model this session evaluates with.
+    #[cfg(test)]
+    pub(crate) fn frozen(&self) -> &Arc<FrozenModel> {
+        &self.frozen
     }
 
     /// The hosted learner (inspection / fault-injection hooks for tests).
@@ -166,14 +197,15 @@ impl UserSession {
             return false;
         }
         loop {
+            let scenario = self.frozen.scenario();
             if self.cursor.is_none() {
-                if self.next_domain == self.scenario.spec().num_domains {
+                if self.next_domain == scenario.spec().num_domains {
                     self.learner.finalize();
                     self.finalized = true;
                     return false;
                 }
                 self.learner.begin_domain(self.next_domain);
-                self.cursor = Some(self.scenario.stream_cursor(
+                self.cursor = Some(scenario.stream_cursor(
                     self.next_domain,
                     &self.spec.stream,
                     self.domain_seed(self.next_domain),
@@ -181,7 +213,7 @@ impl UserSession {
                 self.batches_into_domain = 0;
             }
             let cursor = self.cursor.as_mut().expect("cursor set above");
-            match cursor.next_batch(self.scenario.generator()) {
+            match cursor.next_batch(scenario.generator()) {
                 Some(batch) => {
                     self.batches_into_domain += 1;
                     match self.injector.as_mut() {
@@ -223,9 +255,11 @@ impl UserSession {
         done
     }
 
-    /// Evaluates the learner on the scenario's all-domain test set.
+    /// Evaluates the learner on the scenario's all-domain test set: its
+    /// head over the test-set latents of the session's [`FrozenModel`],
+    /// bit-identical to [`EvalReport::evaluate`].
     pub fn evaluate(&self) -> EvalReport {
-        EvalReport::evaluate(&self.scenario, &self.learner)
+        self.frozen.evaluate(&self.learner)
     }
 
     /// The exact per-domain stream seed the sequential trainer would use
@@ -252,32 +286,30 @@ impl UserSession {
     pub(crate) fn from_restored_parts(
         id: SessionId,
         spec: SessionSpec,
-        scenario: Arc<DomainIlScenario>,
+        frozen: Arc<FrozenModel>,
         learner: Chameleon,
         fleet_faults: Option<&FaultPlan>,
         progress: StreamProgress,
     ) -> Self {
-        let injector = fleet_faults
-            .filter(|plan| !plan.is_noop())
-            .map(|plan| FaultInjector::new(session_fault_plan(plan, id)));
         let mut session = Self {
             id,
             spec,
-            scenario,
+            frozen,
             learner,
-            injector,
+            injector: session_injector(fleet_faults, id),
             cursor: None,
             next_domain: progress.next_domain,
             batches_into_domain: 0,
             finalized: progress.finalized,
         };
         if progress.mid_domain && !progress.finalized {
-            let mut cursor = session.scenario.stream_cursor(
+            let scenario = session.frozen.scenario();
+            let mut cursor = scenario.stream_cursor(
                 progress.next_domain,
                 &session.spec.stream,
                 session.domain_seed(progress.next_domain),
             );
-            let generator = session.scenario.generator();
+            let generator = scenario.generator();
             for _ in 0..progress.batches_into_domain {
                 let _ = cursor.next_batch(generator);
             }
@@ -300,7 +332,8 @@ pub(crate) struct StreamProgress {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use chameleon_core::Trainer;
+    use crate::SessionCheckpoint;
+    use chameleon_core::{ModelConfig, Precision, Trainer};
     use chameleon_stream::DatasetSpec;
 
     fn tiny_scenario() -> Arc<DomainIlScenario> {
@@ -358,6 +391,53 @@ mod tests {
 
         assert_eq!(session.evaluate(), solo_report);
         assert_eq!(session.learner().resilience(), solo.resilience());
+    }
+
+    #[test]
+    fn cached_evaluation_is_the_full_extraction_bit_for_bit() {
+        // The right-hand side runs the learner's own `Strategy::logits`:
+        // f_θ over the raw test set, then the head. Int8 takes the
+        // chunked head kernel on both sides.
+        let scenario = tiny_scenario();
+        let uncached = |session: &UserSession| EvalReport::evaluate(&scenario, session.learner());
+        let plan = FaultPlan::bit_flips(77, 1e-4);
+        for precision in [Precision::F32, Precision::F16, Precision::Int8] {
+            let mut spec = tiny_spec(2);
+            spec.learner.precision = precision;
+            for faults in [None, Some(&plan)] {
+                let at = format!("{precision}, faults {}", faults.is_some());
+                let mut session = UserSession::new(3, spec.clone(), Arc::clone(&scenario), faults);
+                assert_eq!(session.evaluate(), uncached(&session), "fresh, {at}");
+                session.step_batches(17);
+                assert_eq!(session.evaluate(), uncached(&session), "stepped, {at}");
+                let checkpoint = SessionCheckpoint::capture(&session);
+                let mut restored = checkpoint
+                    .restore(Arc::clone(&scenario), faults)
+                    .expect("restore");
+                assert_eq!(restored.evaluate(), uncached(&restored), "restored, {at}");
+                assert_eq!(
+                    restored.evaluate(),
+                    session.evaluate(),
+                    "restore moved, {at}"
+                );
+                // The shard path: restored around the session's own model.
+                let mut shared = checkpoint
+                    .restore_with(Arc::clone(session.frozen()), faults)
+                    .expect("restore");
+                assert!(Arc::ptr_eq(
+                    shared.learner().extractor(),
+                    session.learner().extractor()
+                ));
+                restored.step_batches(9);
+                shared.step_batches(9);
+                assert_eq!(restored.evaluate(), uncached(&restored), "stepped on, {at}");
+                assert_eq!(
+                    shared.evaluate(),
+                    restored.evaluate(),
+                    "shared restore, {at}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -13,11 +13,10 @@ use std::collections::HashMap;
 use std::sync::mpsc::{Receiver, Sender};
 use std::sync::Arc;
 
-use chameleon_core::EvalReport;
+use chameleon_core::{EvalReport, FrozenModel};
 use chameleon_faults::FaultPlan;
 use chameleon_obs::{Observer, Stage};
 use chameleon_runtime::Clock;
-use chameleon_stream::DomainIlScenario;
 
 use crate::checkpoint::SessionCheckpoint;
 use crate::metrics::ShardMetrics;
@@ -114,6 +113,9 @@ pub(crate) enum Request {
     Metrics {
         reply: Sender<ShardMetrics>,
     },
+    /// Runs on the worker with read access to its state.
+    #[cfg(test)]
+    Inspect(Box<dyn FnOnce(&ShardWorker) + Send>),
     Shutdown,
 }
 
@@ -146,7 +148,9 @@ pub(crate) type RecoveredSession = (SessionId, u64, chameleon_core::LearnerCount
 /// production, or driven request-by-request by the simulation executor.
 pub(crate) struct ShardWorker {
     shard: usize,
-    scenario: Arc<DomainIlScenario>,
+    /// The engine's one frozen model: every session this worker creates
+    /// or restores is built around it.
+    frozen: Arc<FrozenModel>,
     faults: Option<FaultPlan>,
     budget_bytes: u64,
     resident: HashMap<SessionId, Resident>,
@@ -171,7 +175,7 @@ pub(crate) struct ShardWorker {
 impl ShardWorker {
     pub(crate) fn new(
         shard: usize,
-        scenario: Arc<DomainIlScenario>,
+        frozen: Arc<FrozenModel>,
         faults: Option<FaultPlan>,
         budget_bytes: u64,
         time: Arc<dyn Clock>,
@@ -180,7 +184,7 @@ impl ShardWorker {
     ) -> Self {
         Self {
             shard,
-            scenario,
+            frozen,
             faults,
             budget_bytes,
             resident: HashMap::new(),
@@ -283,6 +287,8 @@ impl ShardWorker {
             Request::Metrics { reply } => {
                 let _ = reply.send(self.snapshot());
             }
+            #[cfg(test)]
+            Request::Inspect(visit) => visit(self),
             Request::Shutdown => return false,
         }
         true
@@ -329,7 +335,7 @@ impl ShardWorker {
             );
             return;
         }
-        let session = UserSession::new(id, spec, Arc::clone(&self.scenario), self.faults.as_ref());
+        let session = UserSession::create(id, spec, Arc::clone(&self.frozen), self.faults.as_ref());
         self.admit(id, session);
         self.metrics.sessions_created += 1;
         self.enforce_budget(id);
@@ -487,7 +493,7 @@ impl ShardWorker {
             }
         };
         let start = self.time.now_nanos();
-        let restored = checkpoint.restore(Arc::clone(&self.scenario), self.faults.as_ref());
+        let restored = checkpoint.restore_with(Arc::clone(&self.frozen), self.faults.as_ref());
         let elapsed = self.time.now_nanos().saturating_sub(start);
         self.metrics.restore_nanos += elapsed;
         self.obs.record(Stage::Restore, elapsed);
@@ -627,19 +633,19 @@ impl ShardWorker {
 mod tests {
     use super::*;
     use chameleon_core::ChameleonConfig;
-    use chameleon_stream::{DatasetSpec, StreamConfig};
+    use chameleon_stream::{DatasetSpec, DomainIlScenario, StreamConfig};
     use std::sync::mpsc;
 
     fn tiny_worker(budget_bytes: u64) -> (ShardWorker, Receiver<SessionEvent>) {
-        let scenario = Arc::new(DomainIlScenario::generate(
+        let frozen = Arc::new(FrozenModel::new(Arc::new(DomainIlScenario::generate(
             &DatasetSpec::core50_tiny(),
             0xDA7A,
-        ));
+        ))));
         let (tx, rx) = mpsc::channel();
         let clock = chameleon_runtime::WallClock::shared();
         let obs = Arc::new(Observer::new(Arc::clone(&clock)));
         (
-            ShardWorker::new(0, scenario, None, budget_bytes, clock, tx, obs),
+            ShardWorker::new(0, frozen, None, budget_bytes, clock, tx, obs),
             rx,
         )
     }
@@ -957,6 +963,158 @@ mod tests {
         assert_reconciled(&worker, "import of an int8 session");
         worker.handle_command(0, SessionCommand::Step { batches: 2 }, 0);
         assert_reconciled(&worker, "first touch after import");
+    }
+
+    /// The worker's frozen model, and each resident session with whether
+    /// the session and its learner are built around that model.
+    fn frozen_sharing(worker: &ShardWorker) -> (Arc<FrozenModel>, Vec<(SessionId, bool)>) {
+        let sessions = worker
+            .resident
+            .iter()
+            .map(|(&id, r)| {
+                let shares = Arc::ptr_eq(r.session.frozen(), &worker.frozen)
+                    && Arc::ptr_eq(r.session.learner().extractor(), worker.frozen.extractor());
+                (id, shares)
+            })
+            .collect();
+        (Arc::clone(&worker.frozen), sessions)
+    }
+
+    #[test]
+    fn every_resident_learner_shares_the_engines_one_frozen_model() {
+        use crate::{FleetConfig, FleetEngine};
+        use chameleon_runtime::Runtime;
+        use chameleon_store::{SharedStore, StoreConfig};
+
+        /// Runs one command to completion and returns its event.
+        fn run(
+            fleet: &mut FleetEngine,
+            id: SessionId,
+            command: SessionCommand,
+        ) -> SessionEventKind {
+            fleet.command_blocking(id, command).expect("submit");
+            let event = fleet.drain_pending().pop().expect("one event");
+            assert!(
+                !matches!(event.kind, SessionEventKind::Failed(_)),
+                "{event:?}"
+            );
+            event.kind
+        }
+        /// Asserts both shards and every resident session share one
+        /// frozen model; returns it with the residents per shard.
+        fn one_frozen(fleet: &FleetEngine, at: &str) -> (Arc<FrozenModel>, Vec<Vec<SessionId>>) {
+            let shards = fleet.inspect(frozen_sharing);
+            let frozen = Arc::clone(&shards[0].0);
+            let mut residents = Vec::new();
+            for (shard, (theirs, sessions)) in shards.into_iter().enumerate() {
+                assert!(
+                    Arc::ptr_eq(&theirs, &frozen),
+                    "shard {shard}'s own model after {at}"
+                );
+                for &(id, shares) in &sessions {
+                    assert!(
+                        shares,
+                        "session {id} on shard {shard} has its own f_θ after {at}"
+                    );
+                }
+                assert_eq!(sessions.len(), 1, "budget holds one resident per shard");
+                residents.push(sessions.into_iter().map(|(id, _)| id).collect());
+            }
+            (frozen, residents)
+        }
+
+        let dir =
+            std::env::temp_dir().join(format!("chameleon-fleet-one-frozen-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let store = SharedStore::open(StoreConfig::new(&dir)).expect("open store");
+        let scenario = Arc::new(DomainIlScenario::generate(
+            &DatasetSpec::core50_tiny(),
+            0xDA7A,
+        ));
+        // A one-byte budget keeps one resident per shard, so every create
+        // and every restore evicts that shard's other session.
+        let config = FleetConfig {
+            num_shards: 2,
+            budget_bytes: 1,
+            ..FleetConfig::default()
+        };
+        let mut fleet = FleetEngine::with_store(scenario, config, Runtime::Threads, store.clone());
+        let mut restores = 0;
+        let mut restored = |fleet: &mut FleetEngine, at: &str| {
+            restores += 1;
+            let metrics = fleet.metrics();
+            let total: u64 = metrics.per_shard.iter().map(|m| m.restores).sum();
+            assert_eq!(total, restores, "no restore at {at}");
+        };
+
+        for id in 1..=6u64 {
+            fleet.create_blocking(id, tiny_spec(id)).expect("create");
+        }
+        assert!(fleet
+            .drain_pending()
+            .iter()
+            .all(|e| e.kind == SessionEventKind::Created));
+        let (frozen, _) = one_frozen(&fleet, "create");
+        assert!(
+            frozen.cached_test_latents().is_none(),
+            "computed before any evaluation"
+        );
+
+        // Session 1 was evicted to the store by a later create.
+        run(&mut fleet, 1, SessionCommand::Evaluate);
+        restored(&mut fleet, "disk-cold evaluate");
+        one_frozen(&fleet, "a disk-cold restore");
+        let latents = frozen
+            .cached_test_latents()
+            .expect("computed by the evaluation");
+
+        let SessionEventKind::Exported(blob) = run(&mut fleet, 2, SessionCommand::Export) else {
+            panic!("export");
+        };
+        fleet.import_blocking(2, blob).expect("import");
+        assert_eq!(
+            fleet.drain_pending().pop().map(|e| e.kind),
+            Some(SessionEventKind::Imported)
+        );
+        run(&mut fleet, 2, SessionCommand::Evaluate);
+        restored(&mut fleet, "imported evaluate");
+        one_frozen(&fleet, "an import");
+
+        let to = 1 - fleet.shard_of(3);
+        assert_eq!(fleet.migrate_session(3, to), Ok(true));
+        run(&mut fleet, 3, SessionCommand::Step { batches: 2 });
+        restored(&mut fleet, "migrated step");
+        let (_, residents) = one_frozen(&fleet, "a migration");
+
+        // With the store down, a budget eviction keeps the checkpoint in
+        // RAM: create a session beside shard 0's resident, then touch it.
+        store.simulate_crash().expect("crash the store");
+        let victim = residents[0][0];
+        let newcomer = (100u64..)
+            .find(|&id| fleet.shard_of(id) == 0)
+            .expect("some id lands on shard 0");
+        fleet
+            .create_blocking(newcomer, tiny_spec(newcomer))
+            .expect("create");
+        fleet.drain_pending();
+        run(&mut fleet, victim, SessionCommand::Evaluate);
+        restored(&mut fleet, "RAM-cold evaluate");
+        let (_, residents) = one_frozen(&fleet, "a RAM-cold restore");
+        assert_eq!(residents[0], vec![victim]);
+        let events = fleet.observer().snapshot_events().recent;
+        let spilled = format!("session {victim} spill failed, kept in RAM");
+        assert!(
+            events.iter().any(|e| e.message.contains(&spilled)),
+            "{events:?}"
+        );
+
+        // Every evaluation above ran the head over one set of latents.
+        assert!(std::ptr::eq(
+            frozen.cached_test_latents().expect("kept"),
+            latents
+        ));
+        drop(fleet);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

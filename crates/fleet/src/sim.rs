@@ -15,9 +15,9 @@ use std::collections::VecDeque;
 use std::sync::mpsc::Sender;
 use std::sync::Arc;
 
+use chameleon_core::FrozenModel;
 use chameleon_obs::Observer;
 use chameleon_runtime::{Clock, SimScheduler};
-use chameleon_stream::DomainIlScenario;
 
 use crate::engine::{Backpressure, FleetConfig, FleetError};
 use crate::metrics::ShardMetrics;
@@ -34,7 +34,7 @@ pub(crate) struct SimExecutor {
 
 impl SimExecutor {
     pub(crate) fn new(
-        scenario: Arc<DomainIlScenario>,
+        frozen: &Arc<FrozenModel>,
         config: &FleetConfig,
         scheduler: SimScheduler,
         events: Sender<SessionEvent>,
@@ -47,7 +47,7 @@ impl SimExecutor {
             .map(|shard| {
                 let mut worker = ShardWorker::new(
                     shard,
-                    Arc::clone(&scenario),
+                    Arc::clone(frozen),
                     config.faults,
                     config.budget_bytes,
                     Arc::clone(&clock),
