@@ -705,24 +705,13 @@ fn fleet_json(
             report.decode_rejects
         );
     }
-    if let Some(s) = engine.store_counters() {
-        let _ = writeln!(
-            out,
-            "  \"store\": {{\"appends\": {}, \"append_bytes\": {}, \"fsyncs\": {}, \
-             \"rotations\": {}, \"compactions\": {}, \"torn_truncations\": {}, \
-             \"decode_rejects\": {}, \"short_reads\": {}, \"segments\": {}, \
-             \"live_records\": {}}},",
-            s.appends,
-            s.append_bytes,
-            s.fsyncs,
-            s.rotations,
-            s.compactions,
-            s.torn_truncations,
-            s.decode_rejects,
-            s.short_reads,
-            s.segments,
-            s.live_records
-        );
+    if let Some(store) = engine.store_counters() {
+        let fields: Vec<String> = store
+            .named()
+            .into_iter()
+            .map(|(name, value)| format!("\"{}\": {value}", name.trim_start_matches("store.")))
+            .collect();
+        let _ = writeln!(out, "  \"store\": {{{}}},", fields.join(", "));
     }
     let _ = writeln!(out, "  \"users\": [");
     for (i, (user, report)) in reports.iter().enumerate() {

@@ -45,6 +45,7 @@ mod frozen;
 mod metrics;
 mod model;
 mod prefs;
+mod stepper;
 mod strategy;
 mod trace;
 mod trainer;
@@ -62,6 +63,7 @@ pub use frozen::FrozenModel;
 pub use metrics::{backward_transfer, confusion_matrix, EvalReport};
 pub use model::ModelConfig;
 pub use prefs::PreferenceTracker;
+pub use stepper::{StreamPosition, StreamStepper};
 pub use strategy::Strategy;
 pub use trace::{PerInputTrace, StepTrace};
 pub use trainer::{AggregateReport, Trainer};

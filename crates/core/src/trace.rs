@@ -74,21 +74,62 @@ impl StepTrace {
         })
     }
 
-    /// Adds another trace's totals into this one.
+    /// How many counters a trace has.
+    pub const COUNTERS: usize = 13;
+
+    /// Every counter as a name/value pair, in the one fixed order that
+    /// checkpoints store them in and observations list them in.
+    pub fn counters(&self) -> [(&'static str, u64); Self::COUNTERS] {
+        [
+            ("inputs", self.inputs),
+            ("trunk_passes", self.trunk_passes),
+            ("head_fwd_passes", self.head_fwd_passes),
+            ("head_bwd_passes", self.head_bwd_passes),
+            ("onchip_sample_reads", self.onchip_sample_reads),
+            ("onchip_sample_writes", self.onchip_sample_writes),
+            ("offchip_latent_reads", self.offchip_latent_reads),
+            ("offchip_latent_writes", self.offchip_latent_writes),
+            ("offchip_raw_reads", self.offchip_raw_reads),
+            ("offchip_raw_writes", self.offchip_raw_writes),
+            ("covariance_updates", self.covariance_updates),
+            ("matrix_inversions", self.matrix_inversions),
+            ("inversion_dim", self.inversion_dim as u64),
+        ]
+    }
+
+    /// The trace whose [`Self::counters`] values are `values`, in order.
+    pub fn from_counters(values: [u64; Self::COUNTERS]) -> Self {
+        let mut values = values.into_iter();
+        let mut next = || values.next().expect("one value per counter");
+        Self {
+            inputs: next(),
+            trunk_passes: next(),
+            head_fwd_passes: next(),
+            head_bwd_passes: next(),
+            onchip_sample_reads: next(),
+            onchip_sample_writes: next(),
+            offchip_latent_reads: next(),
+            offchip_latent_writes: next(),
+            offchip_raw_reads: next(),
+            offchip_raw_writes: next(),
+            covariance_updates: next(),
+            matrix_inversions: next(),
+            inversion_dim: next() as usize,
+        }
+    }
+
+    /// Adds another trace's totals into this one. `inversion_dim` is a
+    /// size, not a count: the merged trace keeps the larger.
     pub fn merge(&mut self, other: &StepTrace) {
-        self.inputs += other.inputs;
-        self.trunk_passes += other.trunk_passes;
-        self.head_fwd_passes += other.head_fwd_passes;
-        self.head_bwd_passes += other.head_bwd_passes;
-        self.onchip_sample_reads += other.onchip_sample_reads;
-        self.onchip_sample_writes += other.onchip_sample_writes;
-        self.offchip_latent_reads += other.offchip_latent_reads;
-        self.offchip_latent_writes += other.offchip_latent_writes;
-        self.offchip_raw_reads += other.offchip_raw_reads;
-        self.offchip_raw_writes += other.offchip_raw_writes;
-        self.covariance_updates += other.covariance_updates;
-        self.matrix_inversions += other.matrix_inversions;
-        self.inversion_dim = self.inversion_dim.max(other.inversion_dim);
+        let mut values = self.counters().map(|(_, value)| value);
+        for (value, (name, theirs)) in values.iter_mut().zip(other.counters()) {
+            *value = if name == "inversion_dim" {
+                (*value).max(theirs)
+            } else {
+                *value + theirs
+            };
+        }
+        *self = Self::from_counters(values);
     }
 }
 

@@ -4,11 +4,11 @@ use chameleon_faults::FaultInjector;
 use chameleon_stream::{DomainIlScenario, StreamConfig};
 use chameleon_tensor::stats::MeanStd;
 
-use crate::{EvalReport, StepTrace, Strategy};
+use crate::{EvalReport, StepTrace, Strategy, StreamStepper};
 
 /// Runs the paper's evaluation protocol: stream every domain once, in
-/// order, through a strategy, then score `Acc_all` on the all-domain test
-/// set.
+/// order, through a strategy ([`StreamStepper`]), then score `Acc_all` on
+/// the all-domain test set.
 ///
 /// # Example
 ///
@@ -52,8 +52,8 @@ impl Trainer {
         strategy: &mut S,
         stream_seed: u64,
     ) -> EvalReport {
-        let order: Vec<usize> = (0..scenario.spec().num_domains).collect();
-        self.run_ordered(scenario, strategy, &order, stream_seed)
+        let pass = StreamStepper::new(scenario, self.stream_config.clone(), stream_seed);
+        Self::run_pass(scenario, strategy, pass, None)
     }
 
     /// Trains `strategy` over the domains in an explicit `order` — the
@@ -70,7 +70,13 @@ impl Trainer {
         order: &[usize],
         stream_seed: u64,
     ) -> EvalReport {
-        self.run_inner(scenario, strategy, order, stream_seed, None)
+        let pass = StreamStepper::ordered(
+            scenario,
+            self.stream_config.clone(),
+            order.to_vec(),
+            stream_seed,
+        );
+        Self::run_pass(scenario, strategy, pass, None)
     }
 
     /// Like [`Trainer::run`], but with a fault injector between the
@@ -88,79 +94,32 @@ impl Trainer {
         stream_seed: u64,
         faults: &mut FaultInjector,
     ) -> EvalReport {
-        let order: Vec<usize> = (0..scenario.spec().num_domains).collect();
-        self.run_inner(scenario, strategy, &order, stream_seed, Some(faults))
+        let pass = StreamStepper::new(scenario, self.stream_config.clone(), stream_seed);
+        Self::run_pass(scenario, strategy, pass, Some(faults))
     }
 
-    fn run_inner<S: Strategy + ?Sized>(
-        &self,
+    fn run_pass<S: Strategy + ?Sized>(
         scenario: &DomainIlScenario,
         strategy: &mut S,
-        order: &[usize],
-        stream_seed: u64,
+        mut pass: StreamStepper,
         mut faults: Option<&mut FaultInjector>,
     ) -> EvalReport {
-        let num_domains = scenario.spec().num_domains;
-        let mut seen = vec![false; num_domains];
-        assert_eq!(order.len(), num_domains, "order must cover every domain");
-        for &domain in order {
-            assert!(
-                domain < num_domains && !seen[domain],
-                "order must be a permutation of 0..{num_domains}"
-            );
-            seen[domain] = true;
-        }
-        for (position, &domain) in order.iter().enumerate() {
-            strategy.begin_domain(position);
-            for batch in scenario.domain_stream(
-                domain,
-                &self.stream_config,
-                stream_seed.wrapping_add(position as u64 * 0x9E37),
-            ) {
-                match faults.as_deref_mut() {
-                    None => strategy.observe(&batch),
-                    Some(injector) => {
-                        // Stream time passes whether or not the batch is
-                        // delivered: a dropped batch's samples still age
-                        // whatever is resident in the stores.
-                        let ticks = batch.len() as u64;
-                        for delivered in injector.mangle_batch(batch) {
-                            strategy.observe(&delivered);
-                        }
-                        strategy.visit_stores(&mut |placement, sample| {
-                            injector.flip_bits(&mut sample.features, ticks, placement);
-                        });
-                    }
-                }
-            }
-            strategy.end_domain(position);
-        }
-        strategy.finalize();
+        while pass.step_batch(scenario, strategy, faults.as_deref_mut()) {}
         EvalReport::evaluate(scenario, strategy)
     }
 
     /// Trains and evaluates after *every* domain (for forgetting curves).
-    /// Returns one report per completed domain.
+    /// Returns one report per completed domain; the last is taken after
+    /// `finalize`, so it is [`Trainer::run`]'s report.
     pub fn run_with_domain_evals<S: Strategy + ?Sized>(
         &self,
         scenario: &DomainIlScenario,
         strategy: &mut S,
         stream_seed: u64,
     ) -> Vec<EvalReport> {
+        let mut pass = StreamStepper::new(scenario, self.stream_config.clone(), stream_seed);
         let mut reports = Vec::with_capacity(scenario.spec().num_domains);
-        for domain in 0..scenario.spec().num_domains {
-            strategy.begin_domain(domain);
-            for batch in scenario.domain_stream(
-                domain,
-                &self.stream_config,
-                stream_seed.wrapping_add(domain as u64 * 0x9E37),
-            ) {
-                strategy.observe(&batch);
-            }
-            strategy.end_domain(domain);
-            if domain + 1 == scenario.spec().num_domains {
-                strategy.finalize();
-            }
+        while pass.step_domain(scenario, strategy) {
             reports.push(EvalReport::evaluate(scenario, strategy));
         }
         reports
@@ -254,7 +213,7 @@ impl AggregateReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Finetune, LatentReplay, ModelConfig};
+    use crate::{Finetune, Joint, JointConfig, LatentReplay, ModelConfig};
     use chameleon_stream::DatasetSpec;
 
     #[test]
@@ -295,17 +254,19 @@ mod tests {
     }
 
     #[test]
-    fn domain_evals_produce_one_report_per_domain() {
+    fn domain_evals_end_where_run_ends() {
+        // Joint trains only in `finalize`, so its last report moves unless
+        // the pass finalizes before the last evaluation.
         let spec = DatasetSpec::core50_tiny();
-        let scenario = DomainIlScenario::generate(&spec, 2);
+        let scenario = DomainIlScenario::generate(&spec, 4);
         let model = ModelConfig::for_spec(&spec);
-        let mut strategy = Finetune::new(&model, 5);
-        let reports = Trainer::new(StreamConfig::default()).run_with_domain_evals(
-            &scenario,
-            &mut strategy,
-            5,
-        );
-        assert_eq!(reports.len(), spec.num_domains);
+        let trainer = Trainer::new(StreamConfig::default());
+        let joint = || Joint::new(&model, JointConfig::default(), 3);
+        let curve = trainer.run_with_domain_evals(&scenario, &mut joint(), 3);
+        assert_eq!(curve.len(), spec.num_domains);
+        let run = trainer.run(&scenario, &mut joint(), 3);
+        assert_eq!(curve.last(), Some(&run));
+        assert_ne!(curve[curve.len() - 2], run, "finalize trained nothing");
     }
 
     #[test]

@@ -24,7 +24,7 @@ use std::sync::Arc;
 
 use chameleon_core::checkpoint::LoadCheckpointError;
 use chameleon_core::{
-    Chameleon, ChameleonConfig, FrozenModel, LearnerCounters, Precision, StepTrace,
+    Chameleon, ChameleonConfig, FrozenModel, LearnerCounters, Precision, StepTrace, StreamPosition,
 };
 use chameleon_faults::FaultPlan;
 use chameleon_replay::{crc32, AccessStats};
@@ -67,8 +67,7 @@ pub struct SessionCheckpoint {
 impl SessionCheckpoint {
     /// Captures a session's full resumable state.
     pub fn capture(session: &UserSession) -> Self {
-        let (learner, next_domain, mid_domain, batches_into_domain, finalized) =
-            session.parts_for_checkpoint();
+        let (learner, at) = session.parts_for_checkpoint();
         let mut learner_blob = Vec::new();
         learner
             .save_checkpoint(&mut learner_blob)
@@ -76,10 +75,10 @@ impl SessionCheckpoint {
         Self {
             session: session.id(),
             spec: session.spec().clone(),
-            next_domain,
-            mid_domain,
-            batches_into_domain,
-            finalized,
+            next_domain: at.next_domain,
+            mid_domain: at.mid_domain,
+            batches_into_domain: at.batches_into_domain,
+            finalized: at.finalized,
             learner_blob,
             counters: learner.counters(),
         }
@@ -117,13 +116,13 @@ impl SessionCheckpoint {
             Some(&self.learner_blob),
         )?;
         learner.restore_counters(&self.counters);
-        Ok(UserSession::from_restored_parts(
+        Ok(UserSession::from_parts(
             self.session,
             self.spec.clone(),
             frozen,
             learner,
             fleet_faults,
-            crate::session::StreamProgress {
+            StreamPosition {
                 next_domain: self.next_domain,
                 mid_domain: self.mid_domain,
                 batches_into_domain: self.batches_into_domain,
@@ -388,22 +387,7 @@ fn decode_spec(r: &mut Reader<'_>) -> Result<SessionSpec, LoadCheckpointError> {
 }
 
 fn encode_counters(p: &mut Vec<u8>, c: &LearnerCounters) {
-    let t = &c.trace;
-    for v in [
-        t.inputs,
-        t.trunk_passes,
-        t.head_fwd_passes,
-        t.head_bwd_passes,
-        t.onchip_sample_reads,
-        t.onchip_sample_writes,
-        t.offchip_latent_reads,
-        t.offchip_latent_writes,
-        t.offchip_raw_reads,
-        t.offchip_raw_writes,
-        t.covariance_updates,
-        t.matrix_inversions,
-        t.inversion_dim as u64,
-    ] {
+    for (_, v) in c.trace.counters() {
         put_u64(p, v);
     }
     for s in [c.short_term_stats, c.long_term_stats] {
@@ -416,21 +400,11 @@ fn encode_counters(p: &mut Vec<u8>, c: &LearnerCounters) {
 }
 
 fn decode_counters(r: &mut Reader<'_>) -> Result<LearnerCounters, LoadCheckpointError> {
-    let trace = StepTrace {
-        inputs: r.u64()?,
-        trunk_passes: r.u64()?,
-        head_fwd_passes: r.u64()?,
-        head_bwd_passes: r.u64()?,
-        onchip_sample_reads: r.u64()?,
-        onchip_sample_writes: r.u64()?,
-        offchip_latent_reads: r.u64()?,
-        offchip_latent_writes: r.u64()?,
-        offchip_raw_reads: r.u64()?,
-        offchip_raw_writes: r.u64()?,
-        covariance_updates: r.u64()?,
-        matrix_inversions: r.u64()?,
-        inversion_dim: r.u64()? as usize,
-    };
+    let mut trace = [0; StepTrace::COUNTERS];
+    for v in &mut trace {
+        *v = r.u64()?;
+    }
+    let trace = StepTrace::from_counters(trace);
     let mut stats = [AccessStats::default(); 2];
     for s in &mut stats {
         s.sample_reads = r.u64()?;

@@ -10,7 +10,7 @@ use std::thread::JoinHandle;
 use chameleon_core::FrozenModel;
 use chameleon_faults::FaultPlan;
 use chameleon_obs::Observer;
-use chameleon_runtime::{splitmix64, Runtime, WallClock};
+use chameleon_runtime::{splitmix64, Clock, Runtime, WallClock};
 use chameleon_store::{SharedStore, StoreCounters, StoreError};
 use chameleon_stream::{ConfigError, DomainIlScenario};
 
@@ -93,11 +93,11 @@ impl FleetConfig {
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum FleetError {
     /// The target shard's bounded queue is full; retry after draining
-    /// events (or use the `_blocking` submit variants).
+    /// events (or submit through [`FleetEngine::command_blocking`]).
     Rejected(Backpressure),
-    /// The session id was never created on this engine.
+    /// The session id is not admitted on this engine.
     UnknownSession,
-    /// The session id already exists.
+    /// The session id is admitted, or its admission is in flight.
     DuplicateSession,
     /// The shard's worker thread is gone (it can no longer accept work).
     ShardDown(usize),
@@ -137,7 +137,7 @@ struct ShardHandle {
 
 /// Correlation id reserved for engine-internal migration traffic.
 ///
-/// Safe to reserve: the untagged submit paths use correlation `0` and
+/// Safe to reserve: the blocking submits use correlation `0` and
 /// network frontends allocate correlations counting up from `1`, so a
 /// caller-chosen id can never collide with this sentinel before the heat
 /// death of the universe.
@@ -173,7 +173,13 @@ pub struct FleetEngine {
     backend: Backend,
     events: Receiver<SessionEvent>,
     buffered: VecDeque<SessionEvent>,
+    /// Sessions admitted, or with an admission in flight. Inserted by
+    /// [`Self::command_correlated`], released by [`Self::account`].
     known: HashSet<SessionId>,
+    /// Acks owed per session with requests in flight. A shard answers a
+    /// session's requests in the order they were sent, so the count
+    /// tells which ack answers an admission.
+    owed: HashMap<SessionId, Owed>,
     /// Placement override table: sessions re-homed by online migration.
     /// Consulted by [`Self::shard_of`] before the seeded-hash default.
     /// In-memory only — after a crash, recovery re-seeds every session on
@@ -320,8 +326,7 @@ impl FleetEngine {
             match store.get(id) {
                 Ok(Some(blob)) => match SessionCheckpoint::from_bytes(&blob) {
                     Ok(checkpoint) if checkpoint.session == id => {
-                        let seq = store.latest_seq(id).unwrap_or(0);
-                        per_shard[config.home_shard(id)].push((id, seq, checkpoint.counters));
+                        per_shard[config.home_shard(id)].push((id, checkpoint.counters));
                     }
                     _ => rejects += 1,
                 },
@@ -380,31 +385,38 @@ impl FleetEngine {
         }
         let known: HashSet<SessionId> = recovered
             .iter()
-            .flat_map(|seeds| seeds.iter().map(|(id, _, _)| *id))
+            .flat_map(|seeds| seeds.iter().map(|(id, _)| *id))
             .collect();
         let (event_tx, event_rx) = mpsc::channel();
         // f_θ is built here, once; its test-set latents wait for the
         // first evaluation, so starting an engine pays no test-set pass.
         let frozen = Arc::new(FrozenModel::new(scenario));
+        let clock: Arc<dyn Clock> = match &runtime {
+            Runtime::Threads => WallClock::shared(),
+            Runtime::Sim(scheduler) => scheduler.clock(),
+        };
+        let workers = (0..config.num_shards).map(|shard| {
+            let mut worker = ShardWorker::new(
+                shard,
+                Arc::clone(&frozen),
+                config.faults,
+                config.budget_bytes,
+                Arc::clone(&clock),
+                event_tx.clone(),
+                Arc::clone(&observer),
+            );
+            if let Some(store) = &store {
+                let seeds = recovered.get_mut(shard).map(std::mem::take);
+                worker.attach_store(store.clone(), seeds.unwrap_or_default());
+            }
+            worker
+        });
         let backend = match runtime {
-            Runtime::Threads => {
-                let clock = WallClock::shared();
-                let shards = (0..config.num_shards)
-                    .map(|shard| {
+            Runtime::Threads => Backend::Threads(
+                workers
+                    .enumerate()
+                    .map(|(shard, worker)| {
                         let (tx, rx) = mpsc::sync_channel(config.queue_depth);
-                        let mut worker = ShardWorker::new(
-                            shard,
-                            Arc::clone(&frozen),
-                            config.faults,
-                            config.budget_bytes,
-                            Arc::clone(&clock),
-                            event_tx.clone(),
-                            Arc::clone(&observer),
-                        );
-                        if let Some(store) = &store {
-                            let seeds = recovered.get_mut(shard).map(std::mem::take);
-                            worker.attach_store(store.clone(), seeds.unwrap_or_default());
-                        }
                         let wake = wake.clone();
                         let join = std::thread::Builder::new()
                             .name(format!("fleet-shard-{shard}"))
@@ -416,17 +428,12 @@ impl FleetEngine {
                             join: Some(join),
                         }
                     })
-                    .collect();
-                Backend::Threads(shards)
-            }
+                    .collect(),
+            ),
             Runtime::Sim(scheduler) => Backend::Sim(SimExecutor::new(
-                &frozen,
-                &config,
                 scheduler,
-                event_tx,
-                Arc::clone(&observer),
-                store.clone(),
-                recovered,
+                workers.collect(),
+                config.queue_depth,
             )),
         };
         Self {
@@ -435,6 +442,7 @@ impl FleetEngine {
             events: event_rx,
             buffered: VecDeque::new(),
             known,
+            owed: HashMap::new(),
             overrides: HashMap::new(),
             migrations: 0,
             pending: 0,
@@ -452,14 +460,6 @@ impl FleetEngine {
     /// engine runs RAM-only.
     pub fn store_counters(&self) -> Option<StoreCounters> {
         self.store.as_ref().map(SharedStore::counters)
-    }
-
-    /// The scheduler seed when running under simulation, else `None`.
-    pub fn sim_seed(&self) -> Option<u64> {
-        match &self.backend {
-            Backend::Threads(_) => None,
-            Backend::Sim(exec) => Some(exec.seed()),
-        }
     }
 
     /// The engine's configuration.
@@ -545,18 +545,7 @@ impl FleetEngine {
         if from == to {
             return Ok(false);
         }
-        loop {
-            let request = Request::Command {
-                id,
-                command: SessionCommand::Export,
-                correlation: MIGRATION_CORRELATION,
-            };
-            match self.dispatch(id, request) {
-                Ok(()) => break,
-                Err(FleetError::Rejected(_)) => self.absorb_backpressure(),
-                Err(other) => return Err(other),
-            }
-        }
+        self.submit_blocking(id, SessionCommand::Export, MIGRATION_CORRELATION)?;
         let blob = match self.await_migration_event(id)? {
             SessionEventKind::Exported(blob) => blob,
             SessionEventKind::Failed(reason) => {
@@ -573,19 +562,7 @@ impl FleetEngine {
         } else {
             self.overrides.insert(id, to);
         }
-        loop {
-            let request = Request::Import {
-                id,
-                blob: blob.clone(),
-                correlation: MIGRATION_CORRELATION,
-            };
-            match self.dispatch(id, request) {
-                Ok(()) => break,
-                Err(FleetError::Rejected(_)) => self.absorb_backpressure(),
-                Err(other) => return Err(other),
-            }
-        }
-        self.known.insert(id);
+        self.submit_blocking(id, SessionCommand::Import(blob), MIGRATION_CORRELATION)?;
         match self.await_migration_event(id)? {
             SessionEventKind::Imported => {
                 self.migrations += 1;
@@ -626,165 +603,60 @@ impl FleetEngine {
         self.pending
     }
 
-    /// Whether `id` was ever successfully created on this engine.
+    /// Whether `id` is admitted on this engine or its admission is in
+    /// flight. A refused admission releases the id when its `Failed` ack
+    /// is drained, and an acknowledged `Export` when its blob is.
     pub fn known(&self, id: SessionId) -> bool {
         self.known.contains(&id)
     }
 
-    /// Submits session creation; acknowledged later by a `Created` event.
+    /// Submits one session op with a caller-chosen correlation id, echoed
+    /// on the one event that acknowledges it — the hook network frontends
+    /// (`chameleon-serve`) use to match events to wire requests. Every
+    /// way into a session enters here: an admission (`Create`, `Import`)
+    /// needs an id not [`Self::known`], every other command a known one.
     ///
     /// # Errors
     ///
-    /// [`FleetError::DuplicateSession`] for a known id,
+    /// [`FleetError::DuplicateSession`] for an admission of a known id,
+    /// [`FleetError::UnknownSession`] for a command on an unknown one,
     /// [`FleetError::Rejected`] under backpressure,
     /// [`FleetError::ShardDown`] if the worker died.
-    pub fn create(&mut self, id: SessionId, spec: SessionSpec) -> Result<(), FleetError> {
-        self.create_correlated(id, spec, 0)
-    }
-
-    /// [`Self::create`] with a caller-chosen correlation id echoed on the
-    /// acknowledging event — the hook network frontends (`chameleon-serve`)
-    /// use to match events to wire requests.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`Self::create`].
-    pub fn create_correlated(
-        &mut self,
-        id: SessionId,
-        spec: SessionSpec,
-        correlation: u64,
-    ) -> Result<(), FleetError> {
-        if self.known.contains(&id) {
-            return Err(FleetError::DuplicateSession);
-        }
-        self.dispatch(
-            id,
-            Request::Create {
-                id,
-                spec: Box::new(spec),
-                correlation,
-            },
-        )?;
-        self.known.insert(id);
-        Ok(())
-    }
-
-    /// Submits a command on an existing session; acknowledged later by
-    /// exactly one event.
-    ///
-    /// # Errors
-    ///
-    /// [`FleetError::UnknownSession`] for an id never created,
-    /// [`FleetError::Rejected`] under backpressure,
-    /// [`FleetError::ShardDown`] if the worker died.
-    pub fn command(&mut self, id: SessionId, command: SessionCommand) -> Result<(), FleetError> {
-        self.command_correlated(id, command, 0)
-    }
-
-    /// [`Self::command`] with a caller-chosen correlation id echoed on the
-    /// acknowledging event.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`Self::command`].
     pub fn command_correlated(
         &mut self,
         id: SessionId,
         command: SessionCommand,
         correlation: u64,
     ) -> Result<(), FleetError> {
-        if !self.known.contains(&id) {
-            return Err(FleetError::UnknownSession);
+        let admission = matches!(
+            command,
+            SessionCommand::Create(_) | SessionCommand::Import(_)
+        );
+        match (admission, self.known.contains(&id)) {
+            (true, true) => return Err(FleetError::DuplicateSession),
+            (false, false) => return Err(FleetError::UnknownSession),
+            _ => {}
         }
         self.dispatch(
             id,
-            Request::Command {
+            Request::Session {
                 id,
                 command,
                 correlation,
             },
-        )
-    }
-
-    /// Imports a handed-off session from its `CHAMFLT1` blob, with a
-    /// caller-chosen correlation id; acknowledged later by an `Imported`
-    /// event (or `Failed` when the blob is corrupt or misaddressed). The
-    /// inverse of [`SessionCommand::Export`]: the blob is admitted cold
-    /// and restored on first touch, so subsequent training is
-    /// bit-identical to the exporting node continuing uninterrupted.
-    ///
-    /// # Errors
-    ///
-    /// [`FleetError::DuplicateSession`] for a known id,
-    /// [`FleetError::Rejected`] under backpressure,
-    /// [`FleetError::ShardDown`] if the worker died.
-    pub fn import_correlated(
-        &mut self,
-        id: SessionId,
-        blob: Vec<u8>,
-        correlation: u64,
-    ) -> Result<(), FleetError> {
-        if self.known.contains(&id) {
-            return Err(FleetError::DuplicateSession);
-        }
-        self.dispatch(
-            id,
-            Request::Import {
-                id,
-                blob,
-                correlation,
-            },
         )?;
-        self.known.insert(id);
+        let owed = self.owed.entry(id).or_default();
+        if admission {
+            self.known.insert(id);
+            owed.before_admission = Some(owed.acks);
+        }
+        owed.acks += 1;
         Ok(())
     }
 
-    /// [`Self::import_correlated`] that rides out backpressure by
-    /// draining events (buffering them for the next [`Self::drain`]) and
-    /// retrying.
-    ///
-    /// # Errors
-    ///
-    /// Propagates every failure except `Rejected`.
-    pub fn import_blocking(&mut self, id: SessionId, blob: Vec<u8>) -> Result<(), FleetError> {
-        loop {
-            match self.import_correlated(id, blob.clone(), 0) {
-                Err(FleetError::Rejected(_)) => self.absorb_backpressure(),
-                other => return other,
-            }
-        }
-    }
-
-    /// [`Self::create`] that rides out backpressure by draining events
-    /// (buffering them for the next [`Self::drain`]) and retrying.
-    ///
-    /// # Errors
-    ///
-    /// Propagates every failure except `Rejected`.
-    pub fn create_blocking(&mut self, id: SessionId, spec: SessionSpec) -> Result<(), FleetError> {
-        if self.known.contains(&id) {
-            return Err(FleetError::DuplicateSession);
-        }
-        loop {
-            let request = Request::Create {
-                id,
-                spec: Box::new(spec.clone()),
-                correlation: 0,
-            };
-            match self.dispatch(id, request) {
-                Ok(()) => {
-                    self.known.insert(id);
-                    return Ok(());
-                }
-                Err(FleetError::Rejected(_)) => self.absorb_backpressure(),
-                Err(other) => return Err(other),
-            }
-        }
-    }
-
-    /// [`Self::command`] that rides out backpressure by draining events
-    /// (buffering them for the next [`Self::drain`]) and retrying.
+    /// [`Self::command_correlated`] with correlation `0`, riding out
+    /// backpressure by draining events (buffering them for the next
+    /// [`Self::drain`]) and retrying.
     ///
     /// # Errors
     ///
@@ -794,8 +666,27 @@ impl FleetEngine {
         id: SessionId,
         command: SessionCommand,
     ) -> Result<(), FleetError> {
+        self.submit_blocking(id, command, 0)
+    }
+
+    /// [`Self::command_blocking`] of a [`SessionCommand::Create`].
+    ///
+    /// # Errors
+    ///
+    /// Propagates every failure except `Rejected`.
+    pub fn create_blocking(&mut self, id: SessionId, spec: SessionSpec) -> Result<(), FleetError> {
+        self.submit_blocking(id, SessionCommand::Create(Box::new(spec)), 0)
+    }
+
+    /// The one retry loop: submits until the op is not `Rejected`.
+    fn submit_blocking(
+        &mut self,
+        id: SessionId,
+        command: SessionCommand,
+        correlation: u64,
+    ) -> Result<(), FleetError> {
         loop {
-            match self.command(id, command.clone()) {
+            match self.command_correlated(id, command.clone(), correlation) {
                 Err(FleetError::Rejected(_)) => self.absorb_backpressure(),
                 other => return other,
             }
@@ -945,10 +836,25 @@ impl FleetEngine {
 
     fn account(&mut self, event: &SessionEvent) {
         self.pending = self.pending.saturating_sub(1);
+        let mut answers_admission = false;
+        if let Some(owed) = self.owed.get_mut(&event.session) {
+            answers_admission = owed.before_admission == Some(0);
+            owed.before_admission = owed.before_admission.and_then(|n| n.checked_sub(1));
+            owed.acks -= 1;
+            if owed.acks == 0 {
+                self.owed.remove(&event.session);
+            }
+        }
         // A successful export removes the session from this engine: the
-        // blob carried on the event is now the only copy, and the id may
-        // be re-imported (or re-created) later.
-        if matches!(event.kind, SessionEventKind::Exported(_)) {
+        // blob carried on the event is now the only copy. A refused
+        // admission never held the id. Either way the id may be admitted
+        // again.
+        let released = match event.kind {
+            SessionEventKind::Exported(_) => true,
+            SessionEventKind::Failed(_) => answers_admission,
+            _ => false,
+        };
+        if released {
             self.known.remove(&event.session);
         }
         if let Backend::Threads(shards) = &mut self.backend {
@@ -983,6 +889,16 @@ impl FleetEngine {
             }
         }
     }
+}
+
+/// Acks one session is owed (see [`FleetEngine::account`]).
+#[derive(Default)]
+struct Owed {
+    /// Requests sent and not yet acknowledged.
+    acks: u32,
+    /// While an admission is in flight: how many of `acks` come before
+    /// its own.
+    before_admission: Option<u32>,
 }
 
 impl Drop for FleetEngine {
@@ -1042,19 +958,17 @@ mod tests {
         // threads interleave; the bad import covers the `Failed` path.
         let ids = [1u64, 2, 3, 4];
         for &id in &ids {
-            fleet.create(id, spec(id)).expect("create");
-        }
-        for &id in &ids {
             for command in [
+                SessionCommand::Create(Box::new(spec(id))),
                 SessionCommand::Step { batches: 2 },
                 SessionCommand::Checkpoint,
                 SessionCommand::Evict,
             ] {
-                fleet.command(id, command).expect("command");
+                fleet.command_correlated(id, command, 0).expect("command");
             }
         }
         fleet
-            .import_correlated(9, vec![0; 4], 7)
+            .command_correlated(9, SessionCommand::Import(vec![0; 4]), 7)
             .expect("bad import is refused by the shard, not the engine");
         let events = fleet.pending();
         assert_eq!(events, 17);
@@ -1093,10 +1007,12 @@ mod tests {
             Some(hook),
         );
         for id in 1..=3u64 {
-            fleet.create(id, spec(id)).expect("create");
-            fleet
-                .command(id, SessionCommand::Step { batches: 2 })
-                .expect("step");
+            for command in [
+                SessionCommand::Create(Box::new(spec(id))),
+                SessionCommand::Step { batches: 2 },
+            ] {
+                fleet.command_correlated(id, command, 0).expect("submit");
+            }
         }
         assert_eq!(fleet.drain_pending().len(), 6);
         drop(fleet);

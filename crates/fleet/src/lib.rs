@@ -8,7 +8,9 @@
 //! provides that hosting layer:
 //!
 //! * [`FleetEngine`] — multiplexes sessions across N shard worker threads
-//!   (`std::thread` + bounded `std::sync::mpsc` queues, no external deps),
+//!   (`std::thread` + bounded `std::sync::mpsc` queues, no external deps);
+//!   every [`SessionCommand`], admissions included, enters through one
+//!   submit,
 //! * [`UserSession`] — one user's resident session, bit-identical to a
 //!   solo `Trainer` run over the same spec; an engine's sessions share
 //!   one frozen `f_θ` and evaluate only their heads,
@@ -38,7 +40,7 @@
 //! # Example
 //!
 //! A compiling, runnable end-to-end fleet: every submit error propagates
-//! through `?` (backpressure is absorbed by the `_blocking` variants, so
+//! through `?` (backpressure is absorbed by the blocking submits, so
 //! the remaining failures — duplicate ids, dead shards — are real bugs
 //! worth surfacing, not `unwrap()` fodder).
 //!

@@ -3,10 +3,13 @@
 
 use std::sync::Arc;
 
-use chameleon_core::{Chameleon, ChameleonConfig, EvalReport, FrozenModel, StepTrace, Strategy};
+use chameleon_core::{
+    Chameleon, ChameleonConfig, EvalReport, FrozenModel, StepTrace, Strategy, StreamPosition,
+    StreamStepper,
+};
 use chameleon_faults::{FaultInjector, FaultPlan};
 use chameleon_runtime::splitmix64;
-use chameleon_stream::{DomainIlScenario, StreamConfig, StreamCursor};
+use chameleon_stream::{DomainIlScenario, StreamConfig};
 
 /// Identifier of a user session, unique within a fleet.
 pub type SessionId = u64;
@@ -20,8 +23,8 @@ pub struct SessionSpec {
     pub stream: StreamConfig,
     /// Seed of the learner's head init and sampling RNG.
     pub learner_seed: u64,
-    /// Base seed of the user's domain streams (the per-domain seed is
-    /// derived exactly as the sequential `Trainer` derives it).
+    /// Base seed of the user's domain streams (each domain's seed is
+    /// derived from it by [`StreamStepper`], as for a `Trainer` run).
     pub stream_seed: u64,
 }
 
@@ -51,11 +54,9 @@ fn session_injector(fleet_faults: Option<&FaultPlan>, id: SessionId) -> Option<F
 /// cursor)` triple that can be advanced one batch at a time, suspended,
 /// checkpointed, and resumed.
 ///
-/// Stepping replicates the sequential `Trainer` protocol exactly —
-/// identity domain order, the same per-domain stream seeds, and the same
-/// fault-injection ordering per batch — so a fleet-hosted session is
-/// bit-identical to a solo `Trainer::run`/`run_with_faults` over the same
-/// scenario and spec.
+/// The session's [`StreamStepper`] is the one a `Trainer` run drives, so
+/// a fleet-hosted session is bit-identical to a solo
+/// `Trainer::run`/`run_with_faults` over the same scenario and spec.
 #[derive(Debug)]
 pub struct UserSession {
     id: SessionId,
@@ -65,10 +66,7 @@ pub struct UserSession {
     frozen: Arc<FrozenModel>,
     learner: Chameleon,
     injector: Option<FaultInjector>,
-    cursor: Option<StreamCursor>,
-    next_domain: usize,
-    batches_into_domain: u64,
-    finalized: bool,
+    stream: StreamStepper,
 }
 
 impl UserSession {
@@ -108,17 +106,14 @@ impl UserSession {
             None,
         )
         .expect("a fresh learner reads no checkpoint");
-        Self {
+        Self::from_parts(
             id,
             spec,
             frozen,
             learner,
-            injector: session_injector(fleet_faults, id),
-            cursor: None,
-            next_domain: 0,
-            batches_into_domain: 0,
-            finalized: false,
-        }
+            fleet_faults,
+            StreamPosition::default(),
+        )
     }
 
     /// Session identifier.
@@ -134,17 +129,17 @@ impl UserSession {
     /// Whether the whole stream has been consumed and the learner
     /// finalized.
     pub fn is_done(&self) -> bool {
-        self.finalized
+        self.stream.position().finalized
     }
 
     /// Index of the domain currently streaming (or next to stream).
     pub fn current_domain(&self) -> usize {
-        self.next_domain
+        self.stream.position().next_domain
     }
 
     /// Batches already delivered within the current domain.
     pub fn batches_into_domain(&self) -> u64 {
-        self.batches_into_domain
+        self.stream.position().batches_into_domain
     }
 
     /// The frozen model this session evaluates with.
@@ -188,58 +183,15 @@ impl UserSession {
         nominal.saturating_sub(self.resident_bytes())
     }
 
-    /// Advances the session by at most one stream batch, mirroring the
-    /// sequential trainer loop (begin/end-domain hooks, per-domain stream
-    /// seeds, fault ordering). Returns `false` once the stream is
-    /// exhausted and the learner finalized; further calls are no-ops.
+    /// Advances the session by at most one stream batch. Returns `false`
+    /// once the stream is exhausted and the learner finalized; further
+    /// calls are no-ops.
     pub fn step_batch(&mut self) -> bool {
-        if self.finalized {
-            return false;
-        }
-        loop {
-            let scenario = self.frozen.scenario();
-            if self.cursor.is_none() {
-                if self.next_domain == scenario.spec().num_domains {
-                    self.learner.finalize();
-                    self.finalized = true;
-                    return false;
-                }
-                self.learner.begin_domain(self.next_domain);
-                self.cursor = Some(scenario.stream_cursor(
-                    self.next_domain,
-                    &self.spec.stream,
-                    self.domain_seed(self.next_domain),
-                ));
-                self.batches_into_domain = 0;
-            }
-            let cursor = self.cursor.as_mut().expect("cursor set above");
-            match cursor.next_batch(scenario.generator()) {
-                Some(batch) => {
-                    self.batches_into_domain += 1;
-                    match self.injector.as_mut() {
-                        None => self.learner.observe(&batch),
-                        Some(injector) => {
-                            // Same ordering as the sequential trainer:
-                            // stream time passes whether or not the batch
-                            // is delivered, then resident stores age.
-                            let ticks = batch.len() as u64;
-                            for delivered in injector.mangle_batch(batch) {
-                                self.learner.observe(&delivered);
-                            }
-                            self.learner.visit_stores(&mut |placement, sample| {
-                                injector.flip_bits(&mut sample.features, ticks, placement);
-                            });
-                        }
-                    }
-                    return true;
-                }
-                None => {
-                    self.learner.end_domain(self.next_domain);
-                    self.cursor = None;
-                    self.next_domain += 1;
-                }
-            }
-        }
+        self.stream.step_batch(
+            self.frozen.scenario(),
+            &mut self.learner,
+            self.injector.as_mut(),
+        )
     }
 
     /// Advances by up to `batches` stream batches; returns how many were
@@ -262,71 +214,31 @@ impl UserSession {
         self.frozen.evaluate(&self.learner)
     }
 
-    /// The exact per-domain stream seed the sequential trainer would use
-    /// (identity domain order: position == domain).
-    fn domain_seed(&self, domain: usize) -> u64 {
-        self.spec.stream_seed.wrapping_add(domain as u64 * 0x9E37)
+    pub(crate) fn parts_for_checkpoint(&self) -> (&Chameleon, StreamPosition) {
+        (&self.learner, self.stream.position())
     }
 
-    pub(crate) fn parts_for_checkpoint(&self) -> (&Chameleon, usize, bool, u64, bool) {
-        (
-            &self.learner,
-            self.next_domain,
-            self.cursor.is_some(),
-            self.batches_into_domain,
-            self.finalized,
-        )
-    }
-
-    /// Rebuilds a session from checkpointed progress: a reloaded learner
-    /// plus the stream position. The cursor is recreated from the
-    /// deterministic per-domain seed and fast-forwarded by replaying
-    /// `progress.batches_into_domain` batches, reproducing the exact
-    /// stream state at eviction time.
-    pub(crate) fn from_restored_parts(
+    /// Assembles a session from a learner and its stream position; the
+    /// stream resumes exactly there ([`StreamStepper::resume`]).
+    pub(crate) fn from_parts(
         id: SessionId,
         spec: SessionSpec,
         frozen: Arc<FrozenModel>,
         learner: Chameleon,
         fleet_faults: Option<&FaultPlan>,
-        progress: StreamProgress,
+        at: StreamPosition,
     ) -> Self {
-        let mut session = Self {
+        let stream =
+            StreamStepper::resume(frozen.scenario(), spec.stream.clone(), spec.stream_seed, at);
+        Self {
             id,
             spec,
             frozen,
             learner,
             injector: session_injector(fleet_faults, id),
-            cursor: None,
-            next_domain: progress.next_domain,
-            batches_into_domain: 0,
-            finalized: progress.finalized,
-        };
-        if progress.mid_domain && !progress.finalized {
-            let scenario = session.frozen.scenario();
-            let mut cursor = scenario.stream_cursor(
-                progress.next_domain,
-                &session.spec.stream,
-                session.domain_seed(progress.next_domain),
-            );
-            let generator = scenario.generator();
-            for _ in 0..progress.batches_into_domain {
-                let _ = cursor.next_batch(generator);
-            }
-            session.cursor = Some(cursor);
-            session.batches_into_domain = progress.batches_into_domain;
+            stream,
         }
-        session
     }
-}
-
-/// Stream position captured at eviction time, as a unit.
-#[derive(Clone, Copy, Debug)]
-pub(crate) struct StreamProgress {
-    pub(crate) next_domain: usize,
-    pub(crate) mid_domain: bool,
-    pub(crate) batches_into_domain: u64,
-    pub(crate) finalized: bool,
 }
 
 #[cfg(test)]

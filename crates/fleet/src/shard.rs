@@ -22,9 +22,18 @@ use crate::checkpoint::SessionCheckpoint;
 use crate::metrics::ShardMetrics;
 use crate::session::{SessionId, SessionSpec, UserSession};
 
-/// An operation on one already-created session.
+/// An operation on one session: its admission (`Create`, `Import`) or a
+/// command on the admitted session. Every way into a session is one of
+/// these, submitted through [`crate::FleetEngine::command_correlated`].
 #[derive(Clone, Debug, PartialEq)]
 pub enum SessionCommand {
+    /// Admit a new session built from this spec; acknowledged by
+    /// `Created`.
+    Create(Box<SessionSpec>),
+    /// Admit a handed-off session from its `CHAMFLT1` blob, cold, to be
+    /// restored on first touch — the inverse of `Export`; acknowledged by
+    /// `Imported`.
+    Import(Vec<u8>),
     /// Deliver up to this many stream batches to the session's learner.
     Step {
         /// Maximum batches to deliver (fewer when the stream ends).
@@ -43,8 +52,8 @@ pub enum SessionCommand {
     Export,
 }
 
-/// What a shard did in response to one request. Every accepted `Create` or
-/// `Command` produces exactly one event.
+/// What a shard did in response to one request. Every accepted
+/// [`SessionCommand`] produces exactly one event.
 #[derive(Clone, Debug, PartialEq)]
 pub enum SessionEventKind {
     /// The session was created and is resident.
@@ -79,8 +88,8 @@ pub struct SessionEvent {
     pub session: SessionId,
     /// Shard that processed it.
     pub shard: usize,
-    /// Correlation id the request was submitted with (0 for the untagged
-    /// submit paths). Network frontends use this to match an event back to
+    /// Correlation id the request was submitted with (0 for the blocking
+    /// submits). Network frontends use this to match an event back to
     /// the wire request that caused it without relying on per-session
     /// ordering.
     pub correlation: u64,
@@ -95,19 +104,9 @@ pub type WakeHook = Arc<dyn Fn() + Send + Sync>;
 
 /// A request on a shard's bounded queue.
 pub(crate) enum Request {
-    Create {
-        id: SessionId,
-        spec: Box<SessionSpec>,
-        correlation: u64,
-    },
-    Command {
+    Session {
         id: SessionId,
         command: SessionCommand,
-        correlation: u64,
-    },
-    Import {
-        id: SessionId,
-        blob: Vec<u8>,
         correlation: u64,
     },
     Metrics {
@@ -132,9 +131,6 @@ struct Resident {
 enum Cold {
     Ram(Box<SessionCheckpoint>),
     Disk {
-        /// Sequence number the store acknowledged for the latest record.
-        #[allow(dead_code)] // diagnostic; the store's index is authoritative
-        seq: u64,
         /// Counters kept aside so metrics snapshots and trace merges do not
         /// need a disk read.
         counters: chameleon_core::LearnerCounters,
@@ -142,7 +138,7 @@ enum Cold {
 }
 
 /// A session pre-seeded into a shard's cold map by engine recovery.
-pub(crate) type RecoveredSession = (SessionId, u64, chameleon_core::LearnerCounters);
+pub(crate) type RecoveredSession = (SessionId, chameleon_core::LearnerCounters);
 
 /// The state owned by one shard worker — on its own thread in
 /// production, or driven request-by-request by the simulation executor.
@@ -212,8 +208,8 @@ impl ShardWorker {
         store: chameleon_store::SharedStore,
         recovered: Vec<RecoveredSession>,
     ) {
-        for (id, seq, counters) in recovered {
-            self.cold.insert(id, Cold::Disk { seq, counters });
+        for (id, counters) in recovered {
+            self.cold.insert(id, Cold::Disk { counters });
         }
         self.store = Some(store);
     }
@@ -269,21 +265,11 @@ impl ShardWorker {
     /// above and the simulation executor's seeded step function.
     pub(crate) fn process(&mut self, request: Request) -> bool {
         match request {
-            Request::Create {
-                id,
-                spec,
-                correlation,
-            } => self.handle_create(id, *spec, correlation),
-            Request::Command {
+            Request::Session {
                 id,
                 command,
                 correlation,
             } => self.handle_command(id, command, correlation),
-            Request::Import {
-                id,
-                blob,
-                correlation,
-            } => self.handle_import(id, &blob, correlation),
             Request::Metrics { reply } => {
                 let _ = reply.send(self.snapshot());
             }
@@ -310,152 +296,102 @@ impl ShardWorker {
         }
     }
 
-    fn handle_create(&mut self, id: SessionId, spec: SessionSpec, correlation: u64) {
-        if self.resident.contains_key(&id) || self.cold.contains_key(&id) {
-            self.emit(
-                id,
-                correlation,
-                SessionEventKind::Failed("session already exists".into()),
-            );
-            return;
-        }
-        if let Err(e) = spec.learner.validate() {
-            self.emit(
-                id,
-                correlation,
-                SessionEventKind::Failed(format!("invalid learner config: {e}")),
-            );
-            return;
-        }
-        if let Err(e) = spec.stream.validate() {
-            self.emit(
-                id,
-                correlation,
-                SessionEventKind::Failed(format!("invalid stream config: {e}")),
-            );
-            return;
-        }
-        let session = UserSession::create(id, spec, Arc::clone(&self.frozen), self.faults.as_ref());
-        self.admit(id, session);
-        self.metrics.sessions_created += 1;
-        self.enforce_budget(id);
-        self.emit(id, correlation, SessionEventKind::Created);
-    }
-
+    /// Runs one session op and emits the one event that acknowledges it.
     fn handle_command(&mut self, id: SessionId, command: SessionCommand, correlation: u64) {
-        match command {
-            SessionCommand::Step { batches } => match self.touch(id) {
-                Err(reason) => self.emit(id, correlation, SessionEventKind::Failed(reason)),
-                Ok(()) => {
-                    let start = self.time.now_nanos();
-                    let resident = self.resident.get_mut(&id).expect("touched");
-                    let delivered = resident.session.step_batches(batches);
-                    let done = resident.session.is_done();
-                    let elapsed = self.time.now_nanos().saturating_sub(start);
-                    self.metrics.step_nanos += elapsed;
-                    self.obs.record(Stage::Step, elapsed);
-                    self.metrics.step_commands += 1;
-                    self.metrics.batches += delivered as u64;
-                    self.refresh_footprint(id);
-                    self.emit(
-                        id,
-                        correlation,
-                        SessionEventKind::Stepped { delivered, done },
-                    );
-                }
-            },
-            SessionCommand::Evaluate => match self.touch(id) {
-                Err(reason) => self.emit(id, correlation, SessionEventKind::Failed(reason)),
-                Ok(()) => {
-                    let start = self.time.now_nanos();
-                    let report = self.resident[&id].session.evaluate();
-                    let elapsed = self.time.now_nanos().saturating_sub(start);
-                    self.metrics.eval_nanos += elapsed;
-                    self.obs.record(Stage::Eval, elapsed);
-                    self.emit(
-                        id,
-                        correlation,
-                        SessionEventKind::Evaluated(Box::new(report)),
-                    );
-                }
-            },
-            SessionCommand::Checkpoint => match self.session_blob(id) {
-                Ok(blob) => self.emit(id, correlation, SessionEventKind::Checkpointed(blob)),
-                Err(reason) => self.emit(id, correlation, SessionEventKind::Failed(reason)),
-            },
+        let outcome = match command {
+            SessionCommand::Create(_) | SessionCommand::Import(_)
+                if self.resident.contains_key(&id) || self.cold.contains_key(&id) =>
+            {
+                Err("session already exists".into())
+            }
+            SessionCommand::Create(spec) => self.create(id, *spec),
+            SessionCommand::Import(blob) => self.import(id, &blob),
+            SessionCommand::Step { batches } => self.touch(id).map(|()| {
+                let start = self.time.now_nanos();
+                let resident = self.resident.get_mut(&id).expect("touched");
+                let delivered = resident.session.step_batches(batches);
+                let done = resident.session.is_done();
+                let elapsed = self.time.now_nanos().saturating_sub(start);
+                self.metrics.step_nanos += elapsed;
+                self.obs.record(Stage::Step, elapsed);
+                self.metrics.step_commands += 1;
+                self.metrics.batches += delivered as u64;
+                self.refresh_footprint(id);
+                SessionEventKind::Stepped { delivered, done }
+            }),
+            SessionCommand::Evaluate => self.touch(id).map(|()| {
+                let start = self.time.now_nanos();
+                let report = self.resident[&id].session.evaluate();
+                let elapsed = self.time.now_nanos().saturating_sub(start);
+                self.metrics.eval_nanos += elapsed;
+                self.obs.record(Stage::Eval, elapsed);
+                SessionEventKind::Evaluated(Box::new(report))
+            }),
+            SessionCommand::Checkpoint => self.session_blob(id).map(SessionEventKind::Checkpointed),
             SessionCommand::Evict => {
                 if self.resident.contains_key(&id) {
                     self.evict(id);
-                    self.emit(id, correlation, SessionEventKind::Evicted);
+                    Ok(SessionEventKind::Evicted)
                 } else if self.cold.contains_key(&id) {
-                    self.emit(id, correlation, SessionEventKind::Evicted);
+                    Ok(SessionEventKind::Evicted)
                 } else {
-                    self.emit(
-                        id,
-                        correlation,
-                        SessionEventKind::Failed("session unknown to this shard".into()),
-                    );
+                    Err("session unknown to this shard".into())
                 }
             }
             // Capture, then forget the session entirely: after a
             // successful export the blob is the only copy, so exactly one
             // node can own the session. A stale record may remain in the
             // durable store; re-import (or router ownership) supersedes it.
-            SessionCommand::Export => match self.session_blob(id) {
-                Ok(blob) => {
-                    if let Some(resident) = self.resident.remove(&id) {
-                        self.resident_bytes = self.resident_bytes.saturating_sub(resident.bytes);
-                    }
-                    self.cold.remove(&id);
-                    self.obs
-                        .event(format!("shard {}: session {id} exported", self.shard));
-                    self.emit(id, correlation, SessionEventKind::Exported(blob));
+            SessionCommand::Export => self.session_blob(id).map(|blob| {
+                if let Some(resident) = self.resident.remove(&id) {
+                    self.resident_bytes = self.resident_bytes.saturating_sub(resident.bytes);
                 }
-                Err(reason) => self.emit(id, correlation, SessionEventKind::Failed(reason)),
-            },
-        }
+                self.cold.remove(&id);
+                self.obs
+                    .event(format!("shard {}: session {id} exported", self.shard));
+                SessionEventKind::Exported(blob)
+            }),
+        };
+        self.emit(
+            id,
+            correlation,
+            outcome.unwrap_or_else(SessionEventKind::Failed),
+        );
+    }
+
+    /// Builds and admits a new session, resident.
+    fn create(&mut self, id: SessionId, spec: SessionSpec) -> Result<SessionEventKind, String> {
+        spec.learner
+            .validate()
+            .map_err(|e| format!("invalid learner config: {e}"))?;
+        spec.stream
+            .validate()
+            .map_err(|e| format!("invalid stream config: {e}"))?;
+        let session = UserSession::create(id, spec, Arc::clone(&self.frozen), self.faults.as_ref());
+        self.admit(id, session);
+        self.metrics.sessions_created += 1;
+        self.enforce_budget(id);
+        Ok(SessionEventKind::Created)
     }
 
     /// Imports a handed-off session from its `CHAMFLT1` blob: the inverse
     /// of `Export`. The checkpoint is parsed and admitted cold (RAM), so
     /// the learner rebuild cost lands on first touch, exactly like an
     /// eviction restore — bit-identical learning outcomes included.
-    fn handle_import(&mut self, id: SessionId, blob: &[u8], correlation: u64) {
-        if self.resident.contains_key(&id) || self.cold.contains_key(&id) {
-            self.emit(
-                id,
-                correlation,
-                SessionEventKind::Failed("session already exists".into()),
-            );
-            return;
-        }
-        let checkpoint = match SessionCheckpoint::from_bytes(blob) {
-            Ok(checkpoint) => checkpoint,
-            Err(e) => {
-                self.emit(
-                    id,
-                    correlation,
-                    SessionEventKind::Failed(format!("handoff blob rejected: {e:?}")),
-                );
-                return;
-            }
-        };
+    fn import(&mut self, id: SessionId, blob: &[u8]) -> Result<SessionEventKind, String> {
+        let checkpoint = SessionCheckpoint::from_bytes(blob)
+            .map_err(|e| format!("handoff blob rejected: {e:?}"))?;
         if checkpoint.session != id {
-            self.emit(
-                id,
-                correlation,
-                SessionEventKind::Failed(format!(
-                    "handoff blob names session {}, not {id}",
-                    checkpoint.session
-                )),
-            );
-            return;
+            return Err(format!(
+                "handoff blob names session {}, not {id}",
+                checkpoint.session
+            ));
         }
         self.cold.insert(id, Cold::Ram(Box::new(checkpoint)));
         self.metrics.sessions_created += 1;
         self.obs
             .event(format!("shard {}: session {id} imported", self.shard));
-        self.emit(id, correlation, SessionEventKind::Imported);
+        Ok(SessionEventKind::Imported)
     }
 
     /// Makes `id` resident (restoring from cold if needed), bumps its LRU
@@ -474,7 +410,7 @@ impl ShardWorker {
         // session is not silently lost.
         let checkpoint = match cold {
             Cold::Ram(checkpoint) => checkpoint,
-            Cold::Disk { seq, counters } => {
+            Cold::Disk { counters } => {
                 let loaded = self.fetch_cold_blob(id).and_then(|blob| {
                     SessionCheckpoint::from_bytes(&blob)
                         .map_err(|e| format!("stored checkpoint rejected: {e:?}"))
@@ -482,7 +418,7 @@ impl ShardWorker {
                 match loaded {
                     Ok(checkpoint) => Box::new(checkpoint),
                     Err(reason) => {
-                        self.cold.insert(id, Cold::Disk { seq, counters });
+                        self.cold.insert(id, Cold::Disk { counters });
                         self.obs.event(format!(
                             "shard {}: session {id} restore failed: {reason}",
                             self.shard
@@ -587,8 +523,7 @@ impl ShardWorker {
                 // Write-ahead discipline: append seals + fsyncs before it
                 // returns; only an acknowledged write lets the RAM copy go.
                 match store.append(id, &checkpoint.to_bytes()) {
-                    Ok(seq) => Cold::Disk {
-                        seq,
+                    Ok(_) => Cold::Disk {
                         counters: checkpoint.counters,
                     },
                     Err(e) => {
@@ -622,7 +557,7 @@ impl ShardWorker {
         for cold in self.cold.values() {
             match cold {
                 Cold::Ram(checkpoint) => m.trace.merge(&checkpoint.counters.trace),
-                Cold::Disk { counters, .. } => m.trace.merge(&counters.trace),
+                Cold::Disk { counters } => m.trace.merge(&counters.trace),
             }
         }
         m
@@ -659,6 +594,16 @@ mod tests {
             stream: StreamConfig::default(),
             learner_seed: 5,
             stream_seed,
+        }
+    }
+
+    impl ShardWorker {
+        fn handle_create(&mut self, id: SessionId, spec: SessionSpec, correlation: u64) {
+            self.handle_command(id, SessionCommand::Create(Box::new(spec)), correlation);
+        }
+
+        fn handle_import(&mut self, id: SessionId, blob: &[u8], correlation: u64) {
+            self.handle_command(id, SessionCommand::Import(blob.to_vec()), correlation);
         }
     }
 
@@ -1071,7 +1016,9 @@ mod tests {
         let SessionEventKind::Exported(blob) = run(&mut fleet, 2, SessionCommand::Export) else {
             panic!("export");
         };
-        fleet.import_blocking(2, blob).expect("import");
+        fleet
+            .command_blocking(2, SessionCommand::Import(blob))
+            .expect("import");
         assert_eq!(
             fleet.drain_pending().pop().map(|e| e.kind),
             Some(SessionEventKind::Imported)

@@ -12,16 +12,12 @@
 //! bug replays bit-identically from a u64.
 
 use std::collections::VecDeque;
-use std::sync::mpsc::Sender;
-use std::sync::Arc;
 
-use chameleon_core::FrozenModel;
-use chameleon_obs::Observer;
-use chameleon_runtime::{Clock, SimScheduler};
+use chameleon_runtime::SimScheduler;
 
-use crate::engine::{Backpressure, FleetConfig, FleetError};
+use crate::engine::{Backpressure, FleetError};
 use crate::metrics::ShardMetrics;
-use crate::shard::{RecoveredSession, Request, SessionEvent, ShardWorker};
+use crate::shard::{Request, ShardWorker};
 
 /// All shard workers of one fleet, executed cooperatively under a
 /// seeded scheduler on a shared virtual clock.
@@ -33,46 +29,19 @@ pub(crate) struct SimExecutor {
 }
 
 impl SimExecutor {
+    /// Runs `workers`, one per shard in shard order, under `scheduler`
+    /// behind queues of `queue_depth`.
     pub(crate) fn new(
-        frozen: &Arc<FrozenModel>,
-        config: &FleetConfig,
         scheduler: SimScheduler,
-        events: Sender<SessionEvent>,
-        observer: Arc<Observer>,
-        store: Option<chameleon_store::SharedStore>,
-        mut recovered: Vec<Vec<RecoveredSession>>,
+        workers: Vec<ShardWorker>,
+        queue_depth: usize,
     ) -> Self {
-        let clock: Arc<dyn Clock> = scheduler.clock();
-        let workers = (0..config.num_shards)
-            .map(|shard| {
-                let mut worker = ShardWorker::new(
-                    shard,
-                    Arc::clone(frozen),
-                    config.faults,
-                    config.budget_bytes,
-                    Arc::clone(&clock),
-                    events.clone(),
-                    Arc::clone(&observer),
-                );
-                if let Some(store) = &store {
-                    let seeds = recovered.get_mut(shard).map(std::mem::take);
-                    worker.attach_store(store.clone(), seeds.unwrap_or_default());
-                }
-                worker
-            })
-            .collect();
         Self {
             scheduler,
+            queues: workers.iter().map(|_| VecDeque::new()).collect(),
             workers,
-            queues: (0..config.num_shards).map(|_| VecDeque::new()).collect(),
-            queue_depth: config.queue_depth,
+            queue_depth,
         }
-    }
-
-    /// Seed this executor's scheduler was built from (for failure
-    /// reports: any run replays from this value).
-    pub(crate) fn seed(&self) -> u64 {
-        self.scheduler.seed()
     }
 
     /// Enqueues a request on `shard`'s queue with exactly the bounded

@@ -158,9 +158,21 @@ impl MlpHead {
         self.layers.len()
     }
 
-    /// Inference-only forward pass returning logits.
+    /// Inference-only forward pass returning logits: the layer calls of
+    /// [`Self::forward`], keeping nothing for a backward pass.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `x.cols() != self.in_features()`.
     pub fn logits(&self, x: &Matrix) -> Matrix {
-        self.forward(x).pre.pop_last()
+        let (last, hidden) = self.layers.split_last().expect("at least one layer");
+        let mut act: Option<Matrix> = None;
+        for layer in hidden {
+            let mut y = layer.forward_with(act.as_ref().unwrap_or(x), self.kernel);
+            relu(&mut y);
+            act = Some(y);
+        }
+        last.forward_with(act.as_ref().unwrap_or(x), self.kernel)
     }
 
     /// Forward pass that caches activations for [`Self::backward`].
@@ -171,21 +183,15 @@ impl MlpHead {
     pub fn forward(&self, x: &Matrix) -> Forward {
         let mut inputs = Vec::with_capacity(self.layers.len());
         let mut pre = Vec::with_capacity(self.layers.len());
-        let mut cur = x.clone();
+        inputs.push(x.clone());
         for (i, layer) in self.layers.iter().enumerate() {
-            inputs.push(cur.clone());
-            let y = layer.forward_with(&cur, self.kernel);
-            pre.push(y.clone());
+            let y = layer.forward_with(&inputs[i], self.kernel);
             if i + 1 < self.layers.len() {
-                // ReLU between layers.
-                let mut act = y;
-                for v in act.as_mut_slice() {
-                    if *v < 0.0 {
-                        *v = 0.0;
-                    }
-                }
-                cur = act;
+                let mut act = y.clone();
+                relu(&mut act);
+                inputs.push(act);
             }
+            pre.push(y);
         }
         Forward { inputs, pre }
     }
@@ -293,14 +299,12 @@ impl MlpHead {
     }
 }
 
-/// Internal helper: move the last element out of a Vec.
-trait PopLast<T> {
-    fn pop_last(self) -> T;
-}
-
-impl<T> PopLast<T> for Vec<T> {
-    fn pop_last(mut self) -> T {
-        self.pop().expect("non-empty vector")
+/// The ReLU between layers, in place.
+fn relu(m: &mut Matrix) {
+    for v in m.as_mut_slice() {
+        if *v < 0.0 {
+            *v = 0.0;
+        }
     }
 }
 
@@ -319,6 +323,19 @@ mod tests {
         assert_eq!(head.num_classes(), 5);
         assert_eq!(head.in_features(), 6);
         assert_eq!(head.num_layers(), 2);
+    }
+
+    #[test]
+    fn logits_are_the_forward_pass_logits_bit_for_bit() {
+        let mut rng = Prng::new(4);
+        for dims in [&[6, 5][..], &[6, 12, 9, 5][..]] {
+            for kernel in [Kernel::Scalar, Kernel::Chunked] {
+                let mut head = MlpHead::new(dims, &mut rng);
+                head.set_kernel(kernel);
+                let x = Matrix::randn(7, 6, &mut rng);
+                assert_eq!(&head.logits(&x), head.forward(&x).logits(), "{dims:?}");
+            }
+        }
     }
 
     #[test]

@@ -666,11 +666,9 @@ fn build_route_observation(shared: &Shared, obs: &Observer) -> Observation {
         o.push_counter(name, value);
     }
     if let Some(state) = &shared.state {
-        let s = plock(state).counters();
-        o.push_counter("route.state_appends", s.appends);
-        o.push_counter("route.state_append_bytes", s.append_bytes);
-        o.push_counter("route.state_compactions", s.compactions);
-        o.push_counter("route.state_truncated_bytes", s.truncated_bytes);
+        for (name, value) in plock(state).counters().named() {
+            o.push_counter(name, value);
+        }
     }
     let registry = plock(&shared.registry);
     o.push_counter(

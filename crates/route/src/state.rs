@@ -323,6 +323,23 @@ pub struct StateLogCounters {
     pub truncated_bytes: u64,
 }
 
+impl StateLogCounters {
+    /// The counters as `route.state_*` name/value pairs, in the order the
+    /// router's `Observation` carries them. Every report of this block
+    /// iterates this list.
+    #[must_use]
+    pub fn named(&self) -> Vec<(String, u64)> {
+        [
+            ("route.state_appends", self.appends),
+            ("route.state_append_bytes", self.append_bytes),
+            ("route.state_compactions", self.compactions),
+            ("route.state_truncated_bytes", self.truncated_bytes),
+        ]
+        .map(|(name, value)| (name.to_string(), value))
+        .into()
+    }
+}
+
 /// The file-backed CHAMRTE1 log. Appends are written and fsynced before
 /// they return — an acked pin or shadow survives a SIGKILL of the router
 /// process, the same durability bar the session store sets.

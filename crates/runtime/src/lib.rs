@@ -203,7 +203,6 @@ impl SimRng {
 /// all simulated time lives on one shared [`VirtualClock`].
 #[derive(Debug)]
 pub struct SimScheduler {
-    seed: u64,
     rng: SimRng,
     clock: Arc<VirtualClock>,
 }
@@ -217,15 +216,9 @@ impl SimScheduler {
     /// fresh auto-ticking [`VirtualClock`].
     pub fn new(seed: u64) -> Self {
         Self {
-            seed,
             rng: SimRng::new(splitmix64(seed ^ 0x5C4E_D01E)),
             clock: VirtualClock::shared(SIM_AUTO_TICK_NANOS),
         }
-    }
-
-    /// The seed this scheduler was built from (for failure reports).
-    pub fn seed(&self) -> u64 {
-        self.seed
     }
 
     /// The virtual clock all simulated components share.
@@ -236,12 +229,6 @@ impl SimScheduler {
     /// Picks which of `runnable` choices executes next.
     pub fn pick(&mut self, runnable: usize) -> usize {
         self.rng.below(runnable as u64) as usize
-    }
-
-    /// A derived seed for an auxiliary decision stream (e.g. op-script
-    /// generation), independent of the scheduling draws.
-    pub fn derive(&self, salt: u64) -> u64 {
-        splitmix64(self.seed ^ splitmix64(salt))
     }
 }
 
@@ -327,13 +314,6 @@ mod tests {
         let picks_b: Vec<usize> = (0..64).map(|_| b.pick(5)).collect();
         assert_eq!(picks_a, picks_b);
         assert!(picks_a.iter().any(|&p| p != picks_a[0]), "degenerate rng");
-    }
-
-    #[test]
-    fn derived_seeds_differ_by_salt_but_replay() {
-        let s = SimScheduler::new(9);
-        assert_eq!(s.derive(1), SimScheduler::new(9).derive(1));
-        assert_ne!(s.derive(1), s.derive(2));
     }
 
     #[test]

@@ -329,7 +329,7 @@ fn handle_op(
     // The fleet's internal correlation space is the engine's own — the
     // wire correlation rides in the reply handle kept in `pending`.
     let correlation = *next_correlation;
-    let submitted = match request {
+    let (session, command) = match request {
         Request::Ping => {
             reply.send(Response::Pong);
             return;
@@ -340,30 +340,21 @@ fn handle_op(
             return;
         }
         Request::CreateSession { session, spec } => {
-            fleet.create_correlated(session, spec, correlation)
+            (session, SessionCommand::Create(Box::new(spec)))
         }
-        Request::Step { session, batches } => fleet.command_correlated(
+        Request::Step { session, batches } => (
             session,
             SessionCommand::Step {
                 batches: batches as usize,
             },
-            correlation,
         ),
-        Request::Predict { session } => {
-            fleet.command_correlated(session, SessionCommand::Evaluate, correlation)
-        }
-        Request::Checkpoint { session } => {
-            fleet.command_correlated(session, SessionCommand::Checkpoint, correlation)
-        }
-        Request::Evict { session } => {
-            fleet.command_correlated(session, SessionCommand::Evict, correlation)
-        }
-        Request::HandoffExport { session } => {
-            fleet.command_correlated(session, SessionCommand::Export, correlation)
-        }
-        Request::Handoff { session, blob } => fleet.import_correlated(session, blob, correlation),
+        Request::Predict { session } => (session, SessionCommand::Evaluate),
+        Request::Checkpoint { session } => (session, SessionCommand::Checkpoint),
+        Request::Evict { session } => (session, SessionCommand::Evict),
+        Request::HandoffExport { session } => (session, SessionCommand::Export),
+        Request::Handoff { session, blob } => (session, SessionCommand::Import(blob)),
     };
-    match submitted {
+    match fleet.command_correlated(session, command, correlation) {
         Ok(()) => {
             *next_correlation += 1;
             pending.insert(correlation, reply);
@@ -413,37 +404,16 @@ fn build_observation(
             o.push_counter(name, value);
         }
     }
-    let t = fm.merged_trace();
-    o.push_counter("trace.inputs", t.inputs);
-    o.push_counter("trace.trunk_passes", t.trunk_passes);
-    o.push_counter("trace.head_fwd_passes", t.head_fwd_passes);
-    o.push_counter("trace.head_bwd_passes", t.head_bwd_passes);
-    o.push_counter("trace.onchip_sample_reads", t.onchip_sample_reads);
-    o.push_counter("trace.onchip_sample_writes", t.onchip_sample_writes);
-    o.push_counter("trace.offchip_latent_reads", t.offchip_latent_reads);
-    o.push_counter("trace.offchip_latent_writes", t.offchip_latent_writes);
-    o.push_counter("trace.offchip_raw_reads", t.offchip_raw_reads);
-    o.push_counter("trace.offchip_raw_writes", t.offchip_raw_writes);
-    o.push_counter("trace.covariance_updates", t.covariance_updates);
-    o.push_counter("trace.matrix_inversions", t.matrix_inversions);
-    o.push_counter("trace.inversion_dim", t.inversion_dim as u64);
+    for (name, value) in fm.merged_trace().counters() {
+        o.push_counter(format!("trace.{name}"), value);
+    }
     for (name, value) in metrics.snapshot().named() {
         o.push_counter(name, value);
     }
-    if let Some(s) = fleet.store_counters() {
-        o.push_counter("store.appends", s.appends);
-        o.push_counter("store.append_bytes", s.append_bytes);
-        o.push_counter("store.fsyncs", s.fsyncs);
-        o.push_counter("store.rotations", s.rotations);
-        o.push_counter("store.compactions", s.compactions);
-        o.push_counter("store.torn_truncations", s.torn_truncations);
-        o.push_counter("store.truncated_bytes", s.truncated_bytes);
-        o.push_counter("store.decode_rejects", s.decode_rejects);
-        o.push_counter("store.short_reads", s.short_reads);
-        o.push_counter("store.sessions_recovered", s.sessions_recovered);
-        o.push_counter("store.segments", s.segments);
-        o.push_counter("store.live_records", s.live_records);
-        o.push_counter("store.dead_bytes", s.dead_bytes);
+    if let Some(store) = fleet.store_counters() {
+        for (name, value) in store.named() {
+            o.push_counter(name, value);
+        }
     }
     o
 }

@@ -241,8 +241,7 @@ pub(crate) fn submit(
 ) -> Result<(), FleetError> {
     let command = match *op {
         Op::Create { session } => {
-            return engine
-                .create_blocking(session, script::session_spec_at(seed, session, precision))
+            SessionCommand::Create(Box::new(script::session_spec_at(seed, session, precision)))
         }
         Op::Step { batches, .. } => SessionCommand::Step { batches },
         Op::Checkpoint { .. } => SessionCommand::Checkpoint,

@@ -73,21 +73,7 @@ pub fn golden_scenario() -> Arc<DomainIlScenario> {
 
 fn trace_crc(trace: &StepTrace) -> u32 {
     let mut buf = Vec::new();
-    for v in [
-        trace.inputs,
-        trace.trunk_passes,
-        trace.head_fwd_passes,
-        trace.head_bwd_passes,
-        trace.onchip_sample_reads,
-        trace.onchip_sample_writes,
-        trace.offchip_latent_reads,
-        trace.offchip_latent_writes,
-        trace.offchip_raw_reads,
-        trace.offchip_raw_writes,
-        trace.covariance_updates,
-        trace.matrix_inversions,
-        trace.inversion_dim as u64,
-    ] {
+    for (_, v) in trace.counters() {
         buf.extend_from_slice(&v.to_le_bytes());
     }
     crc32(&buf)

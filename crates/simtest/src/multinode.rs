@@ -259,7 +259,7 @@ impl Cluster {
             })
             .ok_or_else(|| format!("session {session}: export produced no blob"))?;
         self.engines[new]
-            .import_blocking(session, blob.clone())
+            .command_blocking(session, SessionCommand::Import(blob.clone()))
             .map_err(|e| format!("session {session}: import refused: {e}"))?;
         self.engines[new].drain_pending();
         self.placement.insert(session, new);
@@ -355,7 +355,7 @@ impl Cluster {
                 continue;
             };
             self.engines[new]
-                .import_blocking(session, blob)
+                .command_blocking(session, SessionCommand::Import(blob))
                 .map_err(|e| format!("session {session}: failover import refused: {e}"))?;
             self.engines[new].drain_pending();
             self.placement.insert(session, new);

@@ -86,6 +86,32 @@ pub struct StoreCounters {
     pub dead_bytes: u64,
 }
 
+impl StoreCounters {
+    /// The counters as `store.*` name/value pairs, in the order a
+    /// server's `Observation` carries them. Every report of this block
+    /// iterates this list.
+    #[must_use]
+    pub fn named(&self) -> Vec<(String, u64)> {
+        [
+            ("store.appends", self.appends),
+            ("store.append_bytes", self.append_bytes),
+            ("store.fsyncs", self.fsyncs),
+            ("store.rotations", self.rotations),
+            ("store.compactions", self.compactions),
+            ("store.torn_truncations", self.torn_truncations),
+            ("store.truncated_bytes", self.truncated_bytes),
+            ("store.decode_rejects", self.decode_rejects),
+            ("store.short_reads", self.short_reads),
+            ("store.sessions_recovered", self.sessions_recovered),
+            ("store.segments", self.segments),
+            ("store.live_records", self.live_records),
+            ("store.dead_bytes", self.dead_bytes),
+        ]
+        .map(|(name, value)| (name.to_string(), value))
+        .into()
+    }
+}
+
 /// Failures of store operations.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum StoreError {
@@ -708,11 +734,6 @@ impl SharedStore {
     /// See [`SessionStore::sessions`].
     pub fn sessions(&self) -> Vec<u64> {
         self.lock().sessions()
-    }
-
-    /// See [`SessionStore::latest_seq`].
-    pub fn latest_seq(&self, session: u64) -> Option<u64> {
-        self.lock().latest_seq(session)
     }
 
     /// See [`SessionStore::records`].

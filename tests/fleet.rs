@@ -230,11 +230,11 @@ fn backpressure_rejects_then_recovers() {
     );
     fleet.create_blocking(0, user_spec(0)).expect("create");
     assert_eq!(
-        fleet.create(0, user_spec(0)),
+        fleet.command_correlated(0, SessionCommand::Create(Box::new(user_spec(0))), 0),
         Err(chameleon_fleet::FleetError::DuplicateSession)
     );
     assert_eq!(
-        fleet.command(99, SessionCommand::Step { batches: 1 }),
+        fleet.command_correlated(99, SessionCommand::Step { batches: 1 }, 0),
         Err(chameleon_fleet::FleetError::UnknownSession)
     );
 
@@ -245,7 +245,7 @@ fn backpressure_rejects_then_recovers() {
         .expect("long step");
     let mut rejected = None;
     for _ in 0..1000 {
-        match fleet.command(0, SessionCommand::Step { batches: 0 }) {
+        match fleet.command_correlated(0, SessionCommand::Step { batches: 0 }, 0) {
             Err(chameleon_fleet::FleetError::Rejected(bp)) => {
                 rejected = Some(bp);
                 break;
@@ -268,6 +268,89 @@ fn backpressure_rejects_then_recovers() {
     let metrics = fleet.metrics();
     assert_eq!(metrics.queue_depth(), 0);
     assert!(metrics.batches() >= 48);
+}
+
+#[test]
+fn a_refused_admission_releases_its_id() {
+    use chameleon_fleet::FleetError;
+    // Simulated, nothing runs until drained, or until a full queue makes
+    // a blocking submit run one request. One shard answers in order.
+    let config = FleetConfig {
+        num_shards: 1,
+        queue_depth: 2,
+        ..FleetConfig::default()
+    };
+    let mut fleet = FleetEngine::new_sim(scenario(), config, 0);
+    let acks = |fleet: &mut FleetEngine| -> Vec<SessionEventKind> {
+        fleet.drain_pending().into_iter().map(|e| e.kind).collect()
+    };
+
+    // The shard refuses the spec. Until that ack is drained the id
+    // answers as taken; then it is free again.
+    let mut invalid = user_spec(7);
+    invalid.learner.short_term_capacity = 0;
+    fleet.create_blocking(7, invalid).expect("submit");
+    assert_eq!(
+        fleet.create_blocking(7, user_spec(7)),
+        Err(FleetError::DuplicateSession)
+    );
+    let refusal = acks(&mut fleet);
+    assert!(
+        matches!(&refusal[..], [SessionEventKind::Failed(reason)] if reason.starts_with("invalid learner config")),
+        "{refusal:?}"
+    );
+    assert!(!fleet.known(7));
+    fleet
+        .create_blocking(7, user_spec(7))
+        .expect("the id is free");
+    fleet
+        .command_blocking(7, SessionCommand::Checkpoint)
+        .expect("checkpoint");
+    let mut created = acks(&mut fleet);
+    let Some(SessionEventKind::Checkpointed(blob)) = created.pop() else {
+        panic!("{created:?}");
+    };
+    assert_eq!(created, [SessionEventKind::Created]);
+
+    // A step queued behind an export is refused once the export released
+    // the id. A re-import queued behind that step must not take the
+    // refusal for its own ack.
+    fleet
+        .command_blocking(7, SessionCommand::Export)
+        .expect("export");
+    fleet
+        .command_blocking(7, SessionCommand::Step { batches: 1 })
+        .expect("known until the export is drained");
+    // The queue is full: this submit runs the export, then finds 7 gone.
+    assert_eq!(
+        fleet.command_blocking(7, SessionCommand::Evaluate),
+        Err(FleetError::UnknownSession)
+    );
+    fleet
+        .command_blocking(7, SessionCommand::Import(blob))
+        .expect("import");
+    let moved = acks(&mut fleet);
+    assert!(
+        matches!(
+            &moved[..],
+            [
+                SessionEventKind::Exported(_),
+                SessionEventKind::Failed(_),
+                SessionEventKind::Imported
+            ]
+        ),
+        "{moved:?}"
+    );
+    fleet
+        .command_blocking(7, SessionCommand::Step { batches: 3 })
+        .expect("the imported session is known");
+    assert_eq!(
+        acks(&mut fleet),
+        [SessionEventKind::Stepped {
+            delivered: 3,
+            done: false
+        }]
+    );
 }
 
 #[test]

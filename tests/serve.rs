@@ -169,6 +169,42 @@ fn evict_over_the_wire_is_reproducible() {
 }
 
 #[test]
+fn a_refused_admission_leaves_its_id_free_over_the_wire() {
+    use chameleon_serve::ClientError;
+    let mut server = Server::start(scenario(), FleetConfig::default(), ServeConfig::default())
+        .expect("start server");
+    let mut conn = Connection::connect(server.local_addr()).expect("connect");
+    conn.set_clock(VirtualClock::shared(0));
+    let assert_refused = |result: Result<(), ClientError>| {
+        assert!(
+            matches!(
+                result,
+                Err(ClientError::Refused {
+                    code: ErrorCode::SessionFailed,
+                    ..
+                })
+            ),
+            "{result:?}"
+        );
+    };
+
+    let mut invalid = user_spec(7);
+    invalid.learner.short_term_capacity = 0;
+    assert_refused(conn.create_session(7, invalid));
+    conn.create_session(7, user_spec(7))
+        .expect("the id is free");
+    conn.create_session(8, user_spec(8)).expect("create");
+    let blob_7 = conn.handoff_export(7).expect("export");
+    let blob_8 = conn.handoff_export(8).expect("export");
+    assert_refused(conn.handoff_import(8, blob_7.clone()));
+    conn.handoff_import(8, blob_8).expect("the id is free");
+    conn.handoff_import(7, blob_7).expect("import");
+    assert_eq!(conn.step(8, 2).expect("step"), (2, false));
+    assert_eq!(conn.step(7, 2).expect("step"), (2, false));
+    server.shutdown();
+}
+
+#[test]
 fn backpressure_surfaces_as_retry_after_and_recovers() {
     let scenario = scenario();
     let mut server = Server::start(
