@@ -19,7 +19,7 @@
 //!   placement in the engine's override table, import the blob cold on
 //!   the target shard ([`chameleon_fleet::FleetEngine::migrate_session`]),
 //! * [`TrafficShape`] — seeded zipf / burst / diurnal / flood traffic
-//!   generators for loadgen, benches, and the CLI.
+//!   generators for loadgen, the bench bins, and the CLI.
 //!
 //! # Migration safety
 //!

@@ -3,8 +3,8 @@
 use chameleon_balance::{BalanceConfig, TrafficShape};
 use chameleon_core::{
     Chameleon, ChameleonConfig, Der, DerConfig, Er, EvalReport, EwcConfig, EwcPlusPlus, Finetune,
-    Gss, GssConfig, Joint, JointConfig, LatentReplay, Lwf, LwfConfig, ModelConfig, Precision, Slda,
-    SldaConfig, Strategy, Trainer,
+    Gss, GssConfig, Joint, JointConfig, LatentReplay, Lwf, LwfConfig, ModelConfig, PerInputTrace,
+    Precision, Slda, SldaConfig, Strategy, StreamStepper, Trainer,
 };
 use chameleon_faults::{FaultInjector, FaultPlan};
 use chameleon_fleet::{
@@ -1616,33 +1616,37 @@ fn sweep(options: &Options) -> Result<(), String> {
     Ok(())
 }
 
+/// The per-input trace of `method` over one pass of the core50-tiny
+/// stream under the evaluation protocol (the `StreamStepper` that
+/// `Trainer` drives, stream seed 5) at batch size one, the paper's
+/// hardware configuration. Returns the strategy's name with it.
+fn price_trace(method: &str, buffer: usize) -> Result<(String, PerInputTrace), String> {
+    let spec = DatasetSpec::core50_tiny();
+    let scenario = DomainIlScenario::generate(&spec, 0xDA7A);
+    let model = ModelConfig::for_spec(&spec);
+    let mut strategy = build_method(method, &model, buffer, Precision::F32, 1)?;
+    let stream = StreamConfig {
+        batch_size: 1,
+        ..StreamConfig::default()
+    };
+    let mut pass = StreamStepper::new(&scenario, stream, 5);
+    while pass.step_batch(&scenario, strategy.as_mut(), None) {}
+    let per = strategy
+        .trace()
+        .per_input()
+        .ok_or("strategy recorded no trace (joint trains offline)")?;
+    Ok((strategy.name().to_string(), per))
+}
+
 fn price(options: &Options) -> Result<(), String> {
     options.expect_only(&["method", "buffer"])?;
     let method = options.get_or("method", "chameleon").to_string();
     let buffer: usize = options.get_parsed_or("buffer", 100)?;
 
-    let spec = DatasetSpec::core50_tiny();
-    let scenario = DomainIlScenario::generate(&spec, 0xDA7A);
-    let model = ModelConfig::for_spec(&spec);
-    let mut strategy = build_method(&method, &model, buffer, Precision::F32, 1)?;
-
-    // Paper hardware configuration: batch size one.
-    let stream = StreamConfig {
-        batch_size: 1,
-        ..StreamConfig::default()
-    };
-    for domain in 0..spec.num_domains {
-        for batch in scenario.domain_stream(domain, &stream, 5 + domain as u64) {
-            strategy.observe(&batch);
-        }
-    }
-    let per = strategy
-        .trace()
-        .per_input()
-        .ok_or("strategy recorded no trace (joint trains offline)")?;
+    let (name, per) = price_trace(&method, buffer)?;
     let workload = Workload::from_trace(&per, &NominalModel::mobilenet_v1());
 
-    println!("{} per-image cost (batch size 1):", strategy.name());
+    println!("{name} per-image cost (batch size 1):");
     println!(
         "  workload: {:.2} GMAC, {:.0} KB off-chip replay, {:.0} KB on-chip",
         workload.total_macs() / 1e9,
@@ -1797,6 +1801,14 @@ mod tests {
     #[test]
     fn price_runs_for_slda() {
         assert!(dispatch(&toks(&["price", "--method", "slda"])).is_ok());
+    }
+
+    #[test]
+    fn price_runs_the_stream_protocol() {
+        // LwF builds its distillation teacher in `begin_domain`, so only a
+        // pass that opens each domain prices the teacher's head passes.
+        let (_, per) = price_trace("lwf", 100).expect("lwf records a trace");
+        assert!(per.head_fwd_passes > 1.0, "{}", per.head_fwd_passes);
     }
 
     #[test]

@@ -6,7 +6,7 @@ use chameleon_nn::{loss, FrozenExtractor, Kernel, MlpHead, Sgd};
 use chameleon_replay::{
     AccessStats, ClassBalancedBuffer, Precision, RingBuffer, StorePlacement, StoredSample,
 };
-use chameleon_stream::Batch;
+use chameleon_stream::{Batch, ConfigError};
 use chameleon_tensor::{ops, Matrix, Prng};
 
 use crate::{ModelConfig, PreferenceTracker, StepTrace, Strategy};
@@ -75,24 +75,6 @@ impl Default for ChameleonConfig {
         }
     }
 }
-
-/// A [`ChameleonConfig`] field rejected by
-/// [`ChameleonConfig::validate`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct ConfigError {
-    /// The offending field (or field combination).
-    pub field: &'static str,
-    /// What the field must satisfy.
-    pub requirement: &'static str,
-}
-
-impl std::fmt::Display for ConfigError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "{} {}", self.field, self.requirement)
-    }
-}
-
-impl std::error::Error for ConfigError {}
 
 impl ChameleonConfig {
     /// Validates the configuration, returning the first violated

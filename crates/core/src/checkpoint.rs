@@ -29,8 +29,8 @@
 //! * **persisted** — head parameters, short-term and long-term store
 //!   contents (features + labels + integrity checksums), lifetime class
 //!   counts,
-//! * **reset on load** — RNG streams, optimizer momentum, learning-window
-//!   progress: these are transient training state, and restarting them
+//! * **reset on load** — RNG streams, learning-window progress: these
+//!   are transient training state, and restarting them
 //!   only perturbs the next few selections.
 
 use std::io::{self, Read, Write};

@@ -55,10 +55,10 @@ pub use baselines::{
     LatentReplay, Lwf, LwfConfig, Slda, SldaConfig,
 };
 pub use chameleon::{
-    Chameleon, ChameleonConfig, ConfigError, LearnerCounters, LongTermPolicy, ResilienceReport,
-    ShortTermPolicy,
+    Chameleon, ChameleonConfig, LearnerCounters, LongTermPolicy, ResilienceReport, ShortTermPolicy,
 };
 pub use chameleon_replay::Precision;
+pub use chameleon_stream::ConfigError;
 pub use frozen::FrozenModel;
 pub use metrics::{backward_transfer, confusion_matrix, EvalReport};
 pub use model::ModelConfig;

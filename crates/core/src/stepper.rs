@@ -89,7 +89,9 @@ impl StreamStepper {
     /// The in-order pass over `scenario` at position `at`: an open domain
     /// is reseeded and fast-forwarded by replaying the batches already
     /// delivered from it, so the next batch is the one the interrupted
-    /// pass would have drawn. [`StreamPosition::default`] is a fresh pass.
+    /// pass would have drawn. A position a pass reported reads back
+    /// unchanged from [`Self::position`]. [`StreamPosition::default`] is a
+    /// fresh pass.
     ///
     /// # Panics
     ///
@@ -102,6 +104,7 @@ impl StreamStepper {
     ) -> Self {
         let mut pass = Self {
             next_domain: at.next_domain,
+            batches_into_domain: at.batches_into_domain,
             finalized: at.finalized,
             ..Self::new(scenario, config, stream_seed)
         };
@@ -111,7 +114,6 @@ impl StreamStepper {
                 let _ = cursor.next_batch(scenario.generator());
             }
             pass.cursor = Some(cursor);
-            pass.batches_into_domain = at.batches_into_domain;
         }
         pass
     }

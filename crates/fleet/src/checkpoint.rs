@@ -16,8 +16,8 @@
 //! wrapped in its own envelope: `"CHAMFLT1" | payload | CRC32(payload)`.
 //!
 //! Like the learner format, transient training state (sampling RNG
-//! position, optimizer momentum, learning-window progress, fault-injector
-//! RNG position) restarts on restore; the determinism contract in
+//! position, learning-window progress, fault-injector RNG position)
+//! restarts on restore; the determinism contract in
 //! `DESIGN.md` spells out the consequences.
 
 use std::sync::Arc;
@@ -129,6 +129,35 @@ impl SessionCheckpoint {
                 finalized: self.finalized,
             },
         ))
+    }
+
+    /// Checks a blob entering an engine over `scenario`: its spec as a
+    /// `Create`'s, and a stream position an in-order pass can stand at.
+    /// An open domain lies inside the scenario, a closed one at most one
+    /// past its last, and no more batches lie behind the position than a
+    /// domain's stream holds. The batch bound is inclusive: a session
+    /// captured right after its domain's last batch still has that domain
+    /// open. A checkpoint that passes restores without panicking, and its
+    /// replay is at most one domain long.
+    pub(crate) fn check(&self, scenario: &DomainIlScenario) -> Result<(), String> {
+        self.spec.check()?;
+        let dataset = scenario.spec();
+        let domains = dataset.num_domains;
+        if self.next_domain > domains || (self.mid_domain && self.next_domain == domains) {
+            return Err(format!(
+                "stream position names domain {} of {domains}",
+                self.next_domain
+            ));
+        }
+        let samples = dataset.num_classes * dataset.train_per_class_per_domain;
+        let batches = samples.div_ceil(self.spec.stream.batch_size) as u64;
+        if self.batches_into_domain > batches {
+            return Err(format!(
+                "stream position is {} batches into a {batches}-batch domain",
+                self.batches_into_domain
+            ));
+        }
+        Ok(())
     }
 
     /// Serializes into the `CHAMFLT1` envelope.
@@ -464,13 +493,16 @@ mod tests {
     #[test]
     fn capture_restore_capture_is_idempotent() {
         // The strongest eviction-fidelity statement the format makes:
-        // restoring and immediately re-capturing yields the same bytes.
-        let (scenario, mut session) = tiny_session(4);
-        session.step_batches(23);
-        let ck = SessionCheckpoint::capture(&session);
-        let restored = ck.restore(scenario, None).expect("restore");
-        let again = SessionCheckpoint::capture(&restored);
-        assert_eq!(again.to_bytes(), ck.to_bytes());
+        // restoring and immediately re-capturing yields the same bytes,
+        // mid-stream and for a finished session.
+        for (at, batches) in [("mid-stream", 23), ("finished", usize::MAX)] {
+            let (scenario, mut session) = tiny_session(4);
+            session.step_batches(batches);
+            let ck = SessionCheckpoint::capture(&session);
+            let restored = ck.restore(scenario, None).expect("restore");
+            let again = SessionCheckpoint::capture(&restored);
+            assert_eq!(again.to_bytes(), ck.to_bytes(), "{at}");
+        }
     }
 
     #[test]

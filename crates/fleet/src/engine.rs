@@ -325,7 +325,9 @@ impl FleetEngine {
         for id in store.sessions() {
             match store.get(id) {
                 Ok(Some(blob)) => match SessionCheckpoint::from_bytes(&blob) {
-                    Ok(checkpoint) if checkpoint.session == id => {
+                    Ok(checkpoint)
+                        if checkpoint.session == id && checkpoint.check(&scenario).is_ok() =>
+                    {
                         per_shard[config.home_shard(id)].push((id, checkpoint.counters));
                     }
                     _ => rejects += 1,

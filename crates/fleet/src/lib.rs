@@ -34,8 +34,8 @@
 //! per-session command sequence is the same and no budget eviction
 //! occurs. Evictions preserve all *observable* state (stores, integrity
 //! quarantine, counters, stream position) but restart transient training
-//! state (sampling RNG, momentum, learning window) exactly as the PR-1
-//! learner checkpoint format documents.
+//! state (sampling RNG, learning window) exactly as the learner
+//! checkpoint format (`chameleon_core::checkpoint`) documents.
 //!
 //! # Example
 //!

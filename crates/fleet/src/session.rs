@@ -28,6 +28,19 @@ pub struct SessionSpec {
     pub stream_seed: u64,
 }
 
+impl SessionSpec {
+    /// Checks the learner and stream configs: what admission checks of
+    /// every session, created or imported.
+    pub(crate) fn check(&self) -> Result<(), String> {
+        self.learner
+            .validate()
+            .map_err(|e| format!("invalid learner config: {e}"))?;
+        self.stream
+            .validate()
+            .map_err(|e| format!("invalid stream config: {e}"))
+    }
+}
+
 /// Mixes a fleet-wide fault plan down to one session's private plan.
 ///
 /// Each session gets independently seeded fault RNG streams (splitmix64

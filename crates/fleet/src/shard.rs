@@ -361,12 +361,7 @@ impl ShardWorker {
 
     /// Builds and admits a new session, resident.
     fn create(&mut self, id: SessionId, spec: SessionSpec) -> Result<SessionEventKind, String> {
-        spec.learner
-            .validate()
-            .map_err(|e| format!("invalid learner config: {e}"))?;
-        spec.stream
-            .validate()
-            .map_err(|e| format!("invalid stream config: {e}"))?;
+        spec.check()?;
         let session = UserSession::create(id, spec, Arc::clone(&self.frozen), self.faults.as_ref());
         self.admit(id, session);
         self.metrics.sessions_created += 1;
@@ -387,6 +382,9 @@ impl ShardWorker {
                 checkpoint.session
             ));
         }
+        checkpoint
+            .check(self.frozen.scenario())
+            .map_err(|e| format!("handoff blob rejected: {e}"))?;
         self.cold.insert(id, Cold::Ram(Box::new(checkpoint)));
         self.metrics.sessions_created += 1;
         self.obs

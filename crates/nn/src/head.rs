@@ -247,8 +247,8 @@ impl MlpHead {
             self.layers.len(),
             "gradient/layer mismatch"
         );
-        for (i, (layer, (dw, db))) in self.layers.iter_mut().zip(&grads.per_layer).enumerate() {
-            sgd.step(i, layer, dw, db);
+        for (layer, (dw, db)) in self.layers.iter_mut().zip(&grads.per_layer) {
+            sgd.step(layer, dw, db);
         }
     }
 

@@ -12,7 +12,7 @@
 //!   (GSS needs per-sample gradient vectors, EWC++ needs Fisher terms),
 //! * [`loss`] — cross-entropy, logit-MSE (DER) and distillation (LwF)
 //!   losses, each returning the loss value *and* the logit gradient,
-//! * [`Sgd`] — SGD with momentum and weight decay,
+//! * [`Sgd`] — SGD with weight decay,
 //! * [`FisherDiagonal`] — the online Fisher accumulator used by EWC++.
 //!
 //! # Example: one training step

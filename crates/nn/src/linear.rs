@@ -104,8 +104,8 @@ impl Linear {
         (dx, dw, db)
     }
 
-    /// Applies a raw gradient step `W -= lr·dW`, `b -= lr·db` (no momentum;
-    /// momentum lives in [`Sgd`](crate::Sgd)).
+    /// Applies a raw gradient step `W -= lr·dW`, `b -= lr·db` (weight
+    /// decay lives in [`Sgd`](crate::Sgd)).
     ///
     /// # Panics
     ///

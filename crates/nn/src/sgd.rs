@@ -1,43 +1,36 @@
-//! SGD optimizer with momentum and weight decay.
-
-use std::collections::HashMap;
+//! SGD optimizer with weight decay.
 
 use chameleon_tensor::Matrix;
 
 use crate::Linear;
 
 /// Stochastic gradient descent, the optimizer the paper uses for all
-/// experiments (lr = 0.001, batch size 10, single pass).
-///
-/// Momentum buffers are allocated lazily per layer index, so one `Sgd` value
-/// serves a whole [`MlpHead`](crate::MlpHead) regardless of depth.
+/// experiments (lr = 0.001, batch size 10, single pass). It holds no
+/// per-layer state, so one `Sgd` value serves a whole
+/// [`MlpHead`](crate::MlpHead) regardless of depth.
 ///
 /// # Example
 ///
 /// ```
 /// use chameleon_nn::Sgd;
 ///
-/// let sgd = Sgd::new(0.001).with_momentum(0.9).with_weight_decay(1e-4);
+/// let sgd = Sgd::new(0.001).with_weight_decay(1e-4);
 /// assert_eq!(sgd.learning_rate(), 0.001);
 /// ```
 /// A corrupted replay sample (e.g. a memory upset flipping a float's
 /// exponent) can push activations to ±∞ and poison the gradients; one such
-/// step would destroy the head and, with momentum, keep destroying it on
-/// every later step. `step` therefore rejects any update whose gradients
-/// contain NaN/Inf, counting it in [`Sgd::skipped_updates`] instead of
-/// applying it.
+/// step would destroy the head. `step` therefore rejects any update whose
+/// gradients contain NaN/Inf, counting it in [`Sgd::skipped_updates`]
+/// instead of applying it.
 #[derive(Clone, Debug)]
 pub struct Sgd {
     lr: f32,
-    momentum: f32,
     weight_decay: f32,
-    velocity: HashMap<usize, (Matrix, Vec<f32>)>,
     skipped_updates: u64,
 }
 
 impl Sgd {
-    /// Creates plain SGD with the given learning rate (no momentum, no
-    /// weight decay).
+    /// Creates plain SGD with the given learning rate (no weight decay).
     ///
     /// # Panics
     ///
@@ -46,22 +39,9 @@ impl Sgd {
         assert!(lr > 0.0, "learning rate must be positive");
         Self {
             lr,
-            momentum: 0.0,
             weight_decay: 0.0,
-            velocity: HashMap::new(),
             skipped_updates: 0,
         }
-    }
-
-    /// Builder: sets the momentum coefficient in `[0, 1)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `momentum` is outside `[0, 1)`.
-    pub fn with_momentum(mut self, momentum: f32) -> Self {
-        assert!((0.0..1.0).contains(&momentum), "momentum must be in [0,1)");
-        self.momentum = momentum;
-        self
     }
 
     /// Builder: sets L2 weight decay.
@@ -80,25 +60,14 @@ impl Sgd {
         self.lr
     }
 
-    /// Replaces the learning rate (e.g. for schedules in ablations).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lr <= 0`.
-    pub fn set_learning_rate(&mut self, lr: f32) {
-        assert!(lr > 0.0, "learning rate must be positive");
-        self.lr = lr;
-    }
-
-    /// Applies one step to `layer` (identified by `layer_index` for the
-    /// momentum buffer) with gradients `(dw, db)`.
+    /// Applies one step to `layer` with gradients `(dw, db)`.
     ///
     /// # Panics
     ///
     /// Panics if the gradient shapes do not match the layer.
     /// Does nothing (beyond incrementing [`Sgd::skipped_updates`]) when any
     /// gradient entry is NaN or infinite.
-    pub fn step(&mut self, layer_index: usize, layer: &mut Linear, dw: &Matrix, db: &[f32]) {
+    pub fn step(&mut self, layer: &mut Linear, dw: &Matrix, db: &[f32]) {
         let finite =
             dw.as_slice().iter().all(|v| v.is_finite()) && db.iter().all(|v| v.is_finite());
         if !finite {
@@ -115,26 +84,7 @@ impl Sgd {
                 *g += self.weight_decay * b;
             }
         }
-
-        if self.momentum > 0.0 {
-            let (vw, vb) = self
-                .velocity
-                .entry(layer_index)
-                .or_insert_with(|| (Matrix::zeros(dw.rows(), dw.cols()), vec![0.0; db.len()]));
-            vw.scale(self.momentum);
-            vw.axpy(1.0, &dw_eff);
-            for (v, &g) in vb.iter_mut().zip(&db_eff) {
-                *v = self.momentum * *v + g;
-            }
-            layer.apply_raw(vw, vb, self.lr);
-        } else {
-            layer.apply_raw(&dw_eff, &db_eff, self.lr);
-        }
-    }
-
-    /// Clears momentum state (used when a strategy resets between domains).
-    pub fn reset_state(&mut self) {
-        self.velocity.clear();
+        layer.apply_raw(&dw_eff, &db_eff, self.lr);
     }
 
     /// Number of updates rejected because their gradients contained
@@ -170,27 +120,9 @@ mod tests {
         let initial = layer.weight().frobenius_norm();
         for _ in 0..100 {
             let (dw, db) = quadratic_grad(&layer);
-            sgd.step(0, &mut layer, &dw, &db);
+            sgd.step(&mut layer, &dw, &db);
         }
         assert!(layer.weight().frobenius_norm() < initial * 0.01);
-    }
-
-    #[test]
-    fn momentum_accelerates_convergence() {
-        let mut rng = Prng::new(1);
-        let layer0 = Linear::new(4, 4, &mut rng);
-
-        let run = |mut sgd: Sgd| {
-            let mut layer = layer0.clone();
-            for _ in 0..20 {
-                let (dw, db) = quadratic_grad(&layer);
-                sgd.step(0, &mut layer, &dw, &db);
-            }
-            layer.weight().frobenius_norm()
-        };
-        let plain = run(Sgd::new(0.05));
-        let momentum = run(Sgd::new(0.05).with_momentum(0.9));
-        assert!(momentum < plain, "momentum {momentum} vs plain {plain}");
     }
 
     #[test]
@@ -202,45 +134,29 @@ mod tests {
         let zero_dw = Matrix::zeros(2, 2);
         let zero_db = vec![0.0; 2];
         for _ in 0..50 {
-            sgd.step(0, &mut layer, &zero_dw, &zero_db);
+            sgd.step(&mut layer, &zero_dw, &zero_db);
         }
         assert!(layer.weight().frobenius_norm() < initial * 0.1);
-    }
-
-    #[test]
-    fn reset_state_clears_momentum() {
-        let mut rng = Prng::new(3);
-        let mut layer = Linear::new(2, 2, &mut rng);
-        let mut sgd = Sgd::new(0.1).with_momentum(0.9);
-        let (dw, db) = quadratic_grad(&layer);
-        sgd.step(0, &mut layer, &dw, &db);
-        assert!(!sgd.velocity.is_empty());
-        sgd.reset_state();
-        assert!(sgd.velocity.is_empty());
     }
 
     #[test]
     fn non_finite_gradients_are_skipped_not_applied() {
         let mut rng = Prng::new(4);
         let mut layer = Linear::new(2, 2, &mut rng);
-        let mut sgd = Sgd::new(0.1).with_momentum(0.9);
+        let mut sgd = Sgd::new(0.1);
         let before = layer.weight().clone();
 
         let mut bad_dw = Matrix::zeros(2, 2);
         bad_dw.set(0, 1, f32::NAN);
-        sgd.step(0, &mut layer, &bad_dw, &[0.0, 0.0]);
-        sgd.step(0, &mut layer, &Matrix::zeros(2, 2), &[f32::INFINITY, 0.0]);
+        sgd.step(&mut layer, &bad_dw, &[0.0, 0.0]);
+        sgd.step(&mut layer, &Matrix::zeros(2, 2), &[f32::INFINITY, 0.0]);
 
         assert_eq!(sgd.skipped_updates(), 2);
         assert_eq!(layer.weight().as_slice(), before.as_slice());
-        assert!(
-            sgd.velocity.is_empty(),
-            "skipped steps must not touch momentum"
-        );
 
         // A clean step afterwards still works.
         let (dw, db) = quadratic_grad(&layer);
-        sgd.step(0, &mut layer, &dw, &db);
+        sgd.step(&mut layer, &dw, &db);
         assert_eq!(sgd.skipped_updates(), 2);
         assert!(layer.weight().as_slice().iter().all(|v| v.is_finite()));
     }

@@ -13,16 +13,14 @@
 //!
 //! **Shadow checkpoints** are the failover mechanism: after every
 //! mutating operation (create, step) the router pulls a `CHAMFLT1`
-//! checkpoint from the session's owner and caches it, stamped with the
-//! op sequence it reflects. When a backend dies — probe streak past the
-//! threshold, or a forward that fails even on a fresh connection — each
-//! of its sessions is re-homed by handing the shadow blob to the
-//! rendezvous successor. Because the shadow is refreshed *after* the
-//! reply, a failure observed mid-operation recovers to the pre-operation
-//! state and re-sending the operation yields exactly the single-node
-//! outcome; when the shadow's stamp shows it already captured the
-//! in-flight op (the refresh landed but the ack was lost), the re-send
-//! is skipped instead of applied twice.
+//! checkpoint from the session's owner and caches it. When a backend
+//! dies — probe streak past the threshold, or a forward that fails even
+//! on a fresh connection — each of its sessions is re-homed by handing
+//! the shadow blob to the rendezvous successor. The router runs one op
+//! per session at a time and refreshes the shadow only *after* the
+//! reply, so a failure observed mid-operation recovers to the
+//! pre-operation state and re-sending the operation yields exactly the
+//! single-node outcome.
 //!
 //! With [`RouterConfig::state_dir`] set, every pin update and shadow
 //! refresh is also appended to a durable CHAMRTE1 log (`state.rs`) and
@@ -148,9 +146,6 @@ pub struct RouteCounters {
     pub sessions_handed_off: u64,
     /// Sessions re-homed from a shadow checkpoint after a backend died.
     pub failovers: u64,
-    /// In-flight ops *not* re-sent after failover because the recovered
-    /// shadow's sequence stamp showed it already captured them.
-    pub failover_replays_skipped: u64,
     /// Client frames or payloads rejected by the front's decoder.
     pub decode_rejects: u64,
     /// Successful health probes.
@@ -182,10 +177,6 @@ impl RouteCounters {
             ("route.forward_failures", self.forward_failures),
             ("route.sessions_handed_off", self.sessions_handed_off),
             ("route.failovers", self.failovers),
-            (
-                "route.failover_replays_skipped",
-                self.failover_replays_skipped,
-            ),
             ("route.decode_rejects", self.decode_rejects),
             ("route.probes_ok", self.probes_ok),
             ("route.probes_failed", self.probes_failed),
@@ -210,7 +201,6 @@ struct RouteMetrics {
     forward_failures: AtomicU64,
     sessions_handed_off: AtomicU64,
     failovers: AtomicU64,
-    failover_replays_skipped: AtomicU64,
     probes_ok: AtomicU64,
     probes_failed: AtomicU64,
     shadow_refreshes: AtomicU64,
@@ -232,7 +222,6 @@ impl RouteMetrics {
             forward_failures: self.forward_failures.load(Ordering::Relaxed),
             sessions_handed_off: self.sessions_handed_off.load(Ordering::Relaxed),
             failovers: self.failovers.load(Ordering::Relaxed),
-            failover_replays_skipped: self.failover_replays_skipped.load(Ordering::Relaxed),
             decode_rejects,
             probes_ok: self.probes_ok.load(Ordering::Relaxed),
             probes_failed: self.probes_failed.load(Ordering::Relaxed),
@@ -245,22 +234,20 @@ impl RouteMetrics {
     }
 }
 
-/// One cached shadow checkpoint, stamped with the last-acked op sequence
-/// it reflects.
+/// One cached shadow checkpoint and the stamp its CHAMRTE1 record
+/// carries: one more than the session's previous shadow's.
 struct Shadow {
     seq: u64,
     blob: Vec<u8>,
 }
 
-/// The shadow cache plus the per-session acked-op sequence counter the
-/// stamps are drawn from.
-#[derive(Default)]
-struct ShadowTable {
-    entries: HashMap<SessionId, Shadow>,
-    acked: HashMap<SessionId, u64>,
-}
-
 /// State shared by workers, the probe thread, and the admin API.
+///
+/// One writer per shadow: every session op a worker routes, and every
+/// session a drain moves, runs under that session's op lock, and every
+/// shadow write happens inside it. `fail_over_session` and
+/// `bury_backend` take no op lock: they write no shadow, and a worker
+/// that already holds one calls them.
 ///
 /// Lock order where multiple are held: per-session op lock (strictly
 /// outermost; the `op_locks` table mutex is only held to clone the Arc
@@ -271,14 +258,12 @@ struct ShadowTable {
 /// thread holds registry/shadows and then waits on state).
 struct Shared {
     registry: Mutex<Registry>,
-    shadows: Mutex<ShadowTable>,
+    shadows: Mutex<HashMap<SessionId, Shadow>>,
     /// Serializes session moves (drain, failover) so two threads never
     /// re-home the same session to different backends concurrently.
     handoff: Mutex<()>,
-    /// Per-session locks serializing *mutating* ops (create, step): op
-    /// sequences are minted as `acked + 1`, which is only unique — and
-    /// the shadow-stamp comparison in [`skip_failover_replay`] only
-    /// sound — while a single mutating op per session is in flight.
+    /// Per-session op locks: one op per session at a time, so a
+    /// session's shadow writes and log appends happen in op order.
     op_locks: Mutex<HashMap<SessionId, Arc<Mutex<()>>>>,
     /// The durable CHAMRTE1 log, when a state dir is configured.
     state: Option<Mutex<StateLog>>,
@@ -295,6 +280,58 @@ struct Shared {
 }
 
 impl Shared {
+    /// The shared state over `config.backends` and their `mux`
+    /// connections. With a state dir, durable state is recovered first:
+    /// pins come back keyed by address (mapped onto the current backend
+    /// list; pins to addresses no longer listed are dropped), shadows come
+    /// back with the stamps their next writes continue from. Also returns
+    /// how many pins and shadows came back and how many pins were dropped.
+    fn open(
+        config: &RouterConfig,
+        mux: Vec<MuxConnection>,
+    ) -> std::io::Result<(Self, (u64, u64, u64))> {
+        let mut registry = Registry::new(config.backends.clone(), SALT);
+        let mut shadows = HashMap::new();
+        let mut recovered = (0u64, 0u64, 0u64); // pins, shadows, dropped
+        let state = match &config.state_dir {
+            Some(dir) => {
+                let (log, image) = StateLog::open(dir)?;
+                for (session, addr) in image.pins {
+                    match registry.index_of(&addr) {
+                        Some(index) => {
+                            registry.pin(session, index);
+                            recovered.0 += 1;
+                        }
+                        None => recovered.2 += 1,
+                    }
+                }
+                recovered.1 = image.shadows.len() as u64;
+                shadows.extend(
+                    image
+                        .shadows
+                        .into_iter()
+                        .map(|(session, (seq, blob))| (session, Shadow { seq, blob })),
+                );
+                Some(Mutex::new(log))
+            }
+            None => None,
+        };
+        let shared = Self {
+            registry: Mutex::new(registry),
+            shadows: Mutex::new(shadows),
+            handoff: Mutex::new(()),
+            op_locks: Mutex::new(HashMap::new()),
+            state,
+            mux,
+            metrics: RouteMetrics::default(),
+            front: OnceLock::new(),
+            stop: AtomicBool::new(false),
+            panic_session: config.fault_panic_session,
+            panic_fired: AtomicBool::new(false),
+        };
+        Ok((shared, recovered))
+    }
+
     /// Snapshot of the `route.*` counters; `decode_rejects` is the
     /// front's.
     fn counters(&self) -> RouteCounters {
@@ -312,46 +349,23 @@ impl Shared {
         self.persist(state::encode_pin(session, &addr));
     }
 
-    /// The lock serializing mutating ops on `session` (created on first
-    /// use). The table mutex is released before the returned lock is
-    /// taken, so it never nests inside another acquisition.
+    /// The lock serializing ops on `session` (created on first use). The
+    /// table mutex is released before the returned lock is taken, so it
+    /// never nests inside another acquisition.
     fn op_lock(&self, session: SessionId) -> Arc<Mutex<()>> {
         Arc::clone(plock(&self.op_locks).entry(session).or_default())
     }
 
-    /// Replaces `session`'s shadow (seq-stamped) in memory and in the
-    /// durable log — unless the table already holds a *newer* stamp, in
-    /// which case this refresh lost the race and is dropped: regressing
-    /// a shadow to an older sequence would re-expose an op the newer
-    /// checkpoint already captured. (The log append happens outside the
-    /// shadows lock, so append order may still invert; replay keeps the
-    /// max-seq record per session to match.)
-    fn store_shadow(&self, session: SessionId, seq: u64, blob: Vec<u8>) {
+    /// Replaces `session`'s shadow in memory and in the durable log,
+    /// stamped one past its previous shadow (a recovered stamp included),
+    /// so replay's highest-stamp-wins keeps the newest record. The caller
+    /// holds `session`'s op lock: nothing else writes this shadow between
+    /// the stamp read and the insert.
+    fn store_shadow(&self, session: SessionId, blob: Vec<u8>) {
+        let seq = plock(&self.shadows).get(&session).map_or(0, |s| s.seq) + 1;
         let framed = state::encode_shadow(session, seq, &blob);
-        {
-            let mut shadows = plock(&self.shadows);
-            if matches!(shadows.entries.get(&session), Some(existing) if existing.seq > seq) {
-                return;
-            }
-            shadows.entries.insert(session, Shadow { seq, blob });
-        }
+        plock(&self.shadows).insert(session, Shadow { seq, blob });
         self.persist(framed);
-    }
-
-    /// Raises `session`'s acked-op sequence to at least `seq`.
-    fn ack(&self, session: SessionId, seq: u64) {
-        let mut shadows = plock(&self.shadows);
-        let acked = shadows.acked.entry(session).or_insert(0);
-        *acked = (*acked).max(seq);
-    }
-
-    /// `session`'s current acked-op sequence.
-    fn acked_seq(&self, session: SessionId) -> u64 {
-        plock(&self.shadows)
-            .acked
-            .get(&session)
-            .copied()
-            .unwrap_or(0)
     }
 
     /// Appends one framed record to the state log (no-op without a state
@@ -390,7 +404,7 @@ impl Shared {
             }
         }
         let shadows = plock(&self.shadows);
-        for (&session, shadow) in &shadows.entries {
+        for (&session, shadow) in shadows.iter() {
             image
                 .shadows
                 .insert(session, (shadow.seq, shadow.blob.clone()));
@@ -419,13 +433,12 @@ fn send_to_backend(shared: &Shared, index: usize, request: &Request) -> Result<R
 }
 
 /// Pulls a fresh checkpoint of `session` from `owner` into the shadow
-/// cache, stamped with `seq` (the op sequence it reflects). Failure is
-/// tolerated (the previous shadow stays, and recovery falls back to the
-/// pre-operation state); only counted.
-fn refresh_shadow(shared: &Shared, session: SessionId, owner: usize, seq: u64) {
+/// cache. Failure is tolerated (the previous shadow stays, and recovery
+/// falls back to the pre-operation state); only counted.
+fn refresh_shadow(shared: &Shared, session: SessionId, owner: usize) {
     match send_to_backend(shared, owner, &Request::Checkpoint { session }) {
         Ok(Response::Checkpointed(blob)) => {
-            shared.store_shadow(session, seq, blob);
+            shared.store_shadow(session, blob);
             RouteMetrics::add(&shared.metrics.shadow_refreshes, 1);
         }
         _ => RouteMetrics::add(&shared.metrics.shadow_refresh_failures, 1),
@@ -450,10 +463,7 @@ fn fail_over_session(
             _ => {}
         }
     }
-    let blob = {
-        let shadows = plock(&shared.shadows);
-        shadows.entries.get(&session).map(|s| s.blob.clone())?
-    };
+    let blob = plock(&shared.shadows).get(&session)?.blob.clone();
     let new = plock(&shared.registry).rendezvous(session, Some(dead))?;
     match send_to_backend(shared, new, &Request::Handoff { session, blob }) {
         // DuplicateSession means an earlier, ambiguously failed import
@@ -509,32 +519,10 @@ fn no_backend() -> Response {
     }
 }
 
-/// The at-least-once guard: failover re-homed `session` from a shadow
-/// stamped `shadow_seq` while `request` (which would occupy `op_seq` once
-/// acked) was in flight. If the stamp shows the shadow already captured
-/// the op — its refresh landed but the ack was lost on the dying
-/// connection — re-sending would apply it a second time; synthesize the
-/// response instead.
-fn skip_failover_replay(request: &Request, shadow_seq: u64, op_seq: u64) -> Option<Response> {
-    if shadow_seq < op_seq {
-        return None;
-    }
-    match request {
-        Request::CreateSession { .. } => Some(Response::Created),
-        // The shadow already contains this step's progress: report no
-        // *additional* delivery and let the client drive the next step.
-        Request::Step { .. } => Some(Response::Stepped {
-            delivered: 0,
-            done: false,
-        }),
-        _ => None,
-    }
-}
-
-/// Routes one session-scoped request to its owner, failing over (and
-/// re-sending, unless the shadow stamp proves the op already landed)
-/// when the owner proves unreachable. Mutating successes refresh the
-/// session's shadow checkpoint afterwards.
+/// Routes one session-scoped request to its owner under the session's op
+/// lock, failing over and re-sending when the owner proves unreachable.
+/// Mutating successes refresh the session's shadow checkpoint afterwards;
+/// a client `Checkpoint`'s blob becomes the shadow as it passes.
 fn route_session_op(ctx: &Ctx, session: SessionId, request: &Request) -> Response {
     let shared = &ctx.shared;
     if shared.panic_session == Some(session)
@@ -548,22 +536,10 @@ fn route_session_op(ctx: &Ctx, session: SessionId, request: &Request) -> Respons
         panic!("injected route-worker panic (fault_panic_session)");
     }
     let is_create = matches!(request, Request::CreateSession { .. });
-    let is_mutating = matches!(
-        request,
-        Request::CreateSession { .. } | Request::Step { .. }
-    );
-    // Mutating ops on one session run serialized: two concurrent ops
-    // minting `acked + 1` would share a sequence, and a shadow refreshed
-    // by one would satisfy `shadow_seq >= op_seq` for the other in
-    // `skip_failover_replay` — silently dropping a genuinely unapplied
-    // op on failover. The lock is held across send + ack + shadow
-    // refresh so sequence order equals application order.
-    let op_lock = is_mutating.then(|| shared.op_lock(session));
-    let _op_guard = op_lock.as_ref().map(|lock| plock(lock));
-    // The op sequence this mutating op will occupy once acked: stamps the
-    // post-op shadow, and on failover proves whether the recovered shadow
-    // already captured it.
-    let op_seq = is_mutating.then(|| shared.acked_seq(session) + 1);
+    // Held across send and shadow write: a shadow refreshed after this
+    // op's reply can never capture a later op of the same session.
+    let op_lock = shared.op_lock(session);
+    let _op_guard = plock(&op_lock);
     let attempts = plock(&shared.registry).len() + 1;
     let mut exclude = None;
     for _ in 0..attempts {
@@ -588,21 +564,10 @@ fn route_session_op(ctx: &Ctx, session: SessionId, request: &Request) -> Respons
                 match &response {
                     Response::Created => {
                         shared.pin_session(session, owner);
-                        if let Some(seq) = op_seq {
-                            shared.ack(session, seq);
-                            refresh_shadow(shared, session, owner, seq);
-                        }
+                        refresh_shadow(shared, session, owner);
                     }
-                    Response::Stepped { .. } => {
-                        if let Some(seq) = op_seq {
-                            shared.ack(session, seq);
-                            refresh_shadow(shared, session, owner, seq);
-                        }
-                    }
-                    Response::Checkpointed(blob) => {
-                        let seq = shared.acked_seq(session);
-                        shared.store_shadow(session, seq, blob.clone());
-                    }
+                    Response::Stepped { .. } => refresh_shadow(shared, session, owner),
+                    Response::Checkpointed(blob) => shared.store_shadow(session, blob.clone()),
                     _ => {}
                 }
                 return response;
@@ -620,19 +585,6 @@ fn route_session_op(ctx: &Ctx, session: SessionId, request: &Request) -> Respons
                     && fail_over_session(shared, &ctx.obs, session, owner).is_none()
                 {
                     return no_backend();
-                }
-                if let Some(op_seq) = op_seq {
-                    let shadow_seq = {
-                        let shadows = plock(&shared.shadows);
-                        shadows.entries.get(&session).map(|s| s.seq)
-                    };
-                    if let Some(response) = shadow_seq
-                        .and_then(|shadow_seq| skip_failover_replay(request, shadow_seq, op_seq))
-                    {
-                        RouteMetrics::add(&shared.metrics.failover_replays_skipped, 1);
-                        shared.ack(session, op_seq);
-                        return response;
-                    }
                 }
             }
         }
@@ -802,35 +754,6 @@ impl Router {
             .validate()
             .map_err(|e| std::io::Error::new(ErrorKind::InvalidInput, e.to_string()))?;
 
-        // Recover durable state before anything routes: pins come back
-        // keyed by address (mapped onto the current backend list; pins to
-        // addresses no longer listed are dropped), shadows come back with
-        // their sequence stamps seeding the acked-op counters.
-        let mut registry = Registry::new(config.backends.clone(), SALT);
-        let mut shadow_table = ShadowTable::default();
-        let mut recovered = (0u64, 0u64, 0u64); // pins, shadows, dropped
-        let state = match &config.state_dir {
-            Some(dir) => {
-                let (log, image) = StateLog::open(dir)?;
-                for (session, addr) in image.pins {
-                    match registry.index_of(&addr) {
-                        Some(index) => {
-                            registry.pin(session, index);
-                            recovered.0 += 1;
-                        }
-                        None => recovered.2 += 1,
-                    }
-                }
-                for (session, (seq, blob)) in image.shadows {
-                    shadow_table.acked.insert(session, seq);
-                    shadow_table.entries.insert(session, Shadow { seq, blob });
-                    recovered.1 += 1;
-                }
-                Some(Mutex::new(log))
-            }
-            None => None,
-        };
-
         let mux = config
             .backends
             .iter()
@@ -850,19 +773,8 @@ impl Router {
             })
             .collect();
 
-        let shared = Arc::new(Shared {
-            registry: Mutex::new(registry),
-            shadows: Mutex::new(shadow_table),
-            handoff: Mutex::new(()),
-            op_locks: Mutex::new(HashMap::new()),
-            state,
-            mux,
-            metrics: RouteMetrics::default(),
-            front: OnceLock::new(),
-            stop: AtomicBool::new(false),
-            panic_session: config.fault_panic_session,
-            panic_fired: AtomicBool::new(false),
-        });
+        let (shared, recovered) = Shared::open(&config, mux)?;
+        let shared = Arc::new(shared);
         RouteMetrics::add(&shared.metrics.pins_recovered, recovered.0);
         RouteMetrics::add(&shared.metrics.shadows_recovered, recovered.1);
         let observer = Arc::new(Observer::new(Arc::clone(&clock)));
@@ -939,7 +851,10 @@ impl Router {
     /// pinned session off — `HandoffExport` from the draining node,
     /// `Handoff` of the blob to its rendezvous successor. A session
     /// whose export fails (the node died mid-drain) is re-homed from its
-    /// shadow checkpoint instead. Returns how many sessions moved.
+    /// shadow checkpoint instead. Each move holds the session's op lock
+    /// from the export to the shadow write, so a request for it runs
+    /// either wholly on the old owner or wholly on the new one. Returns
+    /// how many sessions moved.
     ///
     /// # Errors
     ///
@@ -959,6 +874,8 @@ impl Router {
         };
         let mut moved = 0usize;
         for session in sessions {
+            let op_lock = shared.op_lock(session);
+            let _op_guard = plock(&op_lock);
             let (new, blob) = {
                 let _guard = plock(&shared.handoff);
                 let exported =
@@ -974,10 +891,8 @@ impl Router {
                     // Export failed (node died mid-drain): fall back to
                     // the shadow checkpoint, exactly like a kill failover.
                     None => {
-                        let Some(blob) = plock(&shared.shadows)
-                            .entries
-                            .get(&session)
-                            .map(|s| s.blob.clone())
+                        let Some(blob) =
+                            plock(&shared.shadows).get(&session).map(|s| s.blob.clone())
                         else {
                             continue;
                         };
@@ -1004,8 +919,7 @@ impl Router {
             // Persisting happens outside the handoff guard (persist must
             // not run under the other locks; see `Shared` lock order).
             shared.pin_session(session, new);
-            let seq = shared.acked_seq(session);
-            shared.store_shadow(session, seq, blob);
+            shared.store_shadow(session, blob);
             RouteMetrics::add(&shared.metrics.sessions_handed_off, 1);
             self.observer.event(format!(
                 "route: session {session} handed off from backend {index} to {new}"
@@ -1054,39 +968,34 @@ impl Drop for Router {
 mod tests {
     use super::*;
 
+    /// A router over one backend that never answers, recovering from the
+    /// CHAMRTE1 log in `dir`.
+    fn open_shared(dir: &std::path::Path) -> Shared {
+        let config = RouterConfig {
+            backends: vec!["a:1".to_string()],
+            state_dir: Some(dir.to_path_buf()),
+            ..RouterConfig::default()
+        };
+        Shared::open(&config, Vec::new()).expect("recover").0
+    }
+
     #[test]
-    fn replay_skip_requires_the_shadow_to_have_caught_up() {
-        let step = Request::Step {
-            session: 1,
-            batches: 3,
-        };
-        // Normal failover: the shadow is one op behind the in-flight op
-        // and re-sending reproduces it — no skip.
-        assert!(skip_failover_replay(&step, 4, 5).is_none());
-        // The shadow already captured the op (refresh landed, ack lost):
-        // re-sending would double-apply, so a response is synthesized.
-        assert!(matches!(
-            skip_failover_replay(&step, 5, 5),
-            Some(Response::Stepped {
-                delivered: 0,
-                done: false
-            })
-        ));
-        let create = Request::CreateSession {
-            session: 1,
-            spec: chameleon_fleet::SessionSpec {
-                learner: Default::default(),
-                stream: Default::default(),
-                learner_seed: 0,
-                stream_seed: 0,
-            },
-        };
-        assert!(matches!(
-            skip_failover_replay(&create, 1, 1),
-            Some(Response::Created)
-        ));
-        // Non-mutating ops never skip — they are safe to re-send.
-        assert!(skip_failover_replay(&Request::Predict { session: 1 }, 9, 5).is_none());
+    fn shadow_stamps_continue_from_the_recovered_log() {
+        let dir = std::env::temp_dir().join(format!("chamrte1-stamps-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        // A log holding session 3's shadow stamped 7, as a router that
+        // stamped each shadow with the session's op count wrote it.
+        let (mut log, _) = StateLog::open(&dir).expect("fresh log");
+        log.append(&state::encode_shadow(3, 7, b"seventh"))
+            .expect("append");
+        drop(log);
+        let shared = open_shared(&dir);
+        shared.store_shadow(3, b"eighth".to_vec());
+        shared.store_shadow(3, b"ninth".to_vec());
+        drop(shared);
+        let (_, image) = StateLog::open(&dir).expect("reopen");
+        assert_eq!(image.shadows.get(&3), Some(&(9, b"ninth".to_vec())));
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -1095,26 +1004,14 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         let (mut log, _) = StateLog::open(&dir).expect("fresh log");
         // Superseded shadows put the log past the compaction floor while
-        // the live image stays a few bytes.
+        // the live image holds only the newest.
         for seq in 0..17 {
             log.append(&state::encode_shadow(9, seq, &[0u8; 64 << 10]))
                 .expect("append");
         }
-        let mut registry = Registry::new(vec!["a:1".to_string()], SALT);
-        registry.pin(1, 0);
-        let shared = Arc::new(Shared {
-            registry: Mutex::new(registry),
-            shadows: Mutex::new(ShadowTable::default()),
-            handoff: Mutex::new(()),
-            op_locks: Mutex::new(HashMap::new()),
-            state: Some(Mutex::new(log)),
-            mux: Vec::new(),
-            metrics: RouteMetrics::default(),
-            front: OnceLock::new(),
-            stop: AtomicBool::new(false),
-            panic_session: None,
-            panic_fired: AtomicBool::new(false),
-        });
+        drop(log);
+        let shared = Arc::new(open_shared(&dir));
+        plock(&shared.registry).pin(1, 0);
         // Holding the shadow table parks the compaction this append
         // triggers inside `image()`, after it has read the pin table. No
         // hook marks the park, so the test waits for it; the fixed code

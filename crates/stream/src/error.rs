@@ -5,10 +5,10 @@
 /// [`DatasetSpec::validate`](crate::DatasetSpec::validate),
 /// [`DomainFactor::validate`](crate::DomainFactor::validate)).
 ///
-/// Mirrors the shape of `chameleon_core`'s `ConfigError` so callers can
-/// surface both uniformly. The `assert_valid` companions panic with the
-/// same rendered message for call sites that treat a bad configuration as
-/// a programming error.
+/// `chameleon_core` re-exports it for `ChameleonConfig::validate`, so one
+/// error type covers every config in the workspace. The `assert_valid`
+/// companions panic with the same rendered message for call sites that
+/// treat a bad configuration as a programming error.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ConfigError {
     /// The offending field (or field combination).

@@ -205,6 +205,90 @@ fn a_refused_admission_leaves_its_id_free_over_the_wire() {
 }
 
 #[test]
+fn a_handoff_checks_what_a_create_checks() {
+    use chameleon_serve::ClientError;
+    let scenario = scenario();
+    let mut server = Server::start(
+        Arc::clone(&scenario),
+        FleetConfig::default(),
+        ServeConfig::default(),
+    )
+    .expect("start server");
+    let mut conn = Connection::connect(server.local_addr()).expect("connect");
+    conn.set_clock(VirtualClock::shared(0));
+
+    // Right after domain 0's last batch: core50-tiny streams 120 samples
+    // per domain in batches of 10, and the domain is still open.
+    let user = 3;
+    let mut session = UserSession::new(user, user_spec(user), Arc::clone(&scenario), None);
+    assert_eq!(session.step_batches(12), 12);
+    let boundary = SessionCheckpoint::capture(&session);
+    assert_eq!(
+        (
+            boundary.next_domain,
+            boundary.mid_domain,
+            boundary.batches_into_domain
+        ),
+        (0, true, 12)
+    );
+
+    // CRC-valid blobs whose spec or stream position no engine can run.
+    let damaged = |damage: fn(&mut SessionCheckpoint)| {
+        let mut bad = boundary.clone();
+        damage(&mut bad);
+        bad.to_bytes()
+    };
+    let cases = [
+        ("domain 99", damaged(|ck| ck.next_domain = 99)),
+        ("batch count + 1", damaged(|ck| ck.batches_into_domain = 13)),
+        (
+            "no short-term store",
+            damaged(|ck| ck.spec.learner.short_term_capacity = 0),
+        ),
+        (
+            "zero batch size",
+            damaged(|ck| ck.spec.stream.batch_size = 0),
+        ),
+    ];
+    for (case, bad) in cases {
+        let result = conn.handoff_import(user, bad);
+        assert!(
+            matches!(
+                result,
+                Err(ClientError::Refused {
+                    code: ErrorCode::SessionFailed,
+                    ..
+                })
+            ),
+            "{case}: {result:?}"
+        );
+    }
+    conn.create_session(8, user_spec(8)).expect("create");
+    assert_eq!(conn.step(8, 2).expect("step"), (2, false));
+
+    // The boundary blob imports and resumes as the session that never
+    // moved: the same accuracy and bytes now, and the same run as an
+    // in-process restore of the blob to the end of the stream.
+    conn.handoff_import(user, boundary.to_bytes())
+        .expect("import");
+    let report = session.evaluate();
+    let summary = conn.predict(user).expect("predict");
+    assert_eq!(summary.per_class, report.per_class);
+    let at_boundary = SessionCheckpoint::capture(&session).to_bytes();
+    assert_eq!(conn.checkpoint(user).expect("checkpoint"), at_boundary);
+    let mut restored = boundary
+        .restore(Arc::clone(&scenario), None)
+        .expect("restore");
+    while restored.step_batch() {}
+    conn.run_to_completion(user, 5).expect("run");
+    assert_eq!(
+        conn.checkpoint(user).expect("checkpoint"),
+        SessionCheckpoint::capture(&restored).to_bytes()
+    );
+    server.shutdown();
+}
+
+#[test]
 fn backpressure_surfaces_as_retry_after_and_recovers() {
     let scenario = scenario();
     let mut server = Server::start(

@@ -10,7 +10,7 @@ use std::sync::Arc;
 use chameleon_core::ChameleonConfig;
 use chameleon_fleet::{
     FleetConfig, FleetEngine, SessionCheckpoint, SessionCommand, SessionEventKind, SessionId,
-    SessionSpec,
+    SessionSpec, UserSession,
 };
 use chameleon_runtime::Runtime;
 use chameleon_store::{SharedStore, StoreConfig};
@@ -189,6 +189,32 @@ fn recover_rebuilds_every_session_with_bit_identical_training() {
         );
     }
 
+    drop(fleet);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn recovery_rejects_a_stored_blob_no_engine_can_run() {
+    let dir = scratch("unrunnable");
+    let scenario = scenario();
+    let mut session = UserSession::new(5, spec(5), Arc::clone(&scenario), None);
+    session.step_batches(3);
+    let runnable = SessionCheckpoint::capture(&session);
+    let mut unrunnable = runnable.clone();
+    unrunnable.session = 6;
+    unrunnable.next_domain = 99;
+    {
+        let store = SharedStore::open(StoreConfig::new(&dir)).expect("open store");
+        store.append(5, &runnable.to_bytes()).expect("append");
+        store.append(6, &unrunnable.to_bytes()).expect("append");
+    }
+
+    let store = SharedStore::open(StoreConfig::new(&dir)).expect("reopen store");
+    let (fleet, report) =
+        FleetEngine::recover(scenario, config(), Runtime::sim(1), store).expect("recover");
+    assert_eq!((report.sessions_recovered, report.decode_rejects), (1, 1));
+    assert!(fleet.known(5));
+    assert!(!fleet.known(6));
     drop(fleet);
     std::fs::remove_dir_all(&dir).ok();
 }
