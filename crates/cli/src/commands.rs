@@ -2287,8 +2287,8 @@ mod tests {
         ];
         dispatch(&toks(&base)).expect("first durable fleet run");
         assert!(
-            dir.join("MANIFEST").is_file(),
-            "store directory missing its manifest"
+            dir.join("SESSIONS.log").is_file(),
+            "store directory missing its log"
         );
         // Second run recovers the sealed sessions and keeps serving.
         let mut with_json: Vec<&str> = base.to_vec();

@@ -17,7 +17,7 @@
 //!   noise between the scenario and the strategy.
 //! * **File faults** — durable-storage failure modes around power loss
 //!   (torn writes, lying partial fsyncs, short reads, tail bit flips),
-//!   consumed by the `chameleon-store` segment log's I/O seam so crash
+//!   consumed by the `chameleon-store` session log's I/O seam so crash
 //!   schedules are seeded and replayable.
 //! * **Network faults** — per-message loss, delay, and duplication
 //!   between a router and its backends (request drops and response drops

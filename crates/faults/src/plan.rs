@@ -119,7 +119,7 @@ impl StreamFaultModel {
     }
 }
 
-/// Damage model for durable file I/O (the `chameleon-store` segment log).
+/// Damage model for durable file I/O (the `chameleon-store` session log).
 ///
 /// These faults model what storage hardware does around a power cut, not
 /// steady-state corruption: sealed-and-fsynced bytes are assumed stable,
@@ -130,8 +130,8 @@ impl StreamFaultModel {
 /// ([`crate::FaultInjector::crash_damage`]).
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct FileFaultModel {
-    /// Probability a crash tears the un-fsynced tail of the active
-    /// segment: only a prefix of the not-yet-durable suffix survives.
+    /// Probability a crash tears the un-fsynced tail of the log: only a
+    /// prefix of the not-yet-durable suffix survives.
     pub torn_write_prob: f64,
     /// Probability an fsync "succeeds" while actually persisting only a
     /// prefix of the pending bytes (write-cache hardware lying about

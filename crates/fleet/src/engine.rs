@@ -283,7 +283,7 @@ impl FleetEngine {
     ///
     /// # Errors
     ///
-    /// I/O or manifest failures reading the store. Per-record corruption
+    /// I/O failures reading the store. Per-record corruption
     /// is *not* an error — it lands in [`RecoveryReport::decode_rejects`].
     ///
     /// # Panics
@@ -333,9 +333,7 @@ impl FleetEngine {
                     _ => rejects += 1,
                 },
                 Ok(None) => {}
-                Err(error @ (StoreError::Io { .. } | StoreError::Manifest { .. })) => {
-                    return Err(error)
-                }
+                Err(error @ StoreError::Io { .. }) => return Err(error),
                 Err(StoreError::Crashed) => return Err(StoreError::Crashed),
                 // Corrupt / IndexMismatch: that session's record is bad;
                 // skip it and keep recovering the rest.

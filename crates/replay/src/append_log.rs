@@ -1,7 +1,8 @@
-//! The append-only record log behind both durable formats: `CHAMSEG1`
-//! session segments (`chameleon-store`) and the `CHAMRTE1` router-state
-//! log (`chameleon-route`). Each format adds only its body layout and its
-//! policies (header damage, compaction, replay).
+//! The append-only record log behind both durable formats: the `CHAMSEG1`
+//! session log (`chameleon-store`) and the `CHAMRTE1` router-state log
+//! (`chameleon-route`). Both open through [`recover`] and compact through
+//! [`AppendLog::swap`]; each format adds only its body layout and its
+//! policies (what to index or replay, when to compact).
 //!
 //! A log file is an 8-byte format magic followed by records framed as
 //! `len:u32 LE | body | crc32(body):u32 LE`, where `len` counts the body
@@ -9,9 +10,10 @@
 //! the format's minimum body before anything is sliced or allocated, and
 //! every prefix of a valid record decodes as [`RecordError::Truncated`].
 //! That makes torn-tail recovery sound: [`scan`] stops at the first record
-//! that does not decode, [`AppendLog::open`] truncates the file there, and
+//! that does not decode, [`recover`] truncates the file there, and
 //! everything sealed before it survives. Appends are fsynced before they
-//! are acknowledged; whole-file rewrites go through [`replace`].
+//! are acknowledged; a compaction writes the whole new image at a temp
+//! sibling and renames it over the log ([`AppendLog::swap`]).
 
 use std::fs::{File, OpenOptions};
 use std::io::{self, Write};
@@ -170,22 +172,28 @@ pub fn scan<'a, E>(
     Ok((offset, None))
 }
 
-/// The hidden sibling [`replace`] stages `path`'s new bytes in; a crash
+/// The hidden sibling a swap stages `path`'s new bytes in; a crash
 /// before the rename can leave it behind, holding nothing live.
 pub fn temp_path(path: &Path) -> PathBuf {
     let name = path.file_name().unwrap_or_default().to_string_lossy();
     path.with_file_name(format!(".{name}.tmp"))
 }
 
-/// Writes and fsyncs `bytes` at [`temp_path`] and renames it over `path`,
-/// returning the handle that now holds `path`.
-fn swap_in(path: &Path, bytes: &[u8]) -> io::Result<File> {
+/// Writes a new image of `path` through `fill` into a fresh log at
+/// [`temp_path`], fsyncs it and renames it over `path`, returning the
+/// handle that now holds `path` with what `fill` returned. A failure
+/// before the rename leaves `path` as it was.
+fn swap_in<T>(
+    path: &Path,
+    fill: impl FnOnce(&mut AppendLog) -> io::Result<T>,
+) -> io::Result<(AppendLog, T)> {
     let tmp = temp_path(path);
-    let mut file = File::create(&tmp)?;
-    file.write_all(bytes)?;
-    file.sync_data()?;
+    let mut staged = AppendLog::new(File::create(&tmp)?, path, 0);
+    let out = fill(&mut staged)?;
+    staged.sync()?;
     std::fs::rename(&tmp, path)?;
-    Ok(file)
+    staged.rename_pending = true;
+    Ok((staged, out))
 }
 
 /// Fsyncs the directory holding `path`, making a rename there durable.
@@ -201,8 +209,45 @@ fn sync_parent(path: &Path) -> io::Result<()> {
 /// The first failing step — the directory fsync included, since until it
 /// succeeds the rename may not survive power loss.
 pub fn replace(path: &Path, bytes: &[u8]) -> io::Result<()> {
-    swap_in(path, bytes)?;
+    swap_in(path, |staged| staged.write(bytes))?;
     sync_parent(path)
+}
+
+/// Opens the log at `path` for appending after whatever a crash left: a
+/// [`temp_path`] sibling from a swap that never renamed is removed; a
+/// missing file, or one shorter than `magic` (a crash during creation:
+/// nothing decodable lives in fewer bytes), is created afresh and its
+/// directory fsynced, so appends acked to it survive power loss; otherwise
+/// the records are [`scan`]ned with `decode` and the file is truncated
+/// (and fsynced) after the clean prefix. Returns the log, the bytes cut
+/// off, and the error that stopped the scan early, if any.
+///
+/// # Errors
+/// I/O failures, and `InvalidData` for a file of [`MAGIC_BYTES`] or more
+/// that does not open with `magic`: a path pointed at some other file is
+/// refused rather than clobbered.
+pub fn recover<E>(
+    path: &Path,
+    magic: &[u8; MAGIC_BYTES],
+    decode: impl FnMut(usize, &[u8]) -> Result<usize, E>,
+) -> io::Result<(AppendLog, u64, Option<E>)> {
+    let _ = std::fs::remove_file(temp_path(path));
+    let bytes = match std::fs::read(path) {
+        Ok(bytes) => bytes,
+        Err(e) if e.kind() == io::ErrorKind::NotFound => Vec::new(),
+        Err(e) => return Err(e),
+    };
+    if bytes.len() < MAGIC_BYTES {
+        let mut log = AppendLog::create(path, magic)?;
+        log.sync_dir()?;
+        return Ok((log, bytes.len() as u64, None));
+    }
+    let (clean_len, damage) = scan(&bytes, magic, decode).map_err(|error| {
+        let message = format!("{}: {error}", path.display());
+        io::Error::new(io::ErrorKind::InvalidData, message)
+    })?;
+    let log = AppendLog::open(path, clean_len as u64)?;
+    Ok((log, (bytes.len() - clean_len) as u64, damage))
 }
 
 /// One open log file, appended to at its end. Every method fails with the
@@ -212,17 +257,29 @@ pub struct AppendLog {
     file: File,
     path: PathBuf,
     len: u64,
+    /// A swap renamed this file into place and no directory fsync has
+    /// succeeded since: power loss may still undo the rename.
+    rename_pending: bool,
 }
 
 impl AppendLog {
+    /// A handle appending to `file`, the log at `path`, after `len` bytes.
+    fn new(file: File, path: &Path, len: u64) -> Self {
+        Self {
+            file,
+            path: path.to_path_buf(),
+            len,
+            rename_pending: false,
+        }
+    }
+
     /// Creates (or empties) the log at `path` holding only `magic`, fsynced
     /// before the file may be referenced.
     pub fn create(path: &Path, magic: &[u8; MAGIC_BYTES]) -> io::Result<Self> {
         let mut file = File::create(path)?;
         file.write_all(magic)?;
         file.sync_data()?;
-        let (path, len) = (path.to_path_buf(), MAGIC_BYTES as u64);
-        Ok(Self { file, path, len })
+        Ok(Self::new(file, path, MAGIC_BYTES as u64))
     }
 
     /// Opens the log at `path` to append after `clean_len` bytes, the clean
@@ -233,8 +290,7 @@ impl AppendLog {
             file.set_len(clean_len)?;
             file.sync_data()?;
         }
-        let (path, len) = (path.to_path_buf(), clean_len);
-        Ok(Self { file, path, len })
+        Ok(Self::new(file, path, clean_len))
     }
 
     /// Writes framed records without fsyncing; [`AppendLog::sync`] before
@@ -245,9 +301,15 @@ impl AppendLog {
         Ok(())
     }
 
-    /// Fsyncs everything written so far.
-    pub fn sync(&self) -> io::Result<()> {
-        self.file.sync_data()
+    /// Fsyncs everything written so far, and the directory too while a
+    /// swap's rename is not known durable: nothing is acknowledged in a
+    /// file that power loss could still un-rename.
+    pub fn sync(&mut self) -> io::Result<()> {
+        self.file.sync_data()?;
+        if self.rename_pending {
+            self.sync_dir()?;
+        }
+        Ok(())
     }
 
     /// Writes and fsyncs framed records before returning.
@@ -256,14 +318,34 @@ impl AppendLog {
         self.sync()
     }
 
-    /// Rewrites the log as `bytes` (magic included) through [`replace`],
-    /// failing as it does. The old log is untouched unless the rename ran;
-    /// once it did, appends go to the new file even if the directory fsync
-    /// then failed.
+    /// Rewrites the log: `fill` writes the new image (magic included)
+    /// into a fresh log at the [`temp_path`] sibling, which is fsynced and
+    /// renamed over this one; appends then go to the new file. Returns
+    /// what `fill` returned. The old log is untouched unless the rename
+    /// ran. Follow with [`AppendLog::sync_dir`]: until the directory is
+    /// fsynced the rename may not survive power loss, so until then
+    /// [`AppendLog::sync`] retries it and fails while it fails.
+    pub fn swap<T>(&mut self, fill: impl FnOnce(&mut AppendLog) -> io::Result<T>) -> io::Result<T> {
+        let (swapped, out) = swap_in(&self.path, fill)?;
+        *self = swapped;
+        Ok(out)
+    }
+
+    /// Fsyncs the directory holding the log, making a swap's rename
+    /// durable.
+    pub fn sync_dir(&mut self) -> io::Result<()> {
+        sync_parent(&self.path)?;
+        self.rename_pending = false;
+        Ok(())
+    }
+
+    /// Rewrites the log as `bytes` (magic included): a swap, then the
+    /// directory fsync. Once the rename ran, appends go to the new file
+    /// even if the directory fsync then failed, and none is acknowledged
+    /// until a retry of it succeeds.
     pub fn replace(&mut self, bytes: &[u8]) -> io::Result<()> {
-        self.file = swap_in(&self.path, bytes)?;
-        self.len = bytes.len() as u64;
-        sync_parent(&self.path)
+        self.swap(|staged| staged.write(bytes))?;
+        self.sync_dir()
     }
 
     /// Bytes in the log, header included.
@@ -319,24 +401,33 @@ mod tests {
     }
 
     #[test]
-    fn open_truncates_the_tail_and_appends_after_the_clean_prefix() {
+    fn recover_truncates_the_tail_and_appends_after_the_clean_prefix() {
         let dir = scratch("open");
         let path = dir.join("log");
+        let frames = |_: usize, rest: &[u8]| decode_frame(rest, 0).map(|(_, used)| used);
         let mut log = AppendLog::create(&path, MAGIC).expect("create");
         log.append(&encode_frame(&[b"kept"])).expect("append");
         let clean = log.bytes();
         log.append(&[0xAB; 5]).expect("torn tail");
         drop(log);
-        let mut log = AppendLog::open(&path, clean).expect("open");
+        std::fs::write(temp_path(&path), b"staged").expect("leftover temp");
+        let (mut log, cut, damage) = recover(&path, MAGIC, frames).expect("recover");
+        assert_eq!(cut, 5);
+        assert!(matches!(damage, Some(RecordError::Oversized { .. })));
+        assert!(!temp_path(&path).exists());
         assert_eq!(std::fs::metadata(&path).expect("stat").len(), clean);
         log.append(&encode_frame(&[b"next"])).expect("append");
         let bytes = std::fs::read(&path).expect("read");
         assert_eq!(bytes.len() as u64, log.bytes());
-        assert_eq!(
-            scan(&bytes, MAGIC, |_, rest| decode_frame(rest, 0)
-                .map(|(_, used)| used)),
-            Ok((bytes.len(), None))
-        );
+        assert_eq!(scan(&bytes, MAGIC, frames), Ok((bytes.len(), None)));
+        // A partial header starts over; a foreign magic is refused as is.
+        std::fs::write(&path, &MAGIC[..3]).expect("torn header");
+        let (log, cut, _) = recover(&path, MAGIC, frames).expect("recover");
+        assert_eq!((log.bytes(), cut), (MAGIC_BYTES as u64, 3));
+        std::fs::write(&path, b"NOTALOG!").expect("foreign file");
+        let refused = recover(&path, MAGIC, frames).map(|_| ()).unwrap_err();
+        assert_eq!(refused.kind(), io::ErrorKind::InvalidData);
+        assert_eq!(std::fs::read(&path).expect("read"), b"NOTALOG!");
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -374,6 +465,26 @@ mod tests {
         assert_eq!(std::fs::read(&path).expect("read"), fresh);
         assert_eq!(log.bytes(), fresh.len() as u64);
         assert!(!temp_path(&path).exists());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn no_append_is_acked_until_a_swaps_rename_is_durable() {
+        let dir = scratch("rename-pending");
+        let path = dir.join("log");
+        let mut log = AppendLog::create(&path, MAGIC).expect("create");
+        // A swap whose directory fsync has not succeeded: the next sync
+        // retries it, and fails while the directory cannot be fsynced.
+        log.swap(|staged| staged.write(MAGIC)).expect("swap");
+        let hidden = dir.with_extension("hidden");
+        std::fs::rename(&dir, &hidden).expect("hide the directory");
+        assert!(log.append(&encode_frame(&[b"unacked"])).is_err());
+        std::fs::rename(&hidden, &dir).expect("restore the directory");
+        log.append(&encode_frame(&[b"acked"])).expect("append");
+        // Once the directory synced, a sync is the file's alone again.
+        std::fs::rename(&dir, &hidden).expect("hide the directory");
+        log.append(&encode_frame(&[b"file only"])).expect("append");
+        std::fs::rename(&hidden, &dir).expect("restore the directory");
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -22,8 +22,8 @@
 //! scale bit-upset rates.
 //!
 //! Durability support: [`append_log`] is the one CRC-sealed record log
-//! behind `chameleon-store`'s `CHAMSEG1` segments and `chameleon-route`'s
-//! `CHAMRTE1` router state.
+//! behind `chameleon-store`'s `CHAMSEG1` session log and
+//! `chameleon-route`'s `CHAMRTE1` router state.
 //!
 //! # Example
 //!

@@ -250,12 +250,13 @@ struct Shadow {
 /// that already holds one calls them.
 ///
 /// Lock order where multiple are held: per-session op lock (strictly
-/// outermost; the `op_locks` table mutex is only held to clone the Arc
-/// out, never across another acquisition) → `handoff` → `registry` →
-/// `shadows` → `state`. `Shared::persist` is only called with neither
-/// registry nor shadows held (its compaction path re-acquires registry
-/// and shadows while holding the state lock, which is safe because no
-/// thread holds registry/shadows and then waits on state).
+/// outermost; the `op_locks` table mutex is only held to clone an Arc out
+/// or drop an unused entry, never across another acquisition) →
+/// `handoff` → `registry` → `shadows` → `state`. `Shared::persist` is
+/// only called with neither registry nor shadows held (its compaction
+/// path re-acquires registry and shadows while holding the state lock,
+/// which is safe because no thread holds registry/shadows and then waits
+/// on state).
 struct Shared {
     registry: Mutex<Registry>,
     shadows: Mutex<HashMap<SessionId, Shadow>>,
@@ -263,7 +264,8 @@ struct Shared {
     /// re-home the same session to different backends concurrently.
     handoff: Mutex<()>,
     /// Per-session op locks: one op per session at a time, so a
-    /// session's shadow writes and log appends happen in op order.
+    /// session's shadow writes and log appends happen in op order. An
+    /// entry lives only while an op holds or waits on it.
     op_locks: Mutex<HashMap<SessionId, Arc<Mutex<()>>>>,
     /// The durable CHAMRTE1 log, when a state dir is configured.
     state: Option<Mutex<StateLog>>,
@@ -349,11 +351,26 @@ impl Shared {
         self.persist(state::encode_pin(session, &addr));
     }
 
-    /// The lock serializing ops on `session` (created on first use). The
-    /// table mutex is released before the returned lock is taken, so it
-    /// never nests inside another acquisition.
-    fn op_lock(&self, session: SessionId) -> Arc<Mutex<()>> {
-        Arc::clone(plock(&self.op_locks).entry(session).or_default())
+    /// Runs `op` under the lock serializing ops on `session` (created on
+    /// first use). The table mutex is released before that lock is taken,
+    /// so it never nests inside another acquisition. Afterwards the entry
+    /// leaves the table unless another op holds or waits on it: the table
+    /// holds only sessions with an op in flight.
+    fn with_op_lock<T>(&self, session: SessionId, op: impl FnOnce() -> T) -> T {
+        let lock = Arc::clone(plock(&self.op_locks).entry(session).or_default());
+        let out = {
+            let _guard = plock(&lock);
+            op()
+        };
+        let mut table = plock(&self.op_locks);
+        // Clones are only taken under the table mutex, and each caller
+        // drops its own under it, so the last op out sees exactly the
+        // table's clone and its own.
+        if Arc::strong_count(&lock) == 2 {
+            table.remove(&session);
+        }
+        drop(lock);
+        out
     }
 
     /// Replaces `session`'s shadow in memory and in the durable log,
@@ -535,11 +552,15 @@ fn route_session_op(ctx: &Ctx, session: SessionId, request: &Request) -> Respons
         let _guard = plock(&shared.registry);
         panic!("injected route-worker panic (fault_panic_session)");
     }
-    let is_create = matches!(request, Request::CreateSession { .. });
     // Held across send and shadow write: a shadow refreshed after this
     // op's reply can never capture a later op of the same session.
-    let op_lock = shared.op_lock(session);
-    let _op_guard = plock(&op_lock);
+    shared.with_op_lock(session, || forward_session_op(ctx, session, request))
+}
+
+/// The body of [`route_session_op`], run under the session's op lock.
+fn forward_session_op(ctx: &Ctx, session: SessionId, request: &Request) -> Response {
+    let shared = &ctx.shared;
+    let is_create = matches!(request, Request::CreateSession { .. });
     let attempts = plock(&shared.registry).len() + 1;
     let mut exclude = None;
     for _ in 0..attempts {
@@ -872,61 +893,65 @@ impl Router {
             registry.set_state(index, BackendState::Draining);
             registry.sessions_on(index)
         };
-        let mut moved = 0usize;
-        for session in sessions {
-            let op_lock = shared.op_lock(session);
-            let _op_guard = plock(&op_lock);
-            let (new, blob) = {
-                let _guard = plock(&shared.handoff);
-                let exported =
-                    match send_to_backend(shared, index, &Request::HandoffExport { session }) {
-                        Ok(Response::HandoffExported(blob)) => Some(blob),
-                        _ => None,
+        let moved = sessions
+            .into_iter()
+            .filter(|&session| shared.with_op_lock(session, || self.hand_off(index, session)));
+        Ok(moved.count())
+    }
+
+    /// Moves `session` off the draining backend `index` (see
+    /// [`Router::drain_backend`]); the caller holds its op lock. Returns
+    /// whether it moved.
+    fn hand_off(&self, index: usize, session: SessionId) -> bool {
+        let shared = &self.shared;
+        let (new, blob) = {
+            let _guard = plock(&shared.handoff);
+            let exported = match send_to_backend(shared, index, &Request::HandoffExport { session })
+            {
+                Ok(Response::HandoffExported(blob)) => Some(blob),
+                _ => None,
+            };
+            let Some(new) = plock(&shared.registry).rendezvous(session, Some(index)) else {
+                return false;
+            };
+            let blob = match exported {
+                Some(blob) => blob,
+                // Export failed (node died mid-drain): fall back to
+                // the shadow checkpoint, exactly like a kill failover.
+                None => {
+                    let Some(blob) = plock(&shared.shadows).get(&session).map(|s| s.blob.clone())
+                    else {
+                        return false;
                     };
-                let Some(new) = plock(&shared.registry).rendezvous(session, Some(index)) else {
-                    continue;
-                };
-                let blob = match exported {
-                    Some(blob) => blob,
-                    // Export failed (node died mid-drain): fall back to
-                    // the shadow checkpoint, exactly like a kill failover.
-                    None => {
-                        let Some(blob) =
-                            plock(&shared.shadows).get(&session).map(|s| s.blob.clone())
-                        else {
-                            continue;
-                        };
-                        RouteMetrics::add(&shared.metrics.failovers, 1);
-                        blob
-                    }
-                };
-                match send_to_backend(
-                    shared,
-                    new,
-                    &Request::Handoff {
-                        session,
-                        blob: blob.clone(),
-                    },
-                ) {
-                    Ok(Response::HandoffAck)
-                    | Ok(Response::Error {
-                        code: ErrorCode::DuplicateSession,
-                        ..
-                    }) => (new, blob),
-                    _ => continue,
+                    RouteMetrics::add(&shared.metrics.failovers, 1);
+                    blob
                 }
             };
-            // Persisting happens outside the handoff guard (persist must
-            // not run under the other locks; see `Shared` lock order).
-            shared.pin_session(session, new);
-            shared.store_shadow(session, blob);
-            RouteMetrics::add(&shared.metrics.sessions_handed_off, 1);
-            self.observer.event(format!(
-                "route: session {session} handed off from backend {index} to {new}"
-            ));
-            moved += 1;
-        }
-        Ok(moved)
+            match send_to_backend(
+                shared,
+                new,
+                &Request::Handoff {
+                    session,
+                    blob: blob.clone(),
+                },
+            ) {
+                Ok(Response::HandoffAck)
+                | Ok(Response::Error {
+                    code: ErrorCode::DuplicateSession,
+                    ..
+                }) => (new, blob),
+                _ => return false,
+            }
+        };
+        // Persisting happens outside the handoff guard (persist must
+        // not run under the other locks; see `Shared` lock order).
+        shared.pin_session(session, new);
+        shared.store_shadow(session, blob);
+        RouteMetrics::add(&shared.metrics.sessions_handed_off, 1);
+        self.observer.event(format!(
+            "route: session {session} handed off from backend {index} to {new}"
+        ));
+        true
     }
 
     /// Administratively declares a backend dead and re-homes all its
@@ -977,6 +1002,31 @@ mod tests {
             ..RouterConfig::default()
         };
         Shared::open(&config, Vec::new()).expect("recover").0
+    }
+
+    #[test]
+    fn the_op_lock_table_keeps_only_locks_in_use() {
+        // No backend is needed: a Predict of an id the router never
+        // created is answered UnknownSession before any forward.
+        let config = RouterConfig {
+            backends: vec!["a:1".to_string()],
+            ..RouterConfig::default()
+        };
+        let ctx = Ctx {
+            shared: Arc::new(Shared::open(&config, Vec::new()).expect("open").0),
+            obs: Arc::new(Observer::new(Arc::new(WallClock::new()))),
+        };
+        for session in 0..1000 {
+            let response = route_session_op(&ctx, session, &Request::Predict { session });
+            assert!(matches!(
+                response,
+                Response::Error {
+                    code: ErrorCode::UnknownSession,
+                    ..
+                }
+            ));
+        }
+        assert!(plock(&ctx.shared.op_locks).is_empty());
     }
 
     #[test]

@@ -7,9 +7,9 @@
 //! failure mode is gone.
 //!
 //! The file is a [`chameleon_replay::append_log`] opening with the magic
-//! `"CHAMRTE1"` — the same framing, length cap, torn-tail truncation and
-//! atomic replace as the store's CHAMSEG1 segments (DESIGN.md §12).
-//! Record bodies are `op:u8 | session:u64 LE | ...`:
+//! `"CHAMRTE1"` — the same framing, length cap, open, torn-tail
+//! truncation and atomic replace as the store's CHAMSEG1 log (DESIGN.md
+//! §12). Record bodies are `op:u8 | session:u64 LE | ...`:
 //!
 //! * `OP_PIN` — `addr` bytes (UTF-8): the session is pinned to the
 //!   backend listening at `addr`. Pins are keyed by address, not index,
@@ -18,25 +18,23 @@
 //!   dropped (and counted).
 //! * `OP_UNPIN` — the pin is removed.
 //! * `OP_SHADOW` — `seq:u64 LE | blob`: the session's shadow checkpoint,
-//!   stamped with the last-acked op sequence it reflects (the stamp is
-//!   what lets failover skip re-sending an op the shadow already
-//!   captured).
+//!   stamped one past the session's previous shadow.
 //!
 //! Later records win, so replaying the log front to back reproduces the
 //! router's final image — except shadow records, where the *highest
-//! sequence stamp* wins: appends happen outside the router's shadow
-//! lock, so two refreshes of one session can land in the log in the
-//! opposite order of their in-memory application, and last-record-wins
-//! would let a restarted router regress to the older checkpoint. When
-//! the log grows well past its live size it is compacted: the current
-//! image atomically replaces the log.
+//! sequence stamp* wins. The router writes a session's shadows under its
+//! op lock, so they reach the log in stamp order and both rules keep the
+//! same record; the stamp rule stays so that logs written by older
+//! routers, whose refreshes of one session could land out of order,
+//! replay to the newest checkpoint. When the log grows well past its
+//! live size it is compacted: the current image atomically replaces the
+//! log.
 //!
 //! The codec half of this module (`encode_*`, [`decode_state`]) is pure
 //! — no I/O — so the simtest multinode explorer round-trips its router
 //! state through the real bytes.
 
 use std::collections::HashMap;
-use std::io::ErrorKind;
 use std::path::Path;
 
 use chameleon_fleet::SessionId;
@@ -71,7 +69,7 @@ pub enum StateRecord {
     Shadow {
         /// The shadowed session.
         session: SessionId,
-        /// Last-acked op sequence the blob reflects.
+        /// Shadow stamp: one past the session's previous one.
         seq: u64,
         /// CHAMFLT checkpoint bytes.
         blob: Vec<u8>,
@@ -198,14 +196,14 @@ pub fn decode_state_record(bytes: &[u8]) -> Result<(StateRecord, usize), StateEr
 pub struct RouterImage {
     /// session → owning backend address.
     pub pins: HashMap<SessionId, String>,
-    /// session → (last-acked op sequence, checkpoint blob).
+    /// session → (shadow stamp, checkpoint blob).
     pub shadows: HashMap<SessionId, (u64, Vec<u8>)>,
 }
 
 impl RouterImage {
     /// Applies one record (later records win, except a shadow stamped
     /// *older* than the one already held, which is dropped — see the
-    /// module docs on append-order inversion).
+    /// module docs on the highest-stamp rule).
     pub fn apply(&mut self, record: StateRecord) {
         match record {
             StateRecord::Pin { session, addr } => {
@@ -254,6 +252,15 @@ impl RouterImage {
     }
 }
 
+/// Decodes the record at the front of `rest` into `image`, returning the
+/// bytes it used: the one replay step of [`decode_state`] and
+/// [`StateLog::open`].
+fn replay_record(image: &mut RouterImage, rest: &[u8]) -> Result<usize, StateError> {
+    let (record, used) = decode_state_record(rest)?;
+    image.apply(record);
+    Ok(used)
+}
+
 /// Replays a whole log image from bytes (magic + records).
 ///
 /// Returns the image replayed from the clean prefix, where that prefix
@@ -275,8 +282,7 @@ pub fn decode_state(bytes: &[u8]) -> Result<DecodedState, StateError> {
     let mut image = RouterImage::default();
     let mut records = 0u64;
     let scanned = append_log::scan(bytes, STATE_MAGIC, |_, rest| {
-        let (record, used) = decode_state_record(rest)?;
-        image.apply(record);
+        let used = replay_record(&mut image, rest)?;
         records += 1;
         Ok(used)
     });
@@ -321,6 +327,8 @@ pub struct StateLogCounters {
     pub compactions: u64,
     /// Bytes truncated off the tail at open (0 for a clean log).
     pub truncated_bytes: u64,
+    /// Bytes in the log file now, header included.
+    pub log_bytes: u64,
 }
 
 impl StateLogCounters {
@@ -334,6 +342,7 @@ impl StateLogCounters {
             ("route.state_append_bytes", self.append_bytes),
             ("route.state_compactions", self.compactions),
             ("route.state_truncated_bytes", self.truncated_bytes),
+            ("route.state_log_bytes", self.log_bytes),
         ]
         .map(|(name, value)| (name.to_string(), value))
         .into()
@@ -354,9 +363,9 @@ pub struct StateLog {
 const COMPACT_FLOOR_BYTES: u64 = 1024 * 1024;
 
 impl StateLog {
-    /// Opens (creating if needed) `dir/ROUTER.log`, replays it, truncates
-    /// any torn or damaged tail, and returns the log handle plus the
-    /// recovered image.
+    /// Opens (creating if needed) `dir/ROUTER.log` through
+    /// [`append_log::recover`], replaying it and truncating any torn or
+    /// damaged tail, and returns the log handle plus the recovered image.
     ///
     /// # Errors
     ///
@@ -365,30 +374,14 @@ impl StateLog {
     /// router-state log is refused rather than clobbered).
     pub fn open(dir: &Path) -> std::io::Result<(Self, RouterImage)> {
         std::fs::create_dir_all(dir)?;
-        let path = dir.join("ROUTER.log");
-        let bytes = match std::fs::read(&path) {
-            Ok(bytes) => bytes,
-            Err(e) if e.kind() == ErrorKind::NotFound => Vec::new(),
-            Err(e) => return Err(e),
-        };
-        let mut counters = StateLogCounters::default();
-        let (log, image) = if bytes.len() < STATE_MAGIC.len() {
-            // Fresh file, or a crash during creation left a partial
-            // header. Nothing decodable lives in under 8 bytes, so start
-            // the header over — appending after a partial magic would
-            // make every later open fail with BadMagic, permanently
-            // refusing the state dir.
-            counters.truncated_bytes = bytes.len() as u64;
-            (
-                AppendLog::create(&path, STATE_MAGIC)?,
-                RouterImage::default(),
-            )
-        } else {
-            let decoded = decode_state(&bytes)
-                .map_err(|e| std::io::Error::new(ErrorKind::InvalidData, e.to_string()))?;
-            counters.truncated_bytes = (bytes.len() - decoded.clean_len) as u64;
-            let log = AppendLog::open(&path, decoded.clean_len as u64)?;
-            (log, decoded.image)
+        let mut image = RouterImage::default();
+        let (log, truncated_bytes, _) =
+            append_log::recover(&dir.join("ROUTER.log"), STATE_MAGIC, |_, rest| {
+                replay_record(&mut image, rest)
+            })?;
+        let counters = StateLogCounters {
+            truncated_bytes,
+            ..StateLogCounters::default()
         };
         Ok((Self { log, counters }, image))
     }
@@ -429,7 +422,10 @@ impl StateLog {
 
     /// Snapshot of the log's self-counters.
     pub fn counters(&self) -> StateLogCounters {
-        self.counters
+        StateLogCounters {
+            log_bytes: self.log.bytes(),
+            ..self.counters
+        }
     }
 
     /// Current log size in bytes.
@@ -579,9 +575,10 @@ mod tests {
 
     #[test]
     fn shadow_replay_keeps_the_highest_sequence_stamp() {
-        // Appends race outside the shadows lock, so a log can hold a
-        // newer-stamped shadow *before* an older one. Replay must keep
-        // the max-seq record, not the last.
+        // A log an older router wrote, whose refreshes of one session
+        // were not ordered by an op lock, can hold a newer-stamped shadow
+        // *before* an older one. Replay must keep the max-seq record, not
+        // the last.
         let mut log = STATE_MAGIC.to_vec();
         log.extend_from_slice(&encode_shadow(5, 8, &[8u8; 16]));
         log.extend_from_slice(&encode_shadow(5, 7, &[7u8; 16]));
@@ -612,12 +609,24 @@ mod tests {
         image.pins.insert(1, "127.0.0.1:7411".to_string());
         log.append(&encode_pin(1, "127.0.0.1:7411"))
             .expect("append");
+        let on_disk = || {
+            std::fs::metadata(dir.join("ROUTER.log"))
+                .expect("stat")
+                .len()
+        };
         let before = log.bytes();
+        assert_eq!(log.counters().log_bytes, on_disk());
         log.compact(&image).expect("compact");
         assert!(log.bytes() < before);
         assert_eq!(log.bytes(), image.encoded_len());
+        assert_eq!(log.counters().log_bytes, on_disk());
         drop(log);
+        // A later compaction that crashed before its rename left its image
+        // in the temp sibling: open removes it and replays the log as is.
+        let tmp = dir.join(".ROUTER.log.tmp");
+        std::fs::write(&tmp, RouterImage::default().encode()).expect("staged image");
         let (log, recovered) = StateLog::open(&dir).expect("reopen");
+        assert!(!tmp.exists());
         assert_eq!(recovered, image);
         assert_eq!(log.counters().truncated_bytes, 0);
         let _ = std::fs::remove_dir_all(&dir);

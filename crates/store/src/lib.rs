@@ -4,10 +4,10 @@
 //! state lives only in RAM loses all continual-learning progress at the
 //! first power cycle — the opposite of what an edge deployment needs.
 //! This crate persists the fleet's unit of session state, the `CHAMFLT1`
-//! checkpoint blob, in an append-only segment log:
+//! checkpoint blob, in one append-only log file, `SESSIONS.log`:
 //!
-//! * **Segments** — [`chameleon_replay::append_log`] files opening with
-//!   the `"CHAMSEG1"` magic, whose length-prefixed, CRC32-sealed records
+//! * **Log** — a [`chameleon_replay::append_log`] file opening with the
+//!   `"CHAMSEG1"` magic, whose length-prefixed, CRC32-sealed records
 //!   carry `(session, seq, payload)`. Records are immutable once written;
 //!   updates append a higher sequence number.
 //! * **Write-ahead discipline** — [`SessionStore::append`] seals the
@@ -15,12 +15,14 @@
 //!   number is the durability acknowledgement the fleet's eviction path
 //!   waits on before dropping its in-RAM copy.
 //! * **Index** — an in-memory map from session to its latest sealed
-//!   record, rebuilt on open by scanning the manifest's segments. Each
-//!   segment is truncated at its first undecodable record (a torn tail
-//!   from a crash mid-append); everything sealed before it survives.
-//! * **Compaction** — once superseded records dominate the log, live
-//!   records are rewritten into a fresh segment and the `MANIFEST` is
-//!   swapped atomically (temp file, fsync, rename, directory fsync).
+//!   record, rebuilt on open by scanning the log, which is truncated at
+//!   its first undecodable record (a torn tail from a crash mid-append);
+//!   everything sealed before it survives.
+//! * **Compaction** — once superseded records dominate the log, the live
+//!   records are copied into a temp sibling that is fsynced and renamed
+//!   over the log, as the router's `ROUTER.log` compacts. The rename is
+//!   the commit: a crash before it leaves the old log live, and no
+//!   append is acknowledged until the directory fsync after it succeeds.
 //!
 //! Storage failure modes are injectable through `chameleon-faults`
 //! ([`chameleon_faults::FileFaultModel`]): lying partial fsyncs, torn

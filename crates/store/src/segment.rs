@@ -1,8 +1,8 @@
-//! The pure `CHAMSEG1` segment body layout: bytes only, no I/O.
+//! The pure `CHAMSEG1` record body layout: bytes only, no I/O.
 //!
-//! A segment file is a [`chameleon_replay::append_log`] opening with the
-//! magic `"CHAMSEG1"`; the shared log owns the record framing, length cap
-//! and torn-tail rule. Each record body is:
+//! The store's `SESSIONS.log` is a [`chameleon_replay::append_log`]
+//! opening with the magic `"CHAMSEG1"`; the shared log owns the record
+//! framing, length cap and torn-tail rule. Each record body is:
 //!
 //! ```text
 //! body = session:u64 LE | seq:u64 LE | payload
@@ -18,13 +18,13 @@ use chameleon_replay::append_log::{
     check_header, decode_frame, encode_frame, RecordError, MAX_RECORD_BYTES,
 };
 
-/// Magic bytes opening every segment file.
+/// Magic bytes opening the store's log file.
 pub const SEGMENT_MAGIC: &[u8; 8] = b"CHAMSEG1";
 
 /// Body bytes before the payload: session id + sequence number.
 pub const RECORD_HEADER_BYTES: usize = 8 + 8;
 
-/// One decoded segment record.
+/// One decoded `CHAMSEG1` record.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Record {
     /// Session the checkpoint belongs to.
@@ -77,7 +77,7 @@ pub fn decode_record(bytes: &[u8]) -> Result<(Record, usize), RecordError> {
     ))
 }
 
-/// Checks that `bytes` opens with the segment magic.
+/// Checks that `bytes` opens with the `CHAMSEG1` magic.
 ///
 /// # Errors
 /// [`RecordError::Truncated`] if fewer than 8 bytes are present,

@@ -1,8 +1,9 @@
-//! The durable session store: segment files, manifest, index, recovery.
+//! The durable session store: one CHAMSEG1 log, its index, recovery and
+//! compaction.
 
 use std::collections::HashMap;
 use std::fs::{self, File};
-use std::io::{Read, Seek, SeekFrom};
+use std::io::{self, Read, Seek, SeekFrom};
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex, MutexGuard};
 
@@ -13,41 +14,32 @@ use crate::segment::{
     decode_record, encode_record, split_body, Record, RECORD_HEADER_BYTES, SEGMENT_MAGIC,
 };
 
-/// Manifest file name inside the store directory.
-const MANIFEST_NAME: &str = "MANIFEST";
-/// First line of every manifest file.
-const MANIFEST_MAGIC: &str = "CHAMMAN1";
-/// Segment header length (the magic).
+/// The log's file name inside the store directory.
+const LOG_NAME: &str = "SESSIONS.log";
+/// Log header length (the magic).
 const HEADER_LEN: u64 = SEGMENT_MAGIC.len() as u64;
 
 /// Configuration for opening a [`SessionStore`].
 #[derive(Clone, Debug)]
 pub struct StoreConfig {
-    /// Directory holding the manifest and segment files (created if
-    /// missing).
+    /// Directory holding the `SESSIONS.log` file (created if missing).
     pub dir: PathBuf,
-    /// Active-segment size that triggers rotation to a fresh segment.
-    pub segment_bytes: u64,
     /// Minimum dead (superseded) record bytes before compaction is
-    /// considered.
+    /// considered; compaction then runs once at least half of the record
+    /// bytes are dead.
     pub compact_min_bytes: u64,
-    /// Dead fraction of total record bytes that triggers compaction once
-    /// the minimum is met.
-    pub compact_dead_ratio: f64,
     /// Optional file-fault campaign driving the I/O seam (crash
     /// schedules); `None` in production.
     pub faults: Option<FaultPlan>,
 }
 
 impl StoreConfig {
-    /// Production defaults rooted at `dir`: 8 MiB segments, compaction at
-    /// ≥1 MiB dead bytes forming ≥50% of the log, no injected faults.
+    /// Production defaults rooted at `dir`: compaction at ≥1 MiB dead
+    /// bytes forming ≥50% of the log, no injected faults.
     pub fn new(dir: impl Into<PathBuf>) -> Self {
         Self {
             dir: dir.into(),
-            segment_bytes: 8 * 1024 * 1024,
             compact_min_bytes: 1024 * 1024,
-            compact_dead_ratio: 0.5,
             faults: None,
         }
     }
@@ -62,10 +54,8 @@ pub struct StoreCounters {
     pub appends: u64,
     /// Total on-disk bytes of acknowledged records.
     pub append_bytes: u64,
-    /// Fsyncs issued on segment files.
+    /// Fsyncs issued on the log file.
     pub fsyncs: u64,
-    /// Active-segment rotations.
-    pub rotations: u64,
     /// Compactions completed.
     pub compactions: u64,
     /// Torn tails truncated away during open.
@@ -78,8 +68,9 @@ pub struct StoreCounters {
     pub short_reads: u64,
     /// Sessions indexed from disk at the last open.
     pub sessions_recovered: u64,
-    /// Segment files currently in the manifest.
-    pub segments: u64,
+    /// Bytes in the log file, header included: live record bytes are
+    /// `log_bytes - 8 - dead_bytes`.
+    pub log_bytes: u64,
     /// Sessions with a live (latest-sealed) record.
     pub live_records: u64,
     /// Superseded record bytes awaiting compaction.
@@ -96,14 +87,13 @@ impl StoreCounters {
             ("store.appends", self.appends),
             ("store.append_bytes", self.append_bytes),
             ("store.fsyncs", self.fsyncs),
-            ("store.rotations", self.rotations),
             ("store.compactions", self.compactions),
             ("store.torn_truncations", self.torn_truncations),
             ("store.truncated_bytes", self.truncated_bytes),
             ("store.decode_rejects", self.decode_rejects),
             ("store.short_reads", self.short_reads),
             ("store.sessions_recovered", self.sessions_recovered),
-            ("store.segments", self.segments),
+            ("store.log_bytes", self.log_bytes),
             ("store.live_records", self.live_records),
             ("store.dead_bytes", self.dead_bytes),
         ]
@@ -115,7 +105,8 @@ impl StoreCounters {
 /// Failures of store operations.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum StoreError {
-    /// An OS file operation failed.
+    /// An OS file operation failed, or the directory holds a file this
+    /// store refuses to open.
     Io {
         /// What the store was doing.
         op: &'static str,
@@ -126,9 +117,7 @@ pub enum StoreError {
     },
     /// A sealed record failed its structure/CRC check.
     Corrupt {
-        /// Segment id holding the record.
-        segment: u64,
-        /// Byte offset of the record in that segment.
+        /// Byte offset of the record in the log.
         offset: u64,
         /// The codec-level failure.
         error: RecordError,
@@ -138,17 +127,8 @@ pub enum StoreError {
     IndexMismatch {
         /// Session the index expected.
         session: u64,
-        /// Segment id read.
-        segment: u64,
         /// Offset read.
         offset: u64,
-    },
-    /// The manifest file is missing, unreadable, or malformed.
-    Manifest {
-        /// Manifest path.
-        path: String,
-        /// What was wrong with it.
-        reason: String,
     },
     /// The store simulated a crash; drop it and reopen the directory.
     Crashed,
@@ -160,22 +140,13 @@ impl std::fmt::Display for StoreError {
             StoreError::Io { op, path, error } => {
                 write!(f, "store {op} on {path}: {error}")
             }
-            StoreError::Corrupt {
-                segment,
-                offset,
-                error,
-            } => write!(f, "segment {segment} offset {offset}: {error}"),
-            StoreError::IndexMismatch {
-                session,
-                segment,
-                offset,
-            } => write!(
-                f,
-                "segment {segment} offset {offset}: record does not match index entry for session {session}"
-            ),
-            StoreError::Manifest { path, reason } => {
-                write!(f, "manifest {path}: {reason}")
+            StoreError::Corrupt { offset, error } => {
+                write!(f, "store log offset {offset}: {error}")
             }
+            StoreError::IndexMismatch { session, offset } => write!(
+                f,
+                "store log offset {offset}: record does not match index entry for session {session}"
+            ),
             StoreError::Crashed => write!(f, "store crashed (simulated); reopen the directory"),
         }
     }
@@ -186,7 +157,6 @@ impl std::error::Error for StoreError {}
 /// Index entry: where a session's latest sealed record lives.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 struct IndexEntry {
-    segment: u64,
     offset: u64,
     len: u64,
     seq: u64,
@@ -194,25 +164,23 @@ struct IndexEntry {
 
 /// A log-structured durable store of per-session checkpoint blobs.
 ///
-/// Writes are append-only into the active `CHAMSEG1` segment and are
-/// fsynced *before* [`SessionStore::append`] returns — the returned
+/// Writes are append-only into one `CHAMSEG1` log, `SESSIONS.log`, and
+/// are fsynced *before* [`SessionStore::append`] returns — the returned
 /// sequence number is the durability acknowledgement the fleet's eviction
 /// path relies on. An in-memory index maps each session to its latest
-/// sealed record; open rebuilds the index by scanning the manifest's
-/// segments, truncating each at its first undecodable record. Superseded
-/// records are garbage; once they dominate the log a compaction rewrites
-/// live records into a fresh segment and atomically swaps the manifest.
+/// sealed record; open rebuilds the index by scanning the log, truncating
+/// it at its first undecodable record. Superseded records are garbage;
+/// once they dominate the log a compaction copies the live records into a
+/// temp sibling and renames it over the log.
 #[derive(Debug)]
 pub struct SessionStore {
     config: StoreConfig,
-    manifest: Vec<u64>,
-    active: AppendLog,
-    active_id: u64,
-    /// Bytes of the active segment actually durable at the last fsync.
-    /// Equal to its length unless a partial-fsync fault lied.
+    log: AppendLog,
+    /// Bytes of the log actually durable at the last fsync. Equal to its
+    /// length unless a partial-fsync fault lied.
     durable_len: u64,
     index: HashMap<u64, IndexEntry>,
-    /// Total record-frame bytes across all segments (live + dead).
+    /// Total record-frame bytes in the log (live + dead).
     record_bytes_total: u64,
     /// Record-frame bytes referenced by the index.
     live_bytes: u64,
@@ -221,7 +189,7 @@ pub struct SessionStore {
     crashed: bool,
 }
 
-fn io_err<'a>(op: &'static str, path: &'a Path) -> impl FnOnce(std::io::Error) -> StoreError + 'a {
+fn io_err<'a>(op: &'static str, path: &'a Path) -> impl FnOnce(io::Error) -> StoreError + 'a {
     move |e| StoreError::Io {
         op,
         path: path.display().to_string(),
@@ -229,163 +197,85 @@ fn io_err<'a>(op: &'static str, path: &'a Path) -> impl FnOnce(std::io::Error) -
     }
 }
 
-fn segment_path(dir: &Path, id: u64) -> PathBuf {
-    dir.join(format!("seg-{id:08}.chamseg"))
-}
-
-/// Writes `manifest` atomically through [`append_log::replace`].
-fn write_manifest(dir: &Path, manifest: &[u64]) -> Result<(), StoreError> {
-    let target = dir.join(MANIFEST_NAME);
-    let mut text = String::from(MANIFEST_MAGIC);
-    text.push('\n');
-    for id in manifest {
-        text.push_str(&id.to_string());
-        text.push('\n');
+/// Reads `entry.len` raw bytes at the indexed location of the log at
+/// `path`, detecting and retrying injected short reads. Free of the store
+/// so a compaction can read beside the log it is swapping.
+fn read_entry_bytes(
+    path: &Path,
+    entry: IndexEntry,
+    injector: Option<&mut FaultInjector>,
+    short_reads: &mut u64,
+) -> io::Result<Vec<u8>> {
+    let mut file = File::open(path)?;
+    file.seek(SeekFrom::Start(entry.offset))?;
+    if let Some(short) = injector.and_then(|injector| injector.short_read(entry.len as usize)) {
+        // Transient short read: a prefix arrived; detect, rewind, retry.
+        let mut partial = vec![0u8; short];
+        file.read_exact(&mut partial)?;
+        *short_reads += 1;
+        file.seek(SeekFrom::Start(entry.offset))?;
     }
-    append_log::replace(&target, text.as_bytes()).map_err(io_err("swap manifest", &target))
-}
-
-fn read_manifest(dir: &Path) -> Result<Option<Vec<u64>>, StoreError> {
-    let path = dir.join(MANIFEST_NAME);
-    let text = match fs::read_to_string(&path) {
-        Ok(text) => text,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
-        Err(e) => return Err(io_err("read manifest", &path)(e)),
-    };
-    let mut lines = text.lines();
-    if lines.next() != Some(MANIFEST_MAGIC) {
-        return Err(StoreError::Manifest {
-            path: path.display().to_string(),
-            reason: "missing CHAMMAN1 header".into(),
-        });
-    }
-    let mut ids = Vec::new();
-    for line in lines {
-        if line.is_empty() {
-            continue;
-        }
-        let id = line.parse::<u64>().map_err(|_| StoreError::Manifest {
-            path: path.display().to_string(),
-            reason: format!("bad segment id line {line:?}"),
-        })?;
-        ids.push(id);
-    }
-    if ids.is_empty() {
-        return Err(StoreError::Manifest {
-            path: path.display().to_string(),
-            reason: "lists no segments".into(),
-        });
-    }
-    Ok(Some(ids))
-}
-
-/// Creates a fresh segment file: magic written and fsynced before the
-/// segment may be referenced by a manifest.
-fn create_segment(dir: &Path, id: u64) -> Result<AppendLog, StoreError> {
-    let path = segment_path(dir, id);
-    AppendLog::create(&path, SEGMENT_MAGIC).map_err(io_err("create segment", &path))
+    let mut bytes = vec![0u8; entry.len as usize];
+    file.read_exact(&mut bytes)?;
+    Ok(bytes)
 }
 
 impl SessionStore {
     /// Opens (or initializes) the store at `config.dir`, rebuilding the
-    /// index from disk: scan every manifest segment in order, keep each
-    /// session's highest-sequence sealed record, and truncate every
-    /// segment at its first undecodable record (a torn tail, or damage
-    /// that seals nothing after it). An active (last) segment whose header
-    /// never became durable is reset to an empty segment.
+    /// index from `SESSIONS.log` through [`append_log::recover`]: keep each
+    /// session's highest-sequence sealed record, and truncate the log at
+    /// its first undecodable record (a torn tail, or damage that seals
+    /// nothing after it).
     ///
     /// # Errors
-    /// I/O failures, a malformed manifest, or a damaged header on a
-    /// sealed (non-last) segment.
+    /// I/O failures; a log of 8 or more bytes that does not open with
+    /// `CHAMSEG1`; a directory holding a `MANIFEST`, the segmented layout
+    /// older versions wrote (there is no migration).
     pub fn open(config: StoreConfig) -> Result<Self, StoreError> {
         fs::create_dir_all(&config.dir).map_err(io_err("create store dir", &config.dir))?;
-        // A temp left by a manifest swap interrupted before rename is dead.
-        let _ = fs::remove_file(append_log::temp_path(&config.dir.join(MANIFEST_NAME)));
-        let mut counters = StoreCounters::default();
-        let manifest = match read_manifest(&config.dir)? {
-            Some(ids) => ids,
-            None => {
-                drop(create_segment(&config.dir, 0)?);
-                write_manifest(&config.dir, &[0])?;
-                vec![0]
-            }
-        };
-
+        let old_layout = config.dir.join("MANIFEST");
+        if old_layout.exists() {
+            return Err(StoreError::Io {
+                op: "open",
+                path: old_layout.display().to_string(),
+                error: "an older version's segmented layout; this one reads only SESSIONS.log"
+                    .into(),
+            });
+        }
+        let path = config.dir.join(LOG_NAME);
         let mut index: HashMap<u64, IndexEntry> = HashMap::new();
         let mut record_bytes_total = 0u64;
-        let mut active = None;
-        for (pos, &id) in manifest.iter().enumerate() {
-            let is_last = pos + 1 == manifest.len();
-            let path = segment_path(&config.dir, id);
-            let bytes = fs::read(&path).map_err(io_err("read segment", &path))?;
-            let scanned = append_log::scan(&bytes, SEGMENT_MAGIC, |offset, rest| {
-                let (body, used) = append_log::decode_frame(rest, RECORD_HEADER_BYTES)?;
-                let (session, seq, _) = split_body(body);
-                if !matches!(index.get(&session), Some(existing) if existing.seq > seq) {
-                    let entry = IndexEntry {
-                        segment: id,
-                        offset: offset as u64,
-                        len: used as u64,
-                        seq,
-                    };
-                    index.insert(session, entry);
-                }
-                record_bytes_total += used as u64;
-                Ok::<_, RecordError>(used)
-            });
-            let clean_len = match scanned {
-                Ok((clean_len, damage)) => {
-                    if let Some(error) = damage {
-                        // Torn or garbled tail: everything sealed before it
-                        // survives; the tail is discarded. A clean
-                        // `Truncated` is the expected crash shape; anything
-                        // else means the torn region was also garbled.
-                        if error != RecordError::Truncated {
-                            counters.decode_rejects += 1;
-                        }
-                        counters.torn_truncations += 1;
-                        counters.truncated_bytes += (bytes.len() - clean_len) as u64;
-                    }
-                    clean_len as u64
-                }
-                Err(_) if is_last => {
-                    // The active segment never got a durable header; it
-                    // holds nothing sealed. Reset it to an empty segment.
-                    counters.torn_truncations += 1;
-                    counters.truncated_bytes += bytes.len() as u64;
-                    active = Some(create_segment(&config.dir, id)?);
-                    continue;
-                }
-                Err(error) => {
-                    return Err(StoreError::Corrupt {
-                        segment: id,
-                        offset: 0,
-                        error,
-                    })
-                }
-            };
-            if is_last || clean_len < bytes.len() as u64 {
-                // Opening truncates the damaged tail; the last segment
-                // stays open as the active one.
-                let log =
-                    AppendLog::open(&path, clean_len).map_err(io_err("open segment", &path))?;
-                if is_last {
-                    active = Some(log);
-                }
+        let (log, truncated, damage) = append_log::recover(&path, SEGMENT_MAGIC, |offset, rest| {
+            let (body, used) = append_log::decode_frame(rest, RECORD_HEADER_BYTES)?;
+            let (session, seq, _) = split_body(body);
+            if !matches!(index.get(&session), Some(existing) if existing.seq > seq) {
+                let (offset, len) = (offset as u64, used as u64);
+                index.insert(session, IndexEntry { offset, len, seq });
             }
+            record_bytes_total += used as u64;
+            Ok::<_, RecordError>(used)
+        })
+        .map_err(io_err("open log", &path))?;
+        let mut counters = StoreCounters {
+            sessions_recovered: index.len() as u64,
+            ..StoreCounters::default()
+        };
+        if truncated > 0 {
+            // Torn or garbled tail: everything sealed before it survives.
+            counters.torn_truncations = 1;
+            counters.truncated_bytes = truncated;
         }
-
-        let active = active.expect("manifest is never empty");
-        let active_id = *manifest.last().expect("manifest is never empty");
-        counters.sessions_recovered = index.len() as u64;
+        // A clean `Truncated` is the expected crash shape; anything else
+        // means the torn region was also garbled.
+        if damage.is_some_and(|error| error != RecordError::Truncated) {
+            counters.decode_rejects = 1;
+        }
         let live_bytes = index.values().map(|e| e.len).sum();
         let injector = config.faults.map(FaultInjector::new);
         Ok(Self {
             config,
-            manifest,
-            durable_len: active.bytes(),
-            active,
-            active_id,
+            durable_len: log.bytes(),
+            log,
             index,
             record_bytes_total,
             live_bytes,
@@ -402,36 +292,24 @@ impl SessionStore {
         Ok(())
     }
 
-    /// Fsyncs the active segment and advances the durability watermark —
-    /// all the way, unless a partial-fsync fault makes the hardware lie.
-    fn fsync_active(&mut self) -> Result<(), StoreError> {
-        let path = segment_path(&self.config.dir, self.active_id);
-        self.active
-            .sync()
-            .map_err(io_err("fsync active segment", &path))?;
+    fn path(&self) -> PathBuf {
+        self.config.dir.join(LOG_NAME)
+    }
+
+    /// Fsyncs the log and advances the durability watermark — all the
+    /// way, unless a partial-fsync fault makes the hardware lie.
+    fn fsync_log(&mut self) -> Result<(), StoreError> {
+        self.log.sync().map_err(io_err("fsync log", &self.path()))?;
         self.counters.fsyncs += 1;
-        let pending = (self.active.bytes() - self.durable_len) as usize;
+        let pending = (self.log.bytes() - self.durable_len) as usize;
         let lie = self
             .injector
             .as_mut()
             .and_then(|injector| injector.partial_fsync(pending));
         match lie {
             Some(partial) => self.durable_len += partial as u64,
-            None => self.durable_len = self.active.bytes(),
+            None => self.durable_len = self.log.bytes(),
         }
-        Ok(())
-    }
-
-    /// Rotates to a fresh active segment and swaps the manifest.
-    fn rotate(&mut self) -> Result<(), StoreError> {
-        let id = self.manifest.iter().max().expect("non-empty") + 1;
-        let file = create_segment(&self.config.dir, id)?;
-        self.manifest.push(id);
-        write_manifest(&self.config.dir, &self.manifest)?;
-        self.active = file;
-        self.active_id = id;
-        self.durable_len = HEADER_LEN;
-        self.counters.rotations += 1;
         Ok(())
     }
 
@@ -441,64 +319,28 @@ impl SessionStore {
     /// acknowledgement — the caller may discard its in-RAM copy.
     ///
     /// # Errors
-    /// I/O failures, or [`StoreError::Crashed`] after a simulated crash.
+    /// I/O failures (a compaction this append triggered included), or
+    /// [`StoreError::Crashed`] after a simulated crash.
     pub fn append(&mut self, session: u64, payload: &[u8]) -> Result<u64, StoreError> {
         self.check_alive()?;
         let seq = self.index.get(&session).map_or(0, |e| e.seq + 1);
         let record = encode_record(session, seq, payload);
-        if self.active.bytes() + record.len() as u64 > self.config.segment_bytes
-            && self.active.bytes() > HEADER_LEN
-        {
-            self.rotate()?;
-        }
-        let offset = self.active.bytes();
-        let path = segment_path(&self.config.dir, self.active_id);
-        self.active
+        let offset = self.log.bytes();
+        self.log
             .write(&record)
-            .map_err(io_err("append record", &path))?;
-        self.fsync_active()?;
+            .map_err(io_err("append record", &self.path()))?;
+        // Written bytes count as dead until the index takes them.
         let len = record.len() as u64;
-        let entry = IndexEntry {
-            segment: self.active_id,
-            offset,
-            len,
-            seq,
-        };
-        if let Some(old) = self.index.insert(session, entry) {
+        self.record_bytes_total += len;
+        self.fsync_log()?;
+        if let Some(old) = self.index.insert(session, IndexEntry { offset, len, seq }) {
             self.live_bytes -= old.len;
         }
         self.live_bytes += len;
-        self.record_bytes_total += len;
         self.counters.appends += 1;
         self.counters.append_bytes += len;
         self.maybe_compact()?;
         Ok(seq)
-    }
-
-    /// Reads `entry.len` raw bytes at the indexed location, detecting and
-    /// retrying injected short reads.
-    fn read_entry_bytes(&mut self, entry: IndexEntry) -> Result<Vec<u8>, StoreError> {
-        let path = segment_path(&self.config.dir, entry.segment);
-        let mut file = File::open(&path).map_err(io_err("open segment for read", &path))?;
-        file.seek(SeekFrom::Start(entry.offset))
-            .map_err(io_err("seek record", &path))?;
-        if let Some(short) = self
-            .injector
-            .as_mut()
-            .and_then(|injector| injector.short_read(entry.len as usize))
-        {
-            // Transient short read: a prefix arrived; detect, rewind, retry.
-            let mut partial = vec![0u8; short];
-            file.read_exact(&mut partial)
-                .map_err(io_err("short read", &path))?;
-            self.counters.short_reads += 1;
-            file.seek(SeekFrom::Start(entry.offset))
-                .map_err(io_err("seek record retry", &path))?;
-        }
-        let mut bytes = vec![0u8; entry.len as usize];
-        file.read_exact(&mut bytes)
-            .map_err(io_err("read record", &path))?;
-        Ok(bytes)
     }
 
     /// Reads the latest sealed payload for `session` (`None` if the
@@ -512,26 +354,22 @@ impl SessionStore {
         let Some(entry) = self.index.get(&session).copied() else {
             return Ok(None);
         };
-        let bytes = self.read_entry_bytes(entry)?;
+        let path = self.path();
+        let short_reads = &mut self.counters.short_reads;
+        let bytes = read_entry_bytes(&path, entry, self.injector.as_mut(), short_reads)
+            .map_err(io_err("read record", &path))?;
+        let offset = entry.offset;
         match decode_record(&bytes) {
             Ok((record, _)) if record.session == session && record.seq == entry.seq => {
                 Ok(Some(record.payload))
             }
             Ok(_) => {
                 self.counters.decode_rejects += 1;
-                Err(StoreError::IndexMismatch {
-                    session,
-                    segment: entry.segment,
-                    offset: entry.offset,
-                })
+                Err(StoreError::IndexMismatch { session, offset })
             }
             Err(error) => {
                 self.counters.decode_rejects += 1;
-                Err(StoreError::Corrupt {
-                    segment: entry.segment,
-                    offset: entry.offset,
-                    error,
-                })
+                Err(StoreError::Corrupt { offset, error })
             }
         }
     }
@@ -549,93 +387,81 @@ impl SessionStore {
     }
 
     /// Every sealed record currently on disk, in log order (diagnostic /
-    /// test surface; not fault-injected). Stops a segment's scan at the
-    /// first undecodable byte, mirroring recovery, and skips a segment
-    /// whose header is damaged.
+    /// test surface; not fault-injected). Stops the scan at the first
+    /// undecodable byte, mirroring recovery.
     ///
     /// # Errors
     /// I/O failures or [`StoreError::Crashed`].
     pub fn records(&self) -> Result<Vec<Record>, StoreError> {
         self.check_alive()?;
+        let path = self.path();
+        let bytes = fs::read(&path).map_err(io_err("read log", &path))?;
         let mut out = Vec::new();
-        for &id in &self.manifest {
-            let path = segment_path(&self.config.dir, id);
-            let bytes = fs::read(&path).map_err(io_err("read segment", &path))?;
-            let _ = append_log::scan(&bytes, SEGMENT_MAGIC, |_, rest| {
-                let (record, used) = decode_record(rest)?;
-                out.push(record);
-                Ok::<_, RecordError>(used)
-            });
-        }
+        let _ = append_log::scan(&bytes, SEGMENT_MAGIC, |_, rest| {
+            let (record, used) = decode_record(rest)?;
+            out.push(record);
+            Ok::<_, RecordError>(used)
+        });
         Ok(out)
     }
 
+    /// Compacts once at least `compact_min_bytes` and at least half of the
+    /// record bytes are dead.
     fn maybe_compact(&mut self) -> Result<(), StoreError> {
         let dead = self.record_bytes_total - self.live_bytes;
-        if dead < self.config.compact_min_bytes {
-            return Ok(());
-        }
-        if (dead as f64) < self.config.compact_dead_ratio * self.record_bytes_total as f64 {
+        if dead < self.config.compact_min_bytes || dead * 2 < self.record_bytes_total {
             return Ok(());
         }
         self.compact()
     }
 
-    /// Rewrites every live record into one fresh segment, atomically swaps
-    /// the manifest to reference only it, and deletes the old segments.
-    /// The new segment becomes the active one.
+    /// Copies every live record, raw and in session order, into a temp
+    /// sibling of the log, fsyncs it and renames it over the log, then
+    /// fsyncs the directory. A failure before the rename leaves the old
+    /// log live and unchanged; once the rename ran, the index follows the
+    /// new file even if the directory fsync then fails, and no append is
+    /// acknowledged until a retry of that fsync succeeds.
     ///
     /// # Errors
     /// I/O failures or [`StoreError::Crashed`].
     pub fn compact(&mut self) -> Result<(), StoreError> {
         self.check_alive()?;
-        let id = self.manifest.iter().max().expect("non-empty") + 1;
-        let path = segment_path(&self.config.dir, id);
-        let mut file = create_segment(&self.config.dir, id)?;
+        let path = self.path();
         let mut sessions: Vec<u64> = self.index.keys().copied().collect();
         sessions.sort_unstable();
-        let mut new_index = HashMap::with_capacity(sessions.len());
-        for session in sessions {
-            let entry = self.index[&session];
-            // Raw byte copy: the record was CRC-verified when indexed, and
-            // its seal travels with it.
-            let bytes = self.read_entry_bytes(entry)?;
-            new_index.insert(
-                session,
-                IndexEntry {
-                    segment: id,
-                    offset: file.bytes(),
-                    len: entry.len,
-                    seq: entry.seq,
-                },
-            );
-            file.write(&bytes)
-                .map_err(io_err("write compacted record", &path))?;
-        }
-        file.sync()
-            .map_err(io_err("sync compacted segment", &path))?;
-        self.counters.fsyncs += 1;
-        let old = std::mem::replace(&mut self.manifest, vec![id]);
-        write_manifest(&self.config.dir, &self.manifest)?;
-        for old_id in old {
-            let _ = fs::remove_file(segment_path(&self.config.dir, old_id));
-        }
-        let len = file.bytes();
-        self.index = new_index;
-        self.active = file;
-        self.active_id = id;
+        let swapped = self.log.swap(|staged| {
+            staged.write(SEGMENT_MAGIC)?;
+            let mut moved = HashMap::with_capacity(sessions.len());
+            for session in sessions {
+                let entry = self.index[&session];
+                let injector = self.injector.as_mut();
+                let short_reads = &mut self.counters.short_reads;
+                // Raw byte copy: the record was CRC-verified when indexed,
+                // and its seal travels with it.
+                let bytes = read_entry_bytes(&path, entry, injector, short_reads)?;
+                let offset = staged.bytes();
+                moved.insert(session, IndexEntry { offset, ..entry });
+                staged.write(&bytes)?;
+            }
+            Ok(moved)
+        });
+        self.index = swapped.map_err(io_err("compact log", &path))?;
+        let len = self.log.bytes();
         self.durable_len = len;
         self.record_bytes_total = len - HEADER_LEN;
         self.live_bytes = len - HEADER_LEN;
+        self.counters.fsyncs += 1;
         self.counters.compactions += 1;
-        Ok(())
+        self.log
+            .sync_dir()
+            .map_err(io_err("sync store dir", &self.config.dir))
     }
 
     /// Point-in-time counters (monotone event counts plus current log
     /// shape).
     pub fn counters(&self) -> StoreCounters {
         let mut c = self.counters;
-        c.segments = self.manifest.len() as u64;
+        c.log_bytes = self.log.bytes();
         c.live_records = self.index.len() as u64;
         c.dead_bytes = self.record_bytes_total - self.live_bytes;
         c
@@ -647,10 +473,10 @@ impl SessionStore {
     }
 
     /// Simulates power loss at this instant: everything past the durable
-    /// watermark of the active segment is rewritten as whatever the fault
-    /// model says survives (torn prefix, possibly with a flipped bit).
-    /// Without file faults the non-durable suffix is dropped entirely —
-    /// the conservative reading of "fsync did not return".
+    /// watermark of the log is rewritten as whatever the fault model says
+    /// survives (torn prefix, possibly with a flipped bit). Without file
+    /// faults the non-durable suffix is dropped entirely — the
+    /// conservative reading of "fsync did not return".
     ///
     /// After this call the in-memory state no longer matches disk; every
     /// further operation fails with [`StoreError::Crashed`]. Reopen the
@@ -661,14 +487,14 @@ impl SessionStore {
     pub fn simulate_crash(&mut self) -> Result<(), StoreError> {
         self.check_alive()?;
         self.crashed = true;
-        let path = segment_path(&self.config.dir, self.active_id);
-        let active_len = self.active.bytes();
+        let path = self.path();
+        let log_len = self.log.bytes();
         let mut tail = Vec::new();
-        if active_len > self.durable_len {
-            let mut file = File::open(&path).map_err(io_err("open segment for crash", &path))?;
+        if log_len > self.durable_len {
+            let mut file = File::open(&path).map_err(io_err("open log for crash", &path))?;
             file.seek(SeekFrom::Start(self.durable_len))
                 .map_err(io_err("seek crash tail", &path))?;
-            tail = vec![0u8; (active_len - self.durable_len) as usize];
+            tail = vec![0u8; (log_len - self.durable_len) as usize];
             file.read_exact(&mut tail)
                 .map_err(io_err("read crash tail", &path))?;
             if let Some(injector) = self.injector.as_mut() {
@@ -679,7 +505,7 @@ impl SessionStore {
         }
         // Drop the non-durable tail, then write back what of it survived.
         AppendLog::open(&path, self.durable_len)
-            .and_then(|mut segment| segment.append(&tail))
+            .and_then(|mut log| log.append(&tail))
             .map_err(io_err("rewrite crash tail", &path))
     }
 }
@@ -782,9 +608,7 @@ mod tests {
 
     fn tiny_config(dir: &Path) -> StoreConfig {
         StoreConfig {
-            segment_bytes: 256,
             compact_min_bytes: 512,
-            compact_dead_ratio: 0.5,
             ..StoreConfig::new(dir)
         }
     }
@@ -816,7 +640,14 @@ mod tests {
             store.append(2, b"two").expect("append");
             store.append(1, b"one-b").expect("append");
         }
+        // A compaction that crashed before its rename left half an image
+        // in the temp sibling: open removes it and the log is unchanged.
+        let (path, tmp) = (dir.join(LOG_NAME), dir.join(".SESSIONS.log.tmp"));
+        let before = fs::read(&path).expect("read");
+        fs::write(&tmp, &before[..before.len() / 2]).expect("half-written image");
         let mut store = SessionStore::open(StoreConfig::new(&dir)).expect("reopen");
+        assert!(!tmp.exists());
+        assert_eq!(fs::read(&path).expect("read"), before);
         assert_eq!(store.counters().sessions_recovered, 2);
         assert_eq!(store.get(1).expect("get"), Some(b"one-b".to_vec()));
         assert_eq!(store.latest_seq(1), Some(1));
@@ -832,7 +663,7 @@ mod tests {
             store.append(1, b"sealed").expect("append");
         }
         // A crash mid-append: half a record's worth of garbage at the tail.
-        let path = segment_path(&dir, 0);
+        let path = dir.join(LOG_NAME);
         let mut file = OpenOptions::new().append(true).open(&path).expect("open");
         file.write_all(&[0xAB; 11]).expect("tear");
         drop(file);
@@ -847,26 +678,6 @@ mod tests {
         assert_eq!(fs::metadata(&path).expect("stat").len(), before - 11);
         // The log keeps working after repair.
         assert_eq!(store.append(1, b"after").expect("append"), 1);
-        fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn rotation_spreads_records_across_segments() {
-        let dir = scratch("rotate");
-        let mut store = SessionStore::open(tiny_config(&dir)).expect("open");
-        for round in 0..12u64 {
-            store.append(round % 4, &[round as u8; 64]).expect("append");
-        }
-        let c = store.counters();
-        assert!(c.rotations > 0, "{c:?}");
-        assert!(c.segments > 1, "{c:?}");
-        for session in 0..4u64 {
-            assert!(store.get(session).expect("get").is_some());
-        }
-        // Reopen sees the same sessions through the multi-segment manifest.
-        drop(store);
-        let store = SessionStore::open(tiny_config(&dir)).expect("reopen");
-        assert_eq!(store.sessions(), vec![0, 1, 2, 3]);
         fs::remove_dir_all(&dir).ok();
     }
 
@@ -886,10 +697,16 @@ mod tests {
         assert_eq!(store.get(0).expect("get"), Some(vec![38u8; 48]));
         assert_eq!(store.get(1).expect("get"), Some(vec![39u8; 48]));
         assert_eq!(store.latest_seq(0), Some(19));
-        // Old segment files are gone from disk, not just the manifest.
-        let files = fs::read_dir(&dir).expect("dir").count();
-        let expected = store.counters().segments as usize + 1; // + MANIFEST
-        assert_eq!(files, expected);
+        // The compacted image replaced the log, and the gauges read its
+        // length on disk.
+        let files: Vec<_> = fs::read_dir(&dir)
+            .expect("dir")
+            .map(|e| e.expect("entry"))
+            .collect();
+        assert_eq!(files.len(), 1);
+        let c = store.counters();
+        assert_eq!(c.log_bytes, files[0].metadata().expect("stat").len());
+        assert_eq!(c.log_bytes - HEADER_LEN - c.dead_bytes, 2 * (48 + 24));
         drop(store);
         let mut store = SessionStore::open(tiny_config(&dir)).expect("reopen");
         assert_eq!(store.get(0).expect("get"), Some(vec![38u8; 48]));
@@ -952,6 +769,132 @@ mod tests {
             assert_eq!(payload, acked_payload, "session {session} seq {seq}");
         }
         fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn crash_after_a_compaction_keeps_each_sessions_durable_record() {
+        // A disk that tears writes, lies about fsyncs and flips tail bits,
+        // then a clean one.
+        let hostile = FileFaultModel {
+            torn_write_prob: 0.8,
+            partial_fsync_prob: 0.9,
+            short_read_prob: 0.0,
+            bit_flip_prob: 0.6,
+        };
+        for faults in [Some(FaultPlan::file_faults(43, hostile)), None] {
+            let dir = scratch("crash-compacted");
+            let config = StoreConfig {
+                faults,
+                ..tiny_config(&dir)
+            };
+            let mut store = SessionStore::open(config).expect("open");
+            // Every ack, and each session's newest record known to lie in
+            // the durable prefix: all of them right after the compaction.
+            let (mut acked, mut durable) = (HashMap::new(), HashMap::new());
+            for round in 0..16u64 {
+                let (session, payload) = (round % 3, vec![round as u8; 40]);
+                acked.insert(
+                    (session, store.append(session, &payload).expect("append")),
+                    payload,
+                );
+                if round == 11 {
+                    store.compact().expect("compact");
+                    durable.extend(store.index.iter().map(|(&s, entry)| (s, entry.seq)));
+                } else if store.log.bytes() == store.durable_len {
+                    durable.insert(session, store.index[&session].seq);
+                }
+            }
+            store.simulate_crash().expect("crash");
+            drop(store);
+            let mut store = SessionStore::open(StoreConfig::new(&dir)).expect("recover");
+            for (session, durable_seq) in durable {
+                let seq = store.latest_seq(session).expect("session survives");
+                assert!(seq >= durable_seq, "session {session} lost {durable_seq}");
+                let payload = store.get(session).expect("get");
+                assert_eq!(payload.as_ref(), acked.get(&(session, seq)));
+            }
+            fs::remove_dir_all(&dir).ok();
+        }
+    }
+
+    #[test]
+    fn a_failed_compaction_loses_no_acked_record() {
+        let dir = scratch("compact-blocked");
+        let mut store = SessionStore::open(tiny_config(&dir)).expect("open");
+        for round in 0..4u64 {
+            store.append(round % 2, &[round as u8; 48]).expect("append");
+        }
+        // A directory at the temp sibling fails the compaction before its
+        // rename: the old log stays live and keeps taking appends.
+        let tmp = append_log::temp_path(&dir.join(LOG_NAME));
+        fs::create_dir(&tmp).expect("block the temp path");
+        assert!(matches!(store.compact(), Err(StoreError::Io { .. })));
+        assert_eq!(
+            store.append(2, b"acked after the failure").expect("append"),
+            0
+        );
+        fs::remove_dir(&tmp).expect("unblock");
+        for round in 4..30u64 {
+            store.append(round % 2, &[round as u8; 48]).expect("append");
+        }
+        store.compact().expect("compact");
+        drop(store);
+        let mut store = SessionStore::open(tiny_config(&dir)).expect("reopen");
+        assert_eq!(store.get(0).expect("get"), Some(vec![28u8; 48]));
+        assert_eq!(store.get(1).expect("get"), Some(vec![29u8; 48]));
+        assert_eq!(
+            store.get(2).expect("get"),
+            Some(b"acked after the failure".to_vec())
+        );
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn no_append_is_acked_until_a_compactions_rename_is_durable() {
+        let dir = scratch("rename-pending");
+        let mut store = SessionStore::open(StoreConfig::new(&dir)).expect("open");
+        store.append(1, b"before").expect("append");
+        // A compaction whose directory fsync failed: the same image
+        // renamed in, the rename not yet durable.
+        let image = fs::read(dir.join(LOG_NAME)).expect("read");
+        store.log.swap(|staged| staged.write(&image)).expect("swap");
+        let hidden = dir.with_extension("hidden");
+        fs::rename(&dir, &hidden).expect("hide the directory");
+        let unacked = store.append(1, b"unacked");
+        assert!(matches!(
+            unacked,
+            Err(StoreError::Io {
+                op: "fsync log",
+                ..
+            })
+        ));
+        assert_eq!(store.latest_seq(1), Some(0));
+        fs::rename(&hidden, &dir).expect("restore the directory");
+        assert_eq!(store.append(1, b"acked").expect("append"), 1);
+        let c = store.counters();
+        assert_eq!(c.log_bytes - HEADER_LEN - c.dead_bytes, 24 + 5);
+        drop(store);
+        let mut store = SessionStore::open(StoreConfig::new(&dir)).expect("reopen");
+        assert_eq!(store.get(1).expect("get"), Some(b"acked".to_vec()));
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn foreign_files_are_refused_not_emptied() {
+        // A log whose magic is not CHAMSEG1, and the segmented layout with
+        // a MANIFEST that older versions wrote.
+        for (file, refusing_op) in [(LOG_NAME, "open log"), ("MANIFEST", "open")] {
+            let dir = scratch("foreign");
+            fs::create_dir_all(&dir).expect("mkdir");
+            fs::write(dir.join(file), b"CHAMRTE1 not a store").expect("write");
+            let error = SessionStore::open(StoreConfig::new(&dir)).unwrap_err();
+            assert!(matches!(error, StoreError::Io { op, .. } if op == refusing_op));
+            assert_eq!(
+                fs::read(dir.join(file)).expect("read"),
+                b"CHAMRTE1 not a store"
+            );
+            fs::remove_dir_all(&dir).ok();
+        }
     }
 
     #[test]
