@@ -104,7 +104,7 @@ COMMANDS:
                                 lifecycle: shard-count invariance + replay
                                 quantized: lifecycle with int8 latents
                                 crash: kill at every eviction boundary, recover
-                                route: handoff/kill schedules on a sim cluster
+                                route: the router's core under drain/kill/restart
                                 balance: online migration schedules
     --seeds <n>                 seeds to sweep                 [default: 25]
     --start-seed <n>            first seed of the sweep        [default: 0]

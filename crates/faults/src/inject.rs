@@ -34,14 +34,6 @@ pub struct FaultStats {
     pub writes_torn: u64,
     /// Bits flipped in surviving non-durable file tails at crash time.
     pub file_bits_flipped: u64,
-    /// Requests lost before the destination saw them.
-    pub requests_dropped: u64,
-    /// Responses lost after the destination executed.
-    pub responses_dropped: u64,
-    /// Messages delivered late.
-    pub messages_delayed: u64,
-    /// Messages delivered twice.
-    pub messages_duplicated: u64,
 }
 
 impl FaultStats {
@@ -83,28 +75,6 @@ impl CrashDamage {
     }
 }
 
-/// What the network does to one request/response exchange, decided by
-/// [`FaultInjector::net_decision`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum NetDecision {
-    /// Both directions deliver normally.
-    Deliver,
-    /// The request is lost: the destination never sees the operation and
-    /// the caller times out — recovery must *resend*.
-    DropRequest,
-    /// The destination executes but its response is lost — recovery must
-    /// *reconcile*, because the side effect already happened.
-    DropResponse,
-    /// Delivered late by `millis`; no loss.
-    Delay {
-        /// Injected extra latency in milliseconds.
-        millis: u64,
-    },
-    /// The request arrives twice (retransmission); the destination must
-    /// tolerate the duplicate.
-    Duplicate,
-}
-
 /// Stateful fault injector.
 ///
 /// Each fault category draws from its own RNG stream forked from the plan
@@ -122,7 +92,6 @@ pub struct FaultInjector {
     checkpoint_rng: Prng,
     stream_rng: Prng,
     file_rng: Prng,
-    net_rng: Prng,
     stats: FaultStats,
 }
 
@@ -136,7 +105,6 @@ impl FaultInjector {
             checkpoint_rng: root.fork(2),
             stream_rng: root.fork(3),
             file_rng: root.fork(4),
-            net_rng: root.fork(5),
             stats: FaultStats::default(),
         }
     }
@@ -289,33 +257,6 @@ impl FaultInjector {
         Some(self.file_rng.below(requested))
     }
 
-    /// Decides what the network does to one request/response exchange,
-    /// per the plan's net model. Categories are evaluated in a fixed
-    /// order (drop-request, drop-response, delay, duplicate) with one
-    /// coin each; the first that fires wins. Zero-probability categories
-    /// consume no randomness.
-    pub fn net_decision(&mut self) -> NetDecision {
-        let model = self.plan.net;
-        if model.drop_request_prob > 0.0 && self.net_rng.coin(model.drop_request_prob as f32) {
-            self.stats.requests_dropped += 1;
-            return NetDecision::DropRequest;
-        }
-        if model.drop_response_prob > 0.0 && self.net_rng.coin(model.drop_response_prob as f32) {
-            self.stats.responses_dropped += 1;
-            return NetDecision::DropResponse;
-        }
-        if model.delay_prob > 0.0 && self.net_rng.coin(model.delay_prob as f32) {
-            self.stats.messages_delayed += 1;
-            let millis = self.net_rng.below(model.max_delay_millis.max(1) as usize) as u64;
-            return NetDecision::Delay { millis };
-        }
-        if model.duplicate_prob > 0.0 && self.net_rng.coin(model.duplicate_prob as f32) {
-            self.stats.messages_duplicated += 1;
-            return NetDecision::Duplicate;
-        }
-        NetDecision::Deliver
-    }
-
     /// Damages the non-durable tail of a file at simulated power loss:
     /// possibly tears it (keeping only a prefix), then possibly flips one
     /// bit at a chosen offset in whatever survives. Durable (fsynced) bytes
@@ -381,7 +322,6 @@ mod tests {
         let mut tail = vec![9u8; 32];
         assert!(!injector.crash_damage(&mut tail).any());
         assert_eq!(tail, vec![9u8; 32]);
-        assert_eq!(injector.net_decision(), NetDecision::Deliver);
         assert!(!injector.stats().any());
         // No randomness consumed: internal streams still match a fresh one.
         let fresh = FaultInjector::new(FaultPlan::disabled(3));
@@ -544,33 +484,6 @@ mod tests {
         }
         assert!(injector.partial_fsync(0).is_none());
         assert!(injector.short_read(0).is_none());
-    }
-
-    #[test]
-    fn net_decisions_fire_and_replay_from_their_seed() {
-        let net = crate::plan::NetFaultModel {
-            drop_request_prob: 0.2,
-            drop_response_prob: 0.2,
-            delay_prob: 0.2,
-            max_delay_millis: 50,
-            duplicate_prob: 0.2,
-        };
-        let run = || {
-            let mut injector = FaultInjector::new(FaultPlan::net_faults(21, net));
-            let decisions: Vec<NetDecision> = (0..300).map(|_| injector.net_decision()).collect();
-            (decisions, injector.stats())
-        };
-        let (a, sa) = run();
-        let (b, sb) = run();
-        assert_eq!(a, b, "same seed must replay identical net faults");
-        assert_eq!(sa, sb);
-        assert!(sa.requests_dropped > 0, "{sa:?}");
-        assert!(sa.responses_dropped > 0, "{sa:?}");
-        assert!(sa.messages_delayed > 0, "{sa:?}");
-        assert!(sa.messages_duplicated > 0, "{sa:?}");
-        assert!(a
-            .iter()
-            .all(|d| !matches!(d, NetDecision::Delay { millis } if *millis >= 50)));
     }
 
     #[test]

@@ -19,10 +19,6 @@
 //!   (torn writes, lying partial fsyncs, short reads, tail bit flips),
 //!   consumed by the `chameleon-store` session log's I/O seam so crash
 //!   schedules are seeded and replayable.
-//! * **Network faults** — per-message loss, delay, and duplication
-//!   between a router and its backends (request drops and response drops
-//!   modeled separately, because they demand different recovery),
-//!   consumed by the routing tier's multi-node simulation.
 //!
 //! Everything is driven by a single [`FaultPlan`] seed through
 //! independently forked RNG streams per fault category, so the same plan
@@ -50,10 +46,10 @@
 mod inject;
 mod plan;
 
-pub use inject::{CheckpointDamage, CrashDamage, FaultInjector, FaultStats, NetDecision};
+pub use inject::{CheckpointDamage, CrashDamage, FaultInjector, FaultStats};
 pub use plan::{
-    CheckpointFaultModel, FaultPlan, FileFaultModel, MemoryFaultModel, NetFaultModel,
-    StreamFaultModel, DRAM_TO_SRAM_RATIO,
+    CheckpointFaultModel, FaultPlan, FileFaultModel, MemoryFaultModel, StreamFaultModel,
+    DRAM_TO_SRAM_RATIO,
 };
 
 pub use chameleon_replay::StorePlacement;

@@ -165,51 +165,6 @@ impl FileFaultModel {
     }
 }
 
-/// Loss model for messages crossing the network between a router and its
-/// backends (or between simulated nodes).
-///
-/// Requests and responses are modeled separately because they fail
-/// differently: a dropped *request* means the backend never saw the
-/// operation, while a dropped *response* means it executed but the caller
-/// cannot know — the two demand different recovery (resend vs
-/// reconcile). Partition windows are schedule-level (a span of
-/// operations during which one node is unreachable) and are generated by
-/// the simulation schedule, not by per-message coins here.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct NetFaultModel {
-    /// Probability a request is lost before the destination sees it.
-    pub drop_request_prob: f64,
-    /// Probability the destination executes but its response is lost.
-    pub drop_response_prob: f64,
-    /// Probability a message is delayed (delivered late, not lost).
-    pub delay_prob: f64,
-    /// Upper bound (exclusive) on an injected delay, in milliseconds.
-    pub max_delay_millis: u64,
-    /// Probability a message is delivered twice (retransmission).
-    pub duplicate_prob: f64,
-}
-
-impl NetFaultModel {
-    /// No network faults.
-    pub fn disabled() -> Self {
-        Self {
-            drop_request_prob: 0.0,
-            drop_response_prob: 0.0,
-            delay_prob: 0.0,
-            max_delay_millis: 0,
-            duplicate_prob: 0.0,
-        }
-    }
-
-    /// Whether every network-fault probability is exactly zero.
-    pub fn is_zero(&self) -> bool {
-        self.drop_request_prob == 0.0
-            && self.drop_response_prob == 0.0
-            && self.delay_prob == 0.0
-            && self.duplicate_prob == 0.0
-    }
-}
-
 /// A complete, seeded fault-injection campaign description.
 ///
 /// The same plan always produces the same faults over the same run: the
@@ -227,8 +182,6 @@ pub struct FaultPlan {
     pub stream: StreamFaultModel,
     /// Durable file I/O damage model (session-store crash schedules).
     pub file: FileFaultModel,
-    /// Network loss model (routing tier and multi-node simulation).
-    pub net: NetFaultModel,
 }
 
 impl FaultPlan {
@@ -241,7 +194,6 @@ impl FaultPlan {
             checkpoint: CheckpointFaultModel::disabled(),
             stream: StreamFaultModel::disabled(),
             file: FileFaultModel::disabled(),
-            net: NetFaultModel::disabled(),
         }
     }
 
@@ -254,7 +206,6 @@ impl FaultPlan {
             checkpoint: CheckpointFaultModel::disabled(),
             stream: StreamFaultModel::disabled(),
             file: FileFaultModel::disabled(),
-            net: NetFaultModel::disabled(),
         }
     }
 
@@ -268,21 +219,6 @@ impl FaultPlan {
             checkpoint: CheckpointFaultModel::disabled(),
             stream: StreamFaultModel::disabled(),
             file,
-            net: NetFaultModel::disabled(),
-        }
-    }
-
-    /// A network-faults-only plan: message loss, delay, and duplication
-    /// at the given probabilities — the model the routing tier's
-    /// multi-node simulation schedules run under.
-    pub fn net_faults(seed: u64, net: NetFaultModel) -> Self {
-        Self {
-            seed,
-            memory: MemoryFaultModel::disabled(),
-            checkpoint: CheckpointFaultModel::disabled(),
-            stream: StreamFaultModel::disabled(),
-            file: FileFaultModel::disabled(),
-            net,
         }
     }
 
@@ -292,7 +228,6 @@ impl FaultPlan {
             && self.checkpoint.is_zero()
             && self.stream.is_zero()
             && self.file.is_zero()
-            && self.net.is_zero()
     }
 }
 
@@ -304,11 +239,11 @@ mod tests {
     fn disabled_plan_is_noop() {
         assert!(FaultPlan::disabled(0).is_noop());
         assert!(!FaultPlan::bit_flips(0, 1e-6).is_noop());
-        let net = NetFaultModel {
-            drop_request_prob: 0.1,
-            ..NetFaultModel::disabled()
+        let file = FileFaultModel {
+            torn_write_prob: 0.1,
+            ..FileFaultModel::disabled()
         };
-        assert!(!FaultPlan::net_faults(0, net).is_noop());
+        assert!(!FaultPlan::file_faults(0, file).is_noop());
     }
 
     #[test]

@@ -23,6 +23,13 @@
 //! the repo-wide bit-identity guarantee: the final checkpoint of a
 //! session is byte-for-byte independent of how often (or when) it moved.
 //!
+//! Everything the router decides lives in one socket-free [`RouteCore`],
+//! reached through one request entry point ([`RouteCore::handle`]) and
+//! reaching each backend through a [`BackendLink`]. The [`Router`] is the
+//! shell: the CHAMWIRE front end, the links, and the probe thread. The
+//! simtest `route` explorer drives the same core over in-process sim
+//! nodes.
+//!
 //! The router talks to each backend over **one multiplexed connection**
 //! ([`MuxConnection`]): workers tag frames with correlation ids and a
 //! per-backend reader thread wakes the matching sender, so backend
@@ -50,11 +57,13 @@
 mod mux;
 mod registry;
 mod router;
+mod routing;
 pub mod state;
 
 pub use mux::{MuxConnection, MuxError, MuxOptions};
 pub use registry::{Backend, BackendState, Registry};
-pub use router::{RouteCounters, Router, RouterConfig};
+pub use router::{Router, RouterConfig};
+pub use routing::{BackendLink, RouteCore, RouteCounters};
 
 /// Locks a mutex, recovering the data behind a poisoned lock instead of
 /// propagating the panic. One router worker dying mid-request must not

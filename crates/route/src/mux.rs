@@ -195,11 +195,6 @@ impl MuxConnection {
         }
     }
 
-    /// The backend address this connection multiplexes to.
-    pub fn addr(&self) -> &str {
-        &self.inner.addr
-    }
-
     /// Sends `request` and waits for its correlated response, riding
     /// `RetryAfter` backpressure up to the configured budget and
     /// retrying exactly once on a fresh connection if an *established*

@@ -154,15 +154,6 @@ impl Registry {
             .map(|(i, _)| i)
     }
 
-    /// Where the session lives: its pin if it has one, else the
-    /// rendezvous choice (which the caller should then pin).
-    pub fn owner_of(&self, session: SessionId) -> Option<usize> {
-        self.pins
-            .get(&session)
-            .copied()
-            .or_else(|| self.rendezvous(session, None))
-    }
-
     /// The session's pin, if any (no rendezvous fallback).
     pub fn pinned(&self, session: SessionId) -> Option<usize> {
         self.pins.get(&session).copied()
@@ -172,11 +163,6 @@ impl Registry {
     /// handoff; pins are the source of truth for placement).
     pub fn pin(&mut self, session: SessionId, index: usize) {
         self.pins.insert(session, index);
-    }
-
-    /// Removes a session's pin.
-    pub fn unpin(&mut self, session: SessionId) {
-        self.pins.remove(&session);
     }
 
     /// Every session pinned to `index`, in ascending id order (stable
@@ -244,13 +230,14 @@ mod tests {
     fn pins_override_rendezvous_and_enumerate_per_backend() {
         let mut r = registry(3, 1);
         let s = 42;
-        let hashed = r.owner_of(s).unwrap();
+        assert_eq!(r.pinned(s), None);
+        let hashed = r.rendezvous(s, None).unwrap();
         let other = (hashed + 1) % 3;
         r.pin(s, other);
-        assert_eq!(r.owner_of(s), Some(other));
+        assert_eq!(r.pinned(s), Some(other));
+        assert_eq!(r.rendezvous(s, None), Some(hashed));
         assert_eq!(r.sessions_on(other), vec![s]);
-        r.unpin(s);
-        assert_eq!(r.owner_of(s), Some(hashed));
+        assert!(r.sessions_on(hashed).is_empty());
     }
 
     #[test]

@@ -31,8 +31,9 @@
 //! log.
 //!
 //! The codec half of this module (`encode_*`, [`decode_state`]) is pure
-//! — no I/O — so the simtest multinode explorer round-trips its router
-//! state through the real bytes.
+//! — no I/O — for the golden corpus, the fuzz suites and the benchmark's
+//! probes. A restarted router, including the simtest route explorer's,
+//! recovers through [`StateLog::open`] on the file itself.
 
 use std::collections::HashMap;
 use std::path::Path;

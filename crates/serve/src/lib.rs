@@ -28,7 +28,9 @@
 //!   as the `request` span of the server's observer, both answered by one
 //!   [`wire::Request::Observe`]. Fleet backpressure surfaces as
 //!   wire-level [`wire::Response::RetryAfter`] — the connection stays
-//!   open.
+//!   open. Its request → command → response mapping
+//!   ([`session_command`], [`fleet_error_response`], [`event_response`])
+//!   is public, so a simulated backend answers exactly as a server does.
 //! * [`Connection`] — the client: typed helpers, retry/backoff honoring
 //!   the server's `RetryAfter` hint.
 //!
@@ -77,4 +79,4 @@ pub mod wire;
 
 pub use client::{jittered_backoff_millis, ClientError, Connection, DEFAULT_STALL_BUDGET};
 pub use metrics::{ServeCounters, ServeMetrics};
-pub use server::{ServeConfig, Server};
+pub use server::{event_response, fleet_error_response, session_command, ServeConfig, Server};

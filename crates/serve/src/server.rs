@@ -26,7 +26,7 @@ use std::thread::JoinHandle;
 
 use chameleon_balance::{BalanceConfig, Balancer};
 use chameleon_fleet::{
-    FleetConfig, FleetEngine, FleetError, SessionCommand, SessionEventKind, WakeHook,
+    FleetConfig, FleetEngine, FleetError, SessionCommand, SessionEventKind, SessionId, WakeHook,
 };
 use chameleon_obs::{Observation, Observer};
 use chameleon_runtime::{Clock, Runtime, WallClock};
@@ -326,19 +326,33 @@ fn handle_op(
     metrics: &ServeMetrics,
     balancer: Option<&Balancer>,
 ) {
+    let (session, command) = match request {
+        Request::Ping => return reply.send(Response::Pong),
+        Request::Observe => {
+            let observation = build_observation(fleet, metrics, balancer);
+            return reply.send(Response::Observed(Box::new(observation)));
+        }
+        request => session_command(request).expect("every other request names a session"),
+    };
     // The fleet's internal correlation space is the engine's own — the
     // wire correlation rides in the reply handle kept in `pending`.
     let correlation = *next_correlation;
-    let (session, command) = match request {
-        Request::Ping => {
-            reply.send(Response::Pong);
-            return;
+    match fleet.command_correlated(session, command, correlation) {
+        Ok(()) => {
+            *next_correlation += 1;
+            pending.insert(correlation, reply);
         }
-        Request::Observe => {
-            let observation = build_observation(fleet, metrics, balancer);
-            reply.send(Response::Observed(Box::new(observation)));
-            return;
-        }
+        Err(error) => reply.send(fleet_error_response(&error)),
+    }
+}
+
+/// The fleet command a request asks for, and the session it addresses:
+/// the request half of the server's request → command → response
+/// mapping ([`fleet_error_response`] and [`event_response`] are the
+/// response half). `None` for `Ping` and `Observe`, which address no
+/// session.
+pub fn session_command(request: Request) -> Option<(SessionId, SessionCommand)> {
+    Some(match request {
         Request::CreateSession { session, spec } => {
             (session, SessionCommand::Create(Box::new(spec)))
         }
@@ -353,14 +367,8 @@ fn handle_op(
         Request::Evict { session } => (session, SessionCommand::Evict),
         Request::HandoffExport { session } => (session, SessionCommand::Export),
         Request::Handoff { session, blob } => (session, SessionCommand::Import(blob)),
-    };
-    match fleet.command_correlated(session, command, correlation) {
-        Ok(()) => {
-            *next_correlation += 1;
-            pending.insert(correlation, reply);
-        }
-        Err(error) => reply.send(fleet_error_response(&error)),
-    }
+        Request::Ping | Request::Observe => return None,
+    })
 }
 
 /// Snapshots the unified observability view: the server observer's span
@@ -418,7 +426,9 @@ fn build_observation(
     o
 }
 
-fn fleet_error_response(error: &FleetError) -> Response {
+/// The response a fleet's synchronous refusal of a command answers with.
+/// Backpressure becomes [`Response::RetryAfter`].
+pub fn fleet_error_response(error: &FleetError) -> Response {
     match error {
         FleetError::Rejected(_) => Response::RetryAfter {
             millis: RETRY_AFTER_MILLIS,
@@ -438,7 +448,8 @@ fn fleet_error_response(error: &FleetError) -> Response {
     }
 }
 
-fn event_response(kind: SessionEventKind) -> Response {
+/// The response the event acknowledging a command answers with.
+pub fn event_response(kind: SessionEventKind) -> Response {
     match kind {
         SessionEventKind::Created => Response::Created,
         SessionEventKind::Stepped { delivered, done } => Response::Stepped {

@@ -24,8 +24,7 @@
 //! so any failure replays from its seed.
 
 use std::collections::HashMap;
-use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::path::Path;
 use std::sync::Arc;
 
 use chameleon_core::Precision;
@@ -283,23 +282,16 @@ pub fn check_crash_seed(
     })
 }
 
-/// A fresh scratch directory for one crash case, unique per call and per
-/// process so concurrent cases never collide.
-pub(crate) fn default_scratch() -> PathBuf {
-    static CASES: AtomicU64 = AtomicU64::new(0);
-    let case = CASES.fetch_add(1, Ordering::Relaxed);
-    std::env::temp_dir().join(format!("chameleon-crash-sim-{}-{case}", std::process::id()))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::explorer::scratch_dir;
     use crate::golden::golden_scenario;
 
     #[test]
     fn crash_schedules_pass_on_clean_and_hostile_disks() {
         let scenario = golden_scenario();
-        let scratch = default_scratch();
+        let scratch = scratch_dir("crash");
         let mut boundaries = 0;
         let mut faulted = 0;
         // One even (clean-disk) and one odd (hostile-disk) seed keep
@@ -321,7 +313,7 @@ mod tests {
     #[test]
     fn outcomes_replay_from_their_seed() {
         let scenario = golden_scenario();
-        let scratch = default_scratch();
+        let scratch = scratch_dir("crash");
         let a = check_crash_seed(&scenario, 5, &scratch).expect("seed 5");
         let b = check_crash_seed(&scenario, 5, &scratch).expect("seed 5 again");
         assert_eq!(a, b);

@@ -1,12 +1,16 @@
 //! The explorer harness: one [`Explorer`] enum naming every seeded
-//! explorer, and the simulation plumbing they share — the `Op` →
-//! fleet-command mapping, logged op application with post-op checkpoint
-//! probes, final-blob collection, and the Evict-at-the-same-boundary
-//! reference run.
+//! explorer, and the simulation plumbing the engine-level explorers
+//! share — the `Op` → fleet-command mapping, logged op application with
+//! post-op checkpoint probes, final-blob collection, the
+//! Evict-at-the-same-boundary reference run, and scratch directories.
+//! The `route` explorer drives the router instead and keeps its own
+//! applier ([`multinode`]).
 
 use std::collections::BTreeMap;
 use std::fmt;
+use std::path::PathBuf;
 use std::str::FromStr;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use chameleon_core::Precision;
@@ -37,8 +41,9 @@ pub enum Explorer {
     /// Kill a store-attached engine at every eviction boundary, recover,
     /// and compare against the sealed records ([`crash`]).
     Crash,
-    /// Handoff, node-kill, and router-restart schedules on a simulated
-    /// cluster ([`multinode`]).
+    /// Drain, node-kill, and router-restart schedules through
+    /// `chameleon-route`'s routing core over simulated nodes
+    /// ([`multinode`]).
     Route,
     /// Online migration schedules on one multi-shard engine
     /// ([`balance`]).
@@ -66,8 +71,8 @@ impl Explorer {
         }
     }
 
-    /// Runs one seed. A crash seed works in a scratch directory of its
-    /// own, removed afterwards whatever the result.
+    /// Runs one seed. A crash or route seed works in scratch directories
+    /// of its own, removed afterwards whatever the result.
     ///
     /// # Errors
     ///
@@ -80,7 +85,7 @@ impl Explorer {
                 lifecycle::check_seed_at(scenario, seed, Precision::Int8).map(Outcome::Lifecycle)
             }
             Self::Crash => {
-                let scratch = crash::default_scratch();
+                let scratch = scratch_dir("crash");
                 let outcome = crash::check_crash_seed(scenario, seed, &scratch);
                 let _ = std::fs::remove_dir_all(&scratch);
                 outcome.map(Outcome::Crash)
@@ -213,6 +218,17 @@ pub(crate) type Blobs = BTreeMap<SessionId, Vec<u8>>;
 /// order, each before the op at `op_index`.
 pub(crate) type Trace = Vec<(usize, SessionId)>;
 
+/// A fresh scratch directory for one `kind` case (`crash`, `route`),
+/// unique per call and per process so concurrent cases never collide.
+pub(crate) fn scratch_dir(kind: &str) -> PathBuf {
+    static CASES: AtomicU64 = AtomicU64::new(0);
+    let case = CASES.fetch_add(1, Ordering::Relaxed);
+    std::env::temp_dir().join(format!(
+        "chameleon-{kind}-sim-{}-{case}",
+        std::process::id()
+    ))
+}
+
 /// Fleet config of a single-engine run of `seed`: the seed's fault plan
 /// and assignment seed, and an unbounded budget so residency never
 /// depends on which sessions share a shard.
@@ -296,47 +312,41 @@ pub(crate) fn apply_logged(
     Ok(())
 }
 
-/// The current `CHAMFLT1` blob of `session`, probed with a `Checkpoint`
-/// command.
+/// The current `CHAMFLT1` blob of every session `engine` knows, probed
+/// with a `Checkpoint` command in id order.
 ///
 /// # Errors
 ///
 /// A refused checkpoint, or one that produced no blob.
-pub(crate) fn final_blob(engine: &mut FleetEngine, session: SessionId) -> Result<Vec<u8>, String> {
-    engine
-        .command_blocking(session, SessionCommand::Checkpoint)
-        .map_err(|e| format!("final checkpoint refused: {e}"))?;
-    engine
-        .drain_pending()
-        .into_iter()
-        .find_map(|e| match e.kind {
-            SessionEventKind::Checkpointed(blob) => Some(blob),
-            _ => None,
-        })
-        .ok_or_else(|| format!("session {session}: final checkpoint produced no blob"))
-}
-
-/// [`final_blob`] of every session `engine` knows, probed in id order.
-///
-/// # Errors
-///
-/// As [`final_blob`].
 pub(crate) fn final_blobs(engine: &mut FleetEngine) -> Result<Blobs, String> {
     let mut blobs = Blobs::new();
     for id in 0..script::SESSION_POOL {
-        if engine.known(id) {
-            blobs.insert(id, final_blob(engine, id)?);
+        if !engine.known(id) {
+            continue;
         }
+        engine
+            .command_blocking(id, SessionCommand::Checkpoint)
+            .map_err(|e| format!("final checkpoint refused: {e}"))?;
+        let blob = engine
+            .drain_pending()
+            .into_iter()
+            .find_map(|e| match e.kind {
+                SessionEventKind::Checkpointed(blob) => Some(blob),
+                _ => None,
+            })
+            .ok_or_else(|| format!("session {id}: final checkpoint produced no blob"))?;
+        blobs.insert(id, blob);
     }
     Ok(blobs)
 }
 
-/// The Evict-at-the-same-boundary reference: an undisturbed
-/// `shards`-shard engine runs `ops`, evicting each traced session before
-/// the op at its index (evict is idempotent on a cold session). Moves
-/// restart transient training state by design, so a moved session must
-/// match this run byte for byte. Eviction acknowledgements stay out of
-/// the history, as the moves' own export/import events do.
+/// The Evict-at-the-same-boundary reference of the `balance` explorer:
+/// an undisturbed `shards`-shard engine runs `ops`, evicting each traced
+/// session before the op at its index (evict is idempotent on a cold
+/// session). Moves restart transient training state by design, so a
+/// moved session must match this run byte for byte. Eviction
+/// acknowledgements stay out of the history, as the moves' own
+/// export/import events do.
 ///
 /// # Errors
 ///

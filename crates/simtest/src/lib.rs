@@ -26,9 +26,10 @@
 //!   engine at every eviction boundary (optionally on a hostile disk),
 //!   recover, and assert every session comes back to exactly its last
 //!   sealed checkpoint with bit-identical subsequent training;
-//! - [`multinode`] — the `route` explorer: handoff, node-kill, and
-//!   router-restart schedules on a simulated cluster, proven observably
-//!   identical to local evictions at the same boundaries;
+//! - [`multinode`] — the `route` explorer: drain, node-kill, and
+//!   router-restart schedules driven through `chameleon-route`'s own
+//!   routing core over simulated nodes, proven observably identical to
+//!   local evictions at the same boundaries;
 //! - [`balance`] — the migration-schedule explorer: online session
 //!   migrations (the `chameleon-balance` primitive) injected at seeded
 //!   op boundaries, proven observably identical to local evictions at

@@ -1,67 +1,80 @@
-//! The multi-node routing explorer: handoff/kill schedules on a
-//! simulated cluster, cross-checked against a single node.
+//! The multi-node routing explorer: drain, kill and router-restart
+//! schedules driven through `chameleon-route`'s own routing core,
+//! cross-checked against a single node.
 //!
 //! One seed pins a cluster of K simulated nodes (each its own
-//! [`FleetEngine`] with its own seeded scheduler), an op script, a fault
-//! plan, and a *disruption plan* interleaved with the ops:
+//! [`FleetEngine`] with its own shard count and seeded scheduler), an op
+//! script, a fault plan, and a *disruption plan* interleaved with the
+//! ops. The router under test is the real one: a [`RouteCore`] opened on
+//! a scratch state directory and linked to each node through a
+//! `SimNode`, which answers wire requests through the server's own
+//! request → command → response mapping. Every script op and its post-op
+//! `Checkpoint` probe enter through [`RouteCore::handle`] as wire
+//! requests, so placement, pinning, shadow refresh and failover are the
+//! router's own:
 //!
-//! - **Handoff**: an `Export` on the session's current node carries its
-//!   `CHAMFLT1` blob to a rendezvous-chosen survivor (the routing tier's
-//!   administrative drain).
-//! - **Kill**: a node dies without warning; every session placed on it
-//!   is re-homed from its *shadow checkpoint* — the blob probed after
-//!   the session's last completed op, exactly what `chameleon-route`
-//!   caches (a network-partition window looks identical from the
-//!   session's perspective: ops stop reaching the node, and recovery
-//!   re-homes from the last acknowledged state).
-//! - **RouterRestart**: the routing tier itself crashes and restarts.
-//!   The cluster's routing state (placement pins + seq-stamped shadows)
-//!   is pushed through the real CHAMRTE1 codec from `chameleon-route`
-//!   and decoded back, and the schedule only continues if the restarted
-//!   view is bit-identical — the in-sim twin of the router's
-//!   `--state-dir` recovery path.
+//! - **Handoff**: [`RouteCore::drain_backend`] of the session's owner
+//!   (export on the old node, import on the rendezvous successor).
+//! - **Kill**: the node's link starts refusing. Either the router is told
+//!   at once ([`RouteCore::mark_dead`], the prober's bury), or it finds
+//!   out on the next forward there, then buries, fails over and
+//!   re-sends.
+//! - **RouterRestart**: the core is dropped and reopened on the same
+//!   state dir, so pins and shadows come back through the CHAMRTE1 log
+//!   on disk; the reopened core must report recovering exactly the pins
+//!   and shadows the old one held, and hold the same image.
+//!
+//! A drained node stays `Draining`, so a drain or kill that would leave
+//! no node both up and eligible is skipped, decided at apply time.
 //!
 //! The invariant proved per seed is **placement invisibility**:
 //! checkpoint restore resets transient training state *by design* (see
 //! `chameleon-core`), so a moved session is not byte-identical to a
-//! never-moved one — but it must be byte-identical to the same command
-//! sequence on a **single node with a local evict/restore at the same
-//! boundaries**. The explorer replays the multi-node run's interruption
-//! trace as plain `Evict` commands on one engine and asserts every
-//! per-session observable — each post-op probed `CHAMFLT1` blob, each
-//! evaluation, each refusal — and every final checkpoint byte is
-//! identical, no matter which nodes the session visited or how many
-//! times it moved. A same-seed replay of the whole cluster must also
-//! reproduce itself bit for bit.
+//! never-moved one — but it must be byte-identical to the same requests
+//! through a **one-node core with an `Evict` at the same boundaries**.
+//! Which sessions moved, and before which op, is read off the core's
+//! pins before and after every disruption and every op. Every response
+//! to the explorer's own requests (each op's and each probe's, as wire
+//! bytes) and every final checkpoint byte must match the reference, no
+//! matter which nodes the session visited or how many times it moved. A
+//! same-seed replay of the whole cluster must also reproduce itself bit
+//! for bit.
 
-use std::collections::HashMap;
-use std::sync::Arc;
+use std::path::PathBuf;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Mutex};
 
 use chameleon_core::Precision;
-use chameleon_fleet::{FleetConfig, FleetEngine, SessionCommand, SessionEventKind, SessionId};
-use chameleon_runtime::{splitmix64, SimRng};
+use chameleon_fleet::{FleetConfig, FleetEngine, SessionId};
+use chameleon_obs::Observer;
+use chameleon_route::{BackendLink, RouteCore, RouterConfig};
+use chameleon_runtime::{splitmix64, SimRng, VirtualClock};
+use chameleon_serve::wire::{encode_frame, Request, Response};
+use chameleon_serve::{event_response, fleet_error_response, session_command};
 use chameleon_stream::DomainIlScenario;
 
 use crate::digest::digest_by_session;
-use crate::explorer::{apply_logged, evict_reference, final_blob, Blobs, Logs, Trace};
+use crate::explorer::{scratch_dir, sim_config, Blobs, Logs, Trace};
 use crate::script::{self, Op};
 
 /// One scheduled disruption, applied before the op at its index.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Disruption {
-    /// Drain one session off its current node (export + import).
+    /// Drain the node this session lives on.
     Handoff {
-        /// Session to move.
+        /// Session whose owner is drained.
         session: SessionId,
     },
     /// Kill a node outright; its sessions re-home from shadows.
     Kill {
         /// Node to kill.
         node: usize,
+        /// Whether the router is told at once (`mark_dead`) or finds out
+        /// on its next forward to the node.
+        mark_dead: bool,
     },
-    /// Crash-and-restart the routing tier: round-trip its state through
-    /// the CHAMRTE1 codec and require the recovered view to be
-    /// bit-identical.
+    /// Crash-and-restart the routing tier: reopen the core on its state
+    /// dir and require the recovered state to be the one it held.
     RouterRestart,
 }
 
@@ -81,12 +94,13 @@ pub fn disruption_plan(seed: u64, ops: usize, nodes: usize) -> Vec<(usize, Disru
             plan.push((index, Disruption::RouterRestart));
         } else if alive > 1 && rng.chance(1, 3) {
             // The specific victim is resolved at apply time (first node
-            // still alive counting from the drawn index), so the plan
-            // stays valid however earlier kills landed.
+            // still up counting from the drawn index), so the plan stays
+            // valid however earlier kills landed.
             plan.push((
                 index,
                 Disruption::Kill {
                     node: rng.below(nodes as u64) as usize,
+                    mark_dead: rng.chance(1, 2),
                 },
             ));
             alive -= 1;
@@ -119,14 +133,14 @@ pub struct RouteSeedOutcome {
     pub ops: usize,
     /// Simulated nodes in the cluster.
     pub nodes: usize,
-    /// Sessions actually moved by handoffs.
+    /// Sessions moved by drains.
     pub handoffs: u64,
-    /// Nodes killed (sessions re-homed from shadows).
+    /// Nodes killed.
     pub kills: u64,
-    /// Sessions re-homed out of killed nodes.
+    /// Sessions re-homed out of killed nodes from their shadows.
     pub recovered: u64,
-    /// Router crash/restart cycles survived (CHAMRTE1 state round-trips
-    /// proven bit-identical).
+    /// Router crash/restart cycles survived (each reopened from the
+    /// state log to exactly the image it held).
     pub router_restarts: u64,
     /// Whether the case ran under an injected fault plan.
     pub faulted: bool,
@@ -136,272 +150,270 @@ pub struct RouteSeedOutcome {
     pub checkpoint_crc: u32,
 }
 
-/// A simulated cluster: K engines, a placement map, and the shadow
-/// checkpoint cache (the routing tier's state, in miniature).
-struct Cluster {
-    engines: Vec<FleetEngine>,
-    alive: Vec<bool>,
-    placement: HashMap<SessionId, usize>,
-    shadows: HashMap<SessionId, Vec<u8>>,
-    /// Per-session shadow refresh count — the op-sequence stamp the
-    /// routing tier writes next to each shadow in its CHAMRTE1 log.
-    shadow_seqs: HashMap<SessionId, u64>,
+/// One simulated backend: a sim engine answered through the server's
+/// own request → command → response mapping. A killed node refuses every
+/// request, as an unreachable backend does.
+struct SimNode {
+    engine: Mutex<FleetEngine>,
+    up: AtomicBool,
+}
+
+impl SimNode {
+    fn new(engine: FleetEngine) -> Arc<Self> {
+        Arc::new(Self {
+            engine: Mutex::new(engine),
+            up: AtomicBool::new(true),
+        })
+    }
+}
+
+impl BackendLink for SimNode {
+    fn forward(&self, request: &Request) -> Result<Response, String> {
+        if !self.probe() {
+            return Err("node killed".to_string());
+        }
+        let (session, command) =
+            session_command(request.clone()).ok_or("a sim node serves session requests only")?;
+        let mut engine = self.engine.lock().map_err(|e| e.to_string())?;
+        if let Err(error) = engine.command_blocking(session, command) {
+            return Ok(fleet_error_response(&error));
+        }
+        // One command in flight, so exactly one event acknowledges it.
+        let event = engine.drain_pending().pop().ok_or("no acknowledgement")?;
+        Ok(event_response(event.kind))
+    }
+
+    fn probe(&self) -> bool {
+        self.up.load(Ordering::Relaxed)
+    }
+}
+
+/// The cluster of `seed`: `nodes` sim engines, each with its own shard
+/// count, assignment seed and scheduler.
+fn cluster_nodes(scenario: &Arc<DomainIlScenario>, seed: u64, nodes: usize) -> Vec<Arc<SimNode>> {
+    (0..nodes)
+        .map(|node| {
+            SimNode::new(FleetEngine::new_sim(
+                Arc::clone(scenario),
+                FleetConfig {
+                    num_shards: 1 + (splitmix64(seed ^ (node as u64 + 1)) % 2) as usize,
+                    queue_depth: 4,
+                    budget_bytes: u64::MAX,
+                    assignment_seed: splitmix64(seed ^ 0xA551 ^ node as u64),
+                    faults: script::fault_plan(seed),
+                },
+                splitmix64(seed ^ 0xB0B ^ (node as u64) << 8),
+            ))
+        })
+        .collect()
+}
+
+/// Nodes in the cluster of `seed`: two or three.
+fn node_count(seed: u64) -> usize {
+    2 + (splitmix64(seed ^ 0x0DE5) % 2) as usize
+}
+
+/// Each pool session's owner, by id.
+fn owners(core: &RouteCore) -> Vec<Option<usize>> {
+    (0..script::SESSION_POOL)
+        .map(|session| core.owner_of(session))
+        .collect()
+}
+
+/// The route explorer's applier: sends `op` through `core` as its wire
+/// request, then probes the session with a `Checkpoint`; both responses'
+/// frames join the session's history.
+fn apply_routed(core: &RouteCore, logs: &mut Logs, seed: u64, op: &Op) {
+    let session = op.session();
+    let request = match *op {
+        Op::Create { .. } => Request::CreateSession {
+            session,
+            spec: script::session_spec_at(seed, session, Precision::F32),
+        },
+        Op::Step { batches, .. } => Request::Step {
+            session,
+            batches: batches as u32,
+        },
+        Op::Checkpoint { .. } => Request::Checkpoint { session },
+        Op::Evict { .. } => Request::Evict { session },
+        Op::Evaluate { .. } => Request::Predict { session },
+    };
+    let log = logs.entry(session).or_default();
+    for request in [request, Request::Checkpoint { session }] {
+        log.extend_from_slice(&encode_frame(&core.handle(&request).encode_payload(0)));
+    }
+}
+
+/// The final `CHAMFLT1` blob of every session `core` has pinned, in id
+/// order.
+fn routed_blobs(core: &RouteCore) -> Result<Blobs, String> {
+    let mut blobs = Blobs::new();
+    for session in (0..script::SESSION_POOL).filter(|&s| core.owner_of(s).is_some()) {
+        match core.handle(&Request::Checkpoint { session }) {
+            Response::Checkpointed(blob) => blobs.insert(session, blob),
+            other => return Err(format!("session {session}: final checkpoint: {other:?}")),
+        };
+    }
+    Ok(blobs)
+}
+
+/// One routed run of a seed's script: sim nodes behind a routing core
+/// that keeps its state in a scratch dir, and what the explorer saw.
+#[derive(Default)]
+struct Run {
+    nodes: Vec<Arc<SimNode>>,
+    state_dir: PathBuf,
     logs: Logs,
-    seed: u64,
-    /// Sessions moved by handoffs and failovers; the single-node
-    /// reference replays this as `Evict` commands.
+    /// Sessions the router moved, read off its pins.
     trace: Trace,
     handoffs: u64,
     kills: u64,
-    recovered: u64,
+    /// Sessions moved by a kill reported at once (`mark_dead`).
+    buried: u64,
+    /// Sessions moved by a forward that found its node dead.
+    failed_over: u64,
     router_restarts: u64,
+    /// Pins the reopened cores recovered, summed over restarts.
+    pins_recovered: u64,
 }
 
-impl Cluster {
-    fn new(scenario: &Arc<DomainIlScenario>, seed: u64, nodes: usize) -> Self {
-        let faults = script::fault_plan(seed);
-        let engines = (0..nodes)
-            .map(|node| {
-                FleetEngine::new_sim(
-                    Arc::clone(scenario),
-                    FleetConfig {
-                        num_shards: 1 + (splitmix64(seed ^ (node as u64 + 1)) % 2) as usize,
-                        queue_depth: 4,
-                        budget_bytes: u64::MAX,
-                        assignment_seed: splitmix64(seed ^ 0xA551 ^ node as u64),
-                        faults,
-                    },
-                    splitmix64(seed ^ 0xB0B ^ (node as u64) << 8),
-                )
-            })
+impl Run {
+    /// Runs `ops` through a core over `nodes`, applying before the op at
+    /// each index the `plan`'s disruptions, then an `Evict` request for
+    /// each `evicts` session (acknowledgements stay out of the history,
+    /// as the router's own exports and imports do). Returns the run and
+    /// the final blobs; the state dir is removed whatever the result.
+    fn drive(
+        nodes: Vec<Arc<SimNode>>,
+        seed: u64,
+        ops: &[Op],
+        plan: &[(usize, Disruption)],
+        evicts: &[(usize, SessionId)],
+    ) -> Result<(Self, Blobs), String> {
+        let mut run = Self {
+            nodes,
+            state_dir: scratch_dir("route"),
+            ..Self::default()
+        };
+        let blobs = run.apply(seed, ops, plan, evicts);
+        let _ = std::fs::remove_dir_all(&run.state_dir);
+        blobs.map(|blobs| (run, blobs))
+    }
+
+    fn apply(
+        &mut self,
+        seed: u64,
+        ops: &[Op],
+        plan: &[(usize, Disruption)],
+        evicts: &[(usize, SessionId)],
+    ) -> Result<Blobs, String> {
+        let mut core = self.open()?;
+        for (index, op) in ops.iter().enumerate() {
+            for &(_, disruption) in plan.iter().filter(|(at, _)| *at == index) {
+                core = self.disrupt(core, index, disruption)?;
+            }
+            for &(_, session) in evicts.iter().filter(|(at, _)| *at == index) {
+                core.handle(&Request::Evict { session });
+            }
+            let before = owners(&core);
+            apply_routed(&core, &mut self.logs, seed, op);
+            self.failed_over += self.record_moves(index, &before, &core);
+        }
+        routed_blobs(&core)
+    }
+
+    /// A routing core over the nodes, named `node-0`, `node-1`, …, on
+    /// the run's state dir.
+    fn open(&self) -> Result<RouteCore, String> {
+        let config = RouterConfig {
+            backends: (0..self.nodes.len()).map(|n| format!("node-{n}")).collect(),
+            state_dir: Some(self.state_dir.clone()),
+            ..RouterConfig::default()
+        };
+        let links = self
+            .nodes
+            .iter()
+            .map(|node| Arc::clone(node) as Arc<dyn BackendLink>)
             .collect();
-        Self {
-            engines,
-            alive: vec![true; nodes],
-            placement: HashMap::new(),
-            shadows: HashMap::new(),
-            shadow_seqs: HashMap::new(),
-            logs: Logs::new(),
-            seed,
-            trace: Trace::new(),
-            handoffs: 0,
-            kills: 0,
-            recovered: 0,
-            router_restarts: 0,
-        }
+        let obs = Arc::new(Observer::new(VirtualClock::shared(0)));
+        RouteCore::open(&config, links, obs).map_err(|e| format!("router state log: {e}"))
     }
 
-    /// Rendezvous choice among live nodes, optionally excluding one —
-    /// the same highest-random-weight scheme `chameleon-route` uses.
-    fn rendezvous(&self, session: SessionId, exclude: Option<usize>) -> Option<usize> {
-        let key = splitmix64(session ^ self.seed);
-        (0..self.engines.len())
-            .filter(|&n| self.alive[n] && Some(n) != exclude)
-            .max_by_key(|&n| splitmix64(key ^ (n as u64 + 1)))
-    }
-
-    fn owner_of(&self, session: SessionId) -> Option<usize> {
-        self.placement
-            .get(&session)
-            .copied()
-            .or_else(|| self.rendezvous(session, None))
-    }
-
-    /// Applies one script op on the session's current node; every probed
-    /// post-op blob doubles as the session's shadow for later failovers.
-    fn apply(&mut self, op: &Op) -> Result<(), String> {
-        let session = op.session();
-        let Some(node) = self.owner_of(session) else {
-            return Err("no live node left to route to".to_string());
-        };
-        apply_logged(
-            &mut self.engines[node],
-            &mut self.logs,
-            self.seed,
-            op,
-            Precision::F32,
-            |event| {
-                if let SessionEventKind::Checkpointed(blob) = event.kind {
-                    self.shadows.insert(event.session, blob);
-                    *self.shadow_seqs.entry(event.session).or_insert(0) += 1;
-                }
-                Ok(())
-            },
-        )?;
-        if self.engines[node].known(session) {
-            self.placement.entry(session).or_insert(node);
-        }
-        Ok(())
-    }
-
-    /// Administrative drain of one session: export on the old node
-    /// (capture + forget), import on the rendezvous survivor.
-    fn handoff(&mut self, op_index: usize, session: SessionId) -> Result<(), String> {
-        let Some(old) = self.placement.get(&session).copied() else {
-            return Ok(()); // never created (yet) — nothing to move
-        };
-        let Some(new) = self.rendezvous(session, Some(old)) else {
-            return Ok(()); // nowhere to move it
-        };
-        if self.engines[old]
-            .command_blocking(session, SessionCommand::Export)
-            .is_err()
-        {
-            return Ok(());
-        }
-        // Export/import acknowledgements stay out of the compared history.
-        let blob = self.engines[old]
-            .drain_pending()
-            .into_iter()
-            .find_map(|e| match e.kind {
-                SessionEventKind::Exported(blob) => Some(blob),
-                _ => None,
-            })
-            .ok_or_else(|| format!("session {session}: export produced no blob"))?;
-        self.engines[new]
-            .command_blocking(session, SessionCommand::Import(blob.clone()))
-            .map_err(|e| format!("session {session}: import refused: {e}"))?;
-        self.engines[new].drain_pending();
-        self.placement.insert(session, new);
-        self.shadows.insert(session, blob);
-        *self.shadow_seqs.entry(session).or_insert(0) += 1;
-        self.trace.push((op_index, session));
-        self.handoffs += 1;
-        Ok(())
-    }
-
-    /// Crash-and-restart of the routing tier: serialize the cluster's
-    /// routing state (placement pins keyed by a stable node address,
-    /// shadows stamped with their refresh sequence) through the real
-    /// CHAMRTE1 codec, decode it back, and require the recovered view to
-    /// match bit for bit. Placement must survive exactly, or a restarted
-    /// router would re-derive different owners and break invisibility.
-    fn router_restart(&mut self) -> Result<(), String> {
-        use chameleon_route::state;
-        let mut log: Vec<u8> = state::STATE_MAGIC.to_vec();
-        let mut sessions: Vec<SessionId> = self.placement.keys().copied().collect();
-        sessions.sort_unstable();
-        for &session in &sessions {
-            log.extend_from_slice(&state::encode_pin(
-                session,
-                &format!("node-{}", self.placement[&session]),
-            ));
-        }
-        let mut shadowed: Vec<SessionId> = self.shadows.keys().copied().collect();
-        shadowed.sort_unstable();
-        for &session in &shadowed {
-            let seq = self.shadow_seqs.get(&session).copied().unwrap_or(0);
-            log.extend_from_slice(&state::encode_shadow(session, seq, &self.shadows[&session]));
-        }
-        let decoded = state::decode_state(&log)
-            .map_err(|e| format!("router restart: state log unreadable: {e}"))?;
-        if let Some(damage) = decoded.damage {
-            return Err(format!("router restart: state log damaged: {damage}"));
-        }
-        for &session in &sessions {
-            let expected = format!("node-{}", self.placement[&session]);
-            if decoded.image.pins.get(&session) != Some(&expected) {
-                return Err(format!(
-                    "router restart: session {session} pin did not survive the \
-                     CHAMRTE1 round-trip"
-                ));
+    /// Traces, at `index`, every session whose owner is no longer the
+    /// one in `before`; returns how many.
+    fn record_moves(&mut self, index: usize, before: &[Option<usize>], core: &RouteCore) -> u64 {
+        let mut moved = 0;
+        for (session, (was, now)) in (0..).zip(before.iter().zip(owners(core))) {
+            if was.is_some() && *was != now {
+                self.trace.push((index, session));
+                moved += 1;
             }
         }
-        if decoded.image.pins.len() != sessions.len() {
-            return Err("router restart: recovered pin table has extra entries".to_string());
-        }
-        for &session in &shadowed {
-            let seq = self.shadow_seqs.get(&session).copied().unwrap_or(0);
-            match decoded.image.shadows.get(&session) {
-                Some((s, blob)) if *s == seq && *blob == self.shadows[&session] => {}
-                _ => {
+        moved
+    }
+
+    /// Whether a node other than `node` is up and eligible for sessions.
+    fn serving_besides(&self, core: &RouteCore, node: usize) -> bool {
+        core.backend_states()
+            .iter()
+            .enumerate()
+            .any(|(n, (_, state))| n != node && state.eligible() && self.nodes[n].probe())
+    }
+
+    /// Applies one disruption before the op at `index`, tracing the
+    /// sessions it moved. A restart consumes the core and returns the
+    /// reopened one.
+    fn disrupt(
+        &mut self,
+        core: RouteCore,
+        index: usize,
+        disruption: Disruption,
+    ) -> Result<RouteCore, String> {
+        let before = owners(&core);
+        match disruption {
+            Disruption::Handoff { session } => {
+                // Nothing to drain before the session exists.
+                let owner = core.owner_of(session);
+                if let Some(owner) = owner.filter(|&o| self.serving_besides(&core, o)) {
+                    core.drain_backend(owner).map_err(|e| e.to_string())?;
+                    self.handoffs += self.record_moves(index, &before, &core);
+                }
+            }
+            Disruption::Kill { node, mark_dead } => {
+                let n = self.nodes.len();
+                let victim = (0..n)
+                    .map(|i| (node + i) % n)
+                    .find(|&v| self.nodes[v].probe())
+                    .filter(|&v| self.serving_besides(&core, v));
+                if let Some(victim) = victim {
+                    self.nodes[victim].up.store(false, Ordering::Relaxed);
+                    self.kills += 1;
+                    if mark_dead {
+                        core.mark_dead(victim).map_err(|e| e.to_string())?;
+                        self.buried += self.record_moves(index, &before, &core);
+                    }
+                }
+            }
+            Disruption::RouterRestart => {
+                let held = core.image();
+                drop(core);
+                let core = self.open()?;
+                let recovered = core.counters();
+                let recovered = (recovered.pins_recovered, recovered.shadows_recovered);
+                let expected = (held.pins.len() as u64, held.shadows.len() as u64);
+                if recovered != expected || core.image() != held {
                     return Err(format!(
-                        "router restart: session {session} shadow (seq {seq}) did not \
-                         survive the CHAMRTE1 round-trip"
+                        "router restart: recovered (pins, shadows) {recovered:?} of the \
+                         {expected:?} held, or not the image held"
                     ));
                 }
+                self.router_restarts += 1;
+                self.pins_recovered += recovered.0;
+                return Ok(core);
             }
         }
-        self.router_restarts += 1;
-        Ok(())
+        Ok(core)
     }
-
-    /// Kills a node outright: no export, every session placed on it is
-    /// re-homed from its shadow checkpoint (its state after its last
-    /// completed op).
-    fn kill(&mut self, op_index: usize, node_hint: usize) -> Result<(), String> {
-        let nodes = self.engines.len();
-        let Some(victim) = (0..nodes)
-            .map(|i| (node_hint + i) % nodes)
-            .find(|&n| self.alive[n])
-            .filter(|_| self.alive.iter().filter(|&&a| a).count() > 1)
-        else {
-            return Ok(()); // refuse to kill the last survivor
-        };
-        self.alive[victim] = false;
-        self.kills += 1;
-        let mut stranded: Vec<SessionId> = self
-            .placement
-            .iter()
-            .filter(|(_, &n)| n == victim)
-            .map(|(&s, _)| s)
-            .collect();
-        stranded.sort_unstable();
-        for session in stranded {
-            let Some(blob) = self.shadows.get(&session).cloned() else {
-                continue;
-            };
-            let Some(new) = self.rendezvous(session, None) else {
-                continue;
-            };
-            self.engines[new]
-                .command_blocking(session, SessionCommand::Import(blob))
-                .map_err(|e| format!("session {session}: failover import refused: {e}"))?;
-            self.engines[new].drain_pending();
-            self.placement.insert(session, new);
-            self.trace.push((op_index, session));
-            self.recovered += 1;
-        }
-        Ok(())
-    }
-
-    /// Final `CHAMFLT1` blob of every session, probed on its current
-    /// node, in id order.
-    fn final_blobs(&mut self) -> Result<Blobs, String> {
-        let mut ids: Vec<SessionId> = self.placement.keys().copied().collect();
-        ids.sort_unstable();
-        let mut blobs = Blobs::new();
-        for id in ids {
-            blobs.insert(id, final_blob(&mut self.engines[self.placement[&id]], id)?);
-        }
-        Ok(blobs)
-    }
-}
-
-/// Runs the multi-node schedule for one seed; returns the cluster (its
-/// logs and interruption trace) and the final blobs.
-fn run_cluster(
-    scenario: &Arc<DomainIlScenario>,
-    seed: u64,
-    nodes: usize,
-    ops: &[Op],
-    plan: &[(usize, Disruption)],
-) -> Result<(Cluster, Blobs), String> {
-    let mut cluster = Cluster::new(scenario, seed, nodes);
-    for (index, op) in ops.iter().enumerate() {
-        for (at, disruption) in plan.iter().filter(|(at, _)| *at == index) {
-            match disruption {
-                Disruption::Handoff { session } => cluster.handoff(*at, *session)?,
-                Disruption::Kill { node } => cluster.kill(*at, *node)?,
-                Disruption::RouterRestart => cluster.router_restart()?,
-            }
-        }
-        cluster
-            .apply(op)
-            .map_err(|e| format!("op {index} ({op:?}): {e}"))?;
-    }
-    let blobs = cluster.final_blobs()?;
-    Ok((cluster, blobs))
 }
 
 /// Runs the full multi-node placement-invisibility + replay-determinism
@@ -416,20 +428,21 @@ pub fn check_route_seed(
     seed: u64,
 ) -> Result<RouteSeedOutcome, String> {
     let ops = script::generate(seed);
-    let nodes = 2 + (splitmix64(seed ^ 0x0DE5) % 2) as usize;
+    let nodes = node_count(seed);
     let plan = disruption_plan(seed, ops.len(), nodes);
+    let run_cluster = |tag| {
+        Run::drive(cluster_nodes(scenario, seed, nodes), seed, &ops, &plan, &[])
+            .map_err(|e| format!("route seed {seed}{tag}: {e}"))
+    };
+    let (cluster, blobs) = run_cluster("")?;
+    let (replay, replay_blobs) = run_cluster(" [replay]")?;
 
-    let (cluster, blobs) = run_cluster(scenario, seed, nodes, &ops, &plan)
-        .map_err(|e| format!("route seed {seed}: {e}"))?;
-    let (replay, replay_blobs) = run_cluster(scenario, seed, nodes, &ops, &plan)
-        .map_err(|e| format!("route seed {seed} [replay]: {e}"))?;
-
-    // Replay determinism: the same seed must reproduce the same
-    // interruption trace, the same per-session histories, and the same
-    // final checkpoint bytes.
+    // Replay determinism: the same seed must reproduce the same move
+    // trace, the same per-session histories, and the same final
+    // checkpoint bytes.
     if cluster.trace != replay.trace {
         return Err(format!(
-            "route seed {seed}: replay performed a different interruption trace"
+            "route seed {seed}: replay performed a different move trace"
         ));
     }
     if cluster.logs != replay.logs || blobs != replay_blobs {
@@ -438,12 +451,17 @@ pub fn check_route_seed(
         ));
     }
 
-    // Placement invisibility: the single-node reference with the same
-    // interruption boundaries must match every observable byte.
-    let (ref_logs, ref_blobs) = evict_reference(scenario, seed, 1, &ops, &cluster.trace)
+    // Placement invisibility: a one-node core with an `Evict` at every
+    // move must match every observable byte.
+    let one_node = vec![SimNode::new(FleetEngine::new_sim(
+        Arc::clone(scenario),
+        sim_config(seed, 1),
+        seed,
+    ))];
+    let (reference, ref_blobs) = Run::drive(one_node, seed, &ops, &[], &cluster.trace)
         .map_err(|e| format!("route seed {seed} [reference]: {e}"))?;
     for id in 0..script::SESSION_POOL {
-        if cluster.logs.get(&id) != ref_logs.get(&id) {
+        if cluster.logs.get(&id) != reference.logs.get(&id) {
             return Err(format!(
                 "route seed {seed}: session {id} history diverges between the \
                  {nodes}-node cluster and the single-node reference"
@@ -463,7 +481,7 @@ pub fn check_route_seed(
         nodes,
         handoffs: cluster.handoffs,
         kills: cluster.kills,
-        recovered: cluster.recovered,
+        recovered: cluster.buried + cluster.failed_over,
         router_restarts: cluster.router_restarts,
         faulted: script::fault_plan(seed).is_some(),
         log_digest: digest_by_session(&cluster.logs),
@@ -514,14 +532,26 @@ mod tests {
         assert!(restarts > 0, "no seed in 0..32 ever restarts the router");
     }
 
+    /// Seeds 0..8 together take every path the router moves a session
+    /// by, and restart it with pins to recover.
     #[test]
     fn schedules_actually_disrupt() {
         let scenario = scenario();
-        let mut moved = 0u64;
-        for seed in 0..4u64 {
-            let outcome = check_route_seed(&scenario, seed).expect("pass");
-            moved += outcome.handoffs + outcome.recovered;
+        let (mut drained, mut buried, mut failed_over, mut pins) = (0, 0, 0, 0);
+        for seed in 0..8u64 {
+            let ops = script::generate(seed);
+            let nodes = node_count(seed);
+            let plan = disruption_plan(seed, ops.len(), nodes);
+            let nodes = cluster_nodes(&scenario, seed, nodes);
+            let (run, _) = Run::drive(nodes, seed, &ops, &plan, &[]).expect("pass");
+            drained += run.handoffs;
+            buried += run.buried;
+            failed_over += run.failed_over;
+            pins += run.pins_recovered;
         }
-        assert!(moved > 0, "no seed in 0..4 ever moved a session");
+        assert!(drained > 0, "no drain moved a session");
+        assert!(buried > 0, "no mark_dead re-homed a session");
+        assert!(failed_over > 0, "no forward failed a session over");
+        assert!(pins > 0, "no restart recovered a pin");
     }
 }

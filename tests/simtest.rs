@@ -63,8 +63,9 @@ fn a_seed_reproduces_its_outcome_bit_for_bit() {
 }
 
 /// Seeds 0–3 of every explorer except lifecycle (whose seeds 0–3 the
-/// golden metric digests already pin): every outcome field, so a
-/// refactor of the explorer plumbing cannot shift what any seed observes.
+/// golden metric digests already pin), plus the route seeds that found
+/// router defects: every outcome field, so a refactor of the explorer
+/// plumbing cannot shift what any seed observes.
 #[test]
 fn non_lifecycle_explorer_seeds_reproduce_their_pinned_outcomes() {
     let scenario = golden::golden_scenario();
@@ -118,12 +119,16 @@ fn non_lifecycle_explorer_seeds_reproduce_their_pinned_outcomes() {
     let _ = std::fs::remove_dir_all(&scratch);
 
     // (seed, ops, nodes, handoffs, kills, recovered, router restarts,
-    //  faulted, log digest, checkpoint crc)
+    //  faulted, log digest, checkpoint crc). Seeds 64 and 76 found the
+    // router losing a session whose import target was unreachable (a
+    // drain's, then a failover's).
     for (seed, ops, nodes, handoffs, kills, recovered, router_restarts, faulted, log, ck) in [
-        (0, 26, 3, 1, 2, 3, 0, false, 0xb6320bf2, 0x8202937e),
-        (1, 28, 3, 0, 2, 0, 3, true, 0x62dbdd67, 0x2126f165),
-        (2, 23, 3, 1, 1, 0, 0, false, 0x40a48a36, 0x30dd7cff),
-        (3, 23, 3, 1, 1, 1, 0, true, 0x0fe44596, 0xedbde706),
+        (0, 26, 3, 2, 1, 2, 0, false, 0x1f5880e2, 0x8202937e),
+        (1, 28, 3, 0, 2, 1, 3, true, 0x1b3260dc, 0x510c0fde),
+        (2, 23, 3, 1, 1, 1, 0, false, 0x0677451b, 0x30dd7cff),
+        (3, 23, 3, 2, 1, 0, 0, true, 0xd5dfd1ab, 0xae878d1d),
+        (64, 23, 3, 1, 1, 1, 2, false, 0x1a04e233, 0xb49dc492),
+        (76, 25, 3, 1, 2, 0, 0, false, 0xf5032d70, 0xd30b8dd7),
     ] {
         let pinned = RouteSeedOutcome {
             seed,

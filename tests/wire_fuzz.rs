@@ -10,7 +10,7 @@
 
 use chameleon_faults::{
     CheckpointFaultModel, FaultInjector, FaultPlan, FileFaultModel, MemoryFaultModel,
-    NetFaultModel, StreamFaultModel,
+    StreamFaultModel,
 };
 use chameleon_serve::wire::{
     decode_frame, encode_frame, ErrorCode, Request, Response, WireError, FRAME_OVERHEAD,
@@ -30,7 +30,6 @@ fn frame_damage_plan(seed: u64) -> FaultPlan {
         },
         stream: StreamFaultModel::disabled(),
         file: FileFaultModel::disabled(),
-        net: NetFaultModel::disabled(),
     }
 }
 
